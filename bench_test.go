@@ -192,8 +192,8 @@ func BenchmarkDynamicDVFS(b *testing.B) {
 	}
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		base := pipeline.NewCore(pipeline.DefaultConfig(pipeline.Base), prof).Run(30_000)
-		cfg := pipeline.DefaultConfig(pipeline.GALS)
+		base := pipeline.NewCore(pipeline.DefaultConfig(pipeline.BaseTopology()), prof).Run(30_000)
+		cfg := pipeline.DefaultConfig(pipeline.GALSTopology())
 		cfg.DynamicDVFS = pipeline.DefaultDynamicDVFS()
 		dyn := pipeline.NewCore(cfg, prof).Run(30_000)
 		rel = dyn.EnergyPJ / base.EnergyPJ
@@ -212,7 +212,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	const n = 20_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := pipeline.DefaultConfig(pipeline.GALS)
+		cfg := pipeline.DefaultConfig(pipeline.GALSTopology())
 		pipeline.NewCore(cfg, prof).Run(n)
 	}
 	b.ReportMetric(float64(n*uint64(b.N))/b.Elapsed().Seconds(), "sim-instrs/s")

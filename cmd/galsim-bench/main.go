@@ -165,7 +165,7 @@ func measure(name string, r testing.BenchmarkResult) Measurement {
 
 // benchThroughput is BenchmarkSimulatorThroughput: raw simulation speed of
 // one core, in simulated instructions per wall-clock second.
-func benchThroughput(kind pipeline.Kind, instrs uint64) func(b *testing.B) {
+func benchThroughput(topo pipeline.Topology, instrs uint64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		prof, err := workload.ByName("gcc")
@@ -174,7 +174,7 @@ func benchThroughput(kind pipeline.Kind, instrs uint64) func(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg := pipeline.DefaultConfig(kind)
+			cfg := pipeline.DefaultConfig(topo)
 			pipeline.NewCore(cfg, prof).Run(instrs)
 		}
 		b.ReportMetric(float64(instrs*uint64(b.N))/b.Elapsed().Seconds(), "sim-instrs/s")
@@ -193,7 +193,7 @@ func benchSampler(interval, instrs uint64) func(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg := pipeline.DefaultConfig(pipeline.GALS)
+			cfg := pipeline.DefaultConfig(pipeline.GALSTopology())
 			cfg.SampleInterval = interval
 			pipeline.NewCore(cfg, prof).Run(instrs)
 		}
@@ -216,7 +216,7 @@ func benchTimeline(on bool, instrs uint64) func(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg := pipeline.DefaultConfig(pipeline.GALS)
+			cfg := pipeline.DefaultConfig(pipeline.GALSTopology())
 			core := pipeline.NewCore(cfg, prof)
 			if on {
 				rec := timeline.NewRecorder(timeline.Options{MaxEvents: 1024, Flight: true})
@@ -424,8 +424,8 @@ func main() {
 		machine string
 		fn      func(b *testing.B)
 	}{
-		{"throughput/gals", "gals", benchThroughput(pipeline.GALS, *instrs)},
-		{"throughput/base", "base", benchThroughput(pipeline.Base, *instrs)},
+		{"throughput/gals", "gals", benchThroughput(pipeline.GALSTopology(), *instrs)},
+		{"throughput/base", "base", benchThroughput(pipeline.BaseTopology(), *instrs)},
 		{"sweep/serial", "", benchSweep(*sweepN)},
 		{"sampler/off", "gals", benchSampler(0, *instrs)},
 		{"sampler/on", "gals", benchSampler(*sampleIvl, *instrs)},

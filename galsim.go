@@ -266,8 +266,9 @@ type Options struct {
 	// 100000).
 	Instructions uint64
 	// Slowdowns stretches named clock domains: 1.1 = 10% slower clock, 3 =
-	// one-third frequency. Keys are DomainNames entries. The base machine
-	// accepts only a uniform slowdown under the key "all".
+	// one-third frequency. Keys are DomainNames entries, or "all" for a
+	// uniform slowdown. The base machine has a single clock, so it accepts
+	// only "all" or its domain's own name, "core"; the two are equivalent.
 	Slowdowns map[string]float64
 	// DisableVoltageScaling keeps every domain at nominal supply voltage
 	// even when slowed (frequency-only scaling); by default a slowed

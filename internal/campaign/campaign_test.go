@@ -60,6 +60,47 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestSlowdownKeyCanonicalization pins that slowdown maps simulating the
+// same machine share one key: on a single-clock machine the lone domain's
+// name is the uniform "all" stretch (the domain entry winning when both are
+// given), and a domain entry equal to the uniform stretch is a no-op. A
+// domain entry that differs from "all" refines it and must keep its own key.
+func TestSlowdownKeyCanonicalization(t *testing.T) {
+	slow := func(name string, m map[string]float64) RunSpec {
+		return RunSpec{Benchmark: "gcc", Machine: name, Instructions: 4_000, Slowdowns: m}
+	}
+	same := []struct{ a, b RunSpec }{
+		{slow("base", map[string]float64{"core": 2}), slow("base", map[string]float64{"all": 2})},
+		{slow("base", map[string]float64{"all": 3, "core": 2}), slow("base", map[string]float64{"all": 2})},
+		{slow("base", map[string]float64{"all": 2, "core": 1}), slow("base", nil)},
+		{slow("gals", map[string]float64{"all": 2, "fp": 2}), slow("gals", map[string]float64{"all": 2})},
+	}
+	for i, c := range same {
+		if c.a.Key() != c.b.Key() {
+			t.Errorf("pair %d: %v and %v hash differently", i, c.a.Slowdowns, c.b.Slowdowns)
+		}
+		sa, errA := Execute(c.a, nil)
+		sb, errB := Execute(c.b, nil)
+		if errA != nil || errB != nil || !reflect.DeepEqual(sa, sb) {
+			t.Errorf("pair %d: equal-key specs simulate differently (errors %v, %v)", i, errA, errB)
+		}
+	}
+	// The keys of existing "all" specs are unchanged.
+	if got := slow("base", map[string]float64{"all": 2}).Canonical().Slowdowns; !reflect.DeepEqual(got, map[string]float64{"all": 2}) {
+		t.Errorf("canonical base {all: 2} slowdowns = %v", got)
+	}
+	refined := slow("gals", map[string]float64{"all": 2, "fp": 1})
+	uniform := slow("gals", map[string]float64{"all": 2})
+	if refined.Key() == uniform.Key() {
+		t.Error("a domain refining the uniform stretch lost its entry in the key")
+	}
+	sr, errR := Execute(refined, nil)
+	su, errU := Execute(uniform, nil)
+	if errR != nil || errU != nil || reflect.DeepEqual(sr, su) {
+		t.Errorf("fp=1 under all=2 simulated like all=2 (errors %v, %v)", errR, errU)
+	}
+}
+
 func TestSweepNumUnitsSaturates(t *testing.T) {
 	big := make([]int64, 200_000)
 	for i := range big {
@@ -134,7 +175,7 @@ func TestExecuteMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.DefaultConfig(pipeline.GALS)
+	cfg := pipeline.DefaultConfig(pipeline.GALSTopology())
 	cfg.WorkloadSeed = 42
 	cfg.PhaseSeed = 1
 	cfg.Slowdowns[pipeline.DomFP] = 3

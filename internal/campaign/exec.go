@@ -57,20 +57,6 @@ func Execute(spec RunSpec, onCommit func(*isa.Instr)) (pipeline.Stats, error) {
 	return ExecuteOpts(spec, ExecOpts{OnCommit: onCommit})
 }
 
-// ExecuteRecording is Execute with an optional capture tap: when traceOut
-// is non-nil the workload stream delivered to the pipeline is recorded to
-// it in the trace format, so the run can later be replayed (see
-// internal/trace). Recording never alters the simulation.
-func ExecuteRecording(spec RunSpec, onCommit func(*isa.Instr), traceOut io.Writer) (pipeline.Stats, error) {
-	return ExecuteOpts(spec, ExecOpts{OnCommit: onCommit, TraceOut: traceOut})
-}
-
-// ExecuteTimeline is ExecuteRecording with an optional timeline tracer
-// attached to the core for the duration of the run.
-func ExecuteTimeline(spec RunSpec, onCommit func(*isa.Instr), traceOut io.Writer, tap TimelineTap) (pipeline.Stats, error) {
-	return ExecuteOpts(spec, ExecOpts{OnCommit: onCommit, TraceOut: traceOut, Tap: tap})
-}
-
 // ExecuteOpts runs one unit with the full set of taps and snapshot
 // controls. It is the single execution path under Execute, the engine cache
 // and the cluster worker.

@@ -195,7 +195,7 @@ func TestTraceTopologyProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := RunSpec{Benchmark: "gcc", Machine: "gals", Instructions: 4_000}
-	recStats, err := ExecuteRecording(rec, nil, f)
+	recStats, err := ExecuteOpts(rec, ExecOpts{TraceOut: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestTraceTopologyProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteRecording(RunSpec{Benchmark: "gcc", Instructions: 4_000}, nil, bf); err != nil {
+	if _, err := ExecuteOpts(RunSpec{Benchmark: "gcc", Instructions: 4_000}, ExecOpts{TraceOut: bf}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bf.Close(); err != nil {

@@ -124,6 +124,7 @@ type RunSpec struct {
 
 // Canonical defaults, matching galsim.Run's zero-value behaviour.
 const (
+	defaultMachine        = "base"
 	defaultInstructions   = 100_000
 	defaultWorkloadSeed   = 42
 	defaultPhaseSeed      = 1
@@ -132,9 +133,9 @@ const (
 	defaultPredictor      = "gshare"
 )
 
-// Canonical returns the spec with every default made explicit and
-// no-op slowdown entries (factor exactly 1) removed, so that equal runs
-// hash equally regardless of how sparsely the caller filled the struct.
+// Canonical returns the spec with every default made explicit and no-op
+// slowdown entries removed, so that equal runs hash equally regardless of
+// how sparsely the caller filled the struct.
 // A trace reference gains its content digest here (reading the file if
 // needed); an unreadable file leaves the digest empty for Validate to
 // report.
@@ -154,7 +155,7 @@ func (s RunSpec) Canonical() RunSpec {
 		}
 	}
 	if s.Machine == "" && s.MachineSpec == nil {
-		s.Machine = pipeline.Base.String()
+		s.Machine = defaultMachine
 	}
 	if s.Trace != nil && s.Instructions == 0 {
 		// A replay's natural budget is the recorded run's length, not the
@@ -206,24 +207,39 @@ func (s RunSpec) Canonical() RunSpec {
 	// sweeping phase seeds over both machines must simulate the
 	// synchronous reference once, not once per seed. An unresolvable
 	// machine is left alone for Validate to report.
-	synchronous := false
-	if ms, err := s.machineSpec(); err == nil {
-		synchronous = len(ms.Domains) == 1
+	sole := "" // the lone clock domain of a synchronous machine
+	if ms, err := s.machineSpec(); err == nil && len(ms.Domains) == 1 {
+		sole = ms.Domains[0].Name
 	}
+	synchronous := sole != ""
 	if s.FIFOSyncEdges == 0 || synchronous {
-		s.FIFOSyncEdges = pipeline.DefaultConfig(pipeline.Base).FIFOSyncEdges
+		s.FIFOSyncEdges = pipeline.DefaultFIFOSyncEdges
 	}
 	if s.FIFOCapacity == 0 || synchronous {
-		s.FIFOCapacity = pipeline.DefaultConfig(pipeline.Base).FIFOCapacity
+		s.FIFOCapacity = pipeline.DefaultFIFOCapacity
 	}
 	if synchronous {
 		s.PhaseSeed = defaultPhaseSeed
 		s.ZeroPhases = false
 		s.LinkStyle = defaultLinkStyle
 	}
+	// A domain entry refines the uniform "all" stretch (see PipelineConfig),
+	// so it is a no-op when it equals that stretch. On a synchronous machine
+	// the lone domain's entry is the uniform stretch: it folds into "all",
+	// winning when both are given.
+	uniform, ok := s.Slowdowns["all"]
+	if f, own := s.Slowdowns[sole]; synchronous && own {
+		uniform, ok = f, true
+	}
+	if !ok {
+		uniform = 1
+	}
 	var slow map[string]float64
+	if uniform != 1 {
+		slow = map[string]float64{"all": uniform}
+	}
 	for name, f := range s.Slowdowns {
-		if f == 1 {
+		if name == "all" || (synchronous && name == sole) || f == uniform {
 			continue
 		}
 		if slow == nil {
@@ -366,7 +382,7 @@ func (s RunSpec) MachineName() string {
 	case s.MachineSpec != nil:
 		return s.MachineSpec.Name
 	case s.Machine == "":
-		return pipeline.Base.String()
+		return defaultMachine
 	default:
 		return s.Machine
 	}
@@ -513,17 +529,6 @@ func (s RunSpec) Validate() error {
 	return nil
 }
 
-// ValidateSlowdowns checks a slowdown map against a built-in machine named
-// by string, preserving the pre-MachineSpec call shape. Prefer
-// ValidateSlowdownsFor with a resolved spec.
-func ValidateSlowdowns(machineName string, slowdowns map[string]float64) error {
-	ms, err := machine.ByName(machineName)
-	if err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	return ValidateSlowdownsFor(ms, slowdowns)
-}
-
 // ValidateSlowdownsFor checks a slowdown map against a machine's clock
 // structure: keys must name the machine's clock domains (or be "all" for a
 // uniform stretch) and factors must be >= 1. A single-clock machine
@@ -634,12 +639,7 @@ func (s RunSpec) PipelineConfig() (pipeline.Config, error) {
 	if err != nil {
 		return pipeline.Config{}, err
 	}
-	kind := pipeline.Base
-	if len(topo.Domains) > 1 {
-		kind = pipeline.GALS
-	}
-	cfg := pipeline.DefaultConfig(kind)
-	cfg.Topology = &topo
+	cfg := pipeline.DefaultConfig(topo)
 	cfg.WorkloadSeed = s.WorkloadSeed
 	cfg.PhaseSeed = s.PhaseSeed
 	cfg.AutoVoltage = !s.FreqOnly

@@ -76,7 +76,7 @@ func (s Sweep) axes() (benchmarks []string, machines []machinePoint, grid []map[
 	}
 	names := s.Machines
 	if len(names) == 0 && len(s.MachineSpecs) == 0 {
-		names = []string{pipeline.Base.String(), pipeline.GALS.String()}
+		names = machine.BuiltinNames()
 	}
 	for _, n := range names {
 		machines = append(machines, machinePoint{name: n})

@@ -161,7 +161,7 @@ func TestTraceLengthError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteRecording(rec, nil, f); err != nil {
+	if _, err := ExecuteOpts(rec, ExecOpts{TraceOut: f}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -85,7 +85,7 @@ func TestTraceSpecValidationAndKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteRecording(RunSpec{Benchmark: "adpcm", Instructions: 3000}, nil, f); err != nil {
+	if _, err := ExecuteOpts(RunSpec{Benchmark: "adpcm", Instructions: 3000}, ExecOpts{TraceOut: f}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

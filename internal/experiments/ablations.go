@@ -26,12 +26,12 @@ func AblationLinkStyle(cfg Config, bench string) *report.Table {
 		Headers: []string{"machine", "rel-perf", "ipc", "avg-slip"},
 		Note:    "paper §3.2: stretching the clock on every transaction would let the communication rate, not the oscillator, set the effective frequency",
 	}
-	base := runOne(cfg, pipeline.Base, bench, nil)
+	base := runOne(cfg, "base", bench, nil)
 	t.AddRow("base (sync)", report.F(1.0), report.F2(base.IPC()), base.AvgSlip().String())
-	galsFIFO := runOne(cfg, pipeline.GALS, bench, nil)
+	galsFIFO := runOne(cfg, "gals", bench, nil)
 	t.AddRow("gals fifo", report.F(base.SimTime.Seconds()/galsFIFO.SimTime.Seconds()),
 		report.F2(galsFIFO.IPC()), galsFIFO.AvgSlip().String())
-	galsStretch := runOne(cfg, pipeline.GALS, bench, func(s *campaign.RunSpec) {
+	galsStretch := runOne(cfg, "gals", bench, func(s *campaign.RunSpec) {
 		s.LinkStyle = "stretch"
 	})
 	t.AddRow("gals stretch", report.F(base.SimTime.Seconds()/galsStretch.SimTime.Seconds()),
@@ -49,9 +49,9 @@ func AblationSyncEdges(cfg Config, bench string) *report.Table {
 		Headers: []string{"sync-edges", "rel-perf", "avg-slip", "misspec"},
 		Note:    "deeper synchronizers lower metastability risk at a performance cost",
 	}
-	base := runOne(cfg, pipeline.Base, bench, nil)
+	base := runOne(cfg, "base", bench, nil)
 	for _, edges := range []int{1, 2, 3} {
-		gals := runOne(cfg, pipeline.GALS, bench, func(s *campaign.RunSpec) {
+		gals := runOne(cfg, "gals", bench, func(s *campaign.RunSpec) {
 			s.FIFOSyncEdges = edges
 		})
 		t.AddRow(fmt.Sprintf("%d", edges),
@@ -71,9 +71,9 @@ func AblationFIFOCapacity(cfg Config, bench string) *report.Table {
 		Headers: []string{"capacity", "rel-perf", "avg-slip", "fifo-share"},
 		Note:    "shallow FIFOs cannot stream at full width: the freed-slot news lags two producer edges",
 	}
-	base := runOne(cfg, pipeline.Base, bench, nil)
+	base := runOne(cfg, "base", bench, nil)
 	for _, capa := range []int{4, 8, 16, 32} {
-		gals := runOne(cfg, pipeline.GALS, bench, func(s *campaign.RunSpec) {
+		gals := runOne(cfg, "gals", bench, func(s *campaign.RunSpec) {
 			s.FIFOCapacity = capa
 		})
 		t.AddRow(fmt.Sprintf("%d", capa),
@@ -93,10 +93,10 @@ func AblationClockPhases(cfg Config, bench string) *report.Table {
 		Headers: []string{"phases", "rel-perf", "avg-slip"},
 		Note:    "aligned equal-frequency clocks pay the full two-edge synchronizer latency on every crossing; random phases average lower",
 	}
-	base := runOne(cfg, pipeline.Base, bench, nil)
-	random := runOne(cfg, pipeline.GALS, bench, nil)
+	base := runOne(cfg, "base", bench, nil)
+	random := runOne(cfg, "gals", bench, nil)
 	t.AddRow("random", report.F(base.SimTime.Seconds()/random.SimTime.Seconds()), random.AvgSlip().String())
-	aligned := runOne(cfg, pipeline.GALS, bench, func(s *campaign.RunSpec) {
+	aligned := runOne(cfg, "gals", bench, func(s *campaign.RunSpec) {
 		s.ZeroPhases = true
 	})
 	t.AddRow("aligned", report.F(base.SimTime.Seconds()/aligned.SimTime.Seconds()), aligned.AvgSlip().String())
@@ -116,7 +116,7 @@ func AblationDisambiguation(cfg Config, bench string) *report.Table {
 	for _, pol := range []pipeline.MemDisambiguation{
 		pipeline.DisambigPerfect, pipeline.DisambigAddrMatch, pipeline.DisambigConservative,
 	} {
-		st := runOne(cfg, pipeline.Base, bench, func(s *campaign.RunSpec) {
+		st := runOne(cfg, "base", bench, func(s *campaign.RunSpec) {
 			s.MemoryOrdering = pol.String()
 		})
 		t.AddRow(pol.String(), report.F2(st.IPC()),
@@ -137,8 +137,8 @@ func DynamicDVFSDemo(cfg Config) *report.Table {
 		Note:    "normalized to the full-speed base machine; controller slows domains with near-empty issue queues",
 	}
 	for _, bench := range []string{"perl", "gcc", "ijpeg", "swim"} {
-		base := runOne(cfg, pipeline.Base, bench, nil)
-		dyn := runOne(cfg, pipeline.GALS, bench, func(s *campaign.RunSpec) {
+		base := runOne(cfg, "base", bench, nil)
+		dyn := runOne(cfg, "gals", bench, func(s *campaign.RunSpec) {
 			s.DynamicDVFS = true
 		})
 		t.AddRow(bench,
@@ -164,7 +164,7 @@ func AblationPredictor(cfg Config, bench string) *report.Table {
 		Note:    "gshare is the study's predictor; static schemes bound the damage",
 	}
 	for _, kind := range []bpred.Kind{bpred.GShare, bpred.Bimodal, bpred.Taken, bpred.NotTaken} {
-		st := runOne(cfg, pipeline.Base, bench, func(s *campaign.RunSpec) {
+		st := runOne(cfg, "base", bench, func(s *campaign.RunSpec) {
 			s.Predictor = kind.String()
 		})
 		t.AddRow(kind.String(), report.F2(st.IPC()),

@@ -75,21 +75,23 @@ func (c Config) engine() *campaign.Engine {
 	return campaign.Shared()
 }
 
-// spec builds the campaign unit for one full-speed run of the campaign.
-func (c Config) spec(kind pipeline.Kind, bench string) campaign.RunSpec {
+// spec builds the campaign unit for one full-speed run of the campaign on
+// the named built-in machine.
+func (c Config) spec(machine, bench string) campaign.RunSpec {
 	return campaign.RunSpec{
 		Benchmark:    bench,
-		Machine:      kind.String(),
+		Machine:      machine,
 		Instructions: c.Instructions,
 		WorkloadSeed: c.WorkloadSeed,
 		PhaseSeed:    c.PhaseSeed,
 	}
 }
 
-// runOne executes a single simulation through the campaign engine; tweak,
-// when non-nil, adjusts the declarative spec before submission.
-func runOne(cfg Config, kind pipeline.Kind, bench string, tweak func(*campaign.RunSpec)) pipeline.Stats {
-	spec := cfg.spec(kind, bench)
+// runOne executes a single simulation on the named built-in machine
+// through the campaign engine; tweak, when non-nil, adjusts the declarative
+// spec before submission.
+func runOne(cfg Config, machine, bench string, tweak func(*campaign.RunSpec)) pipeline.Stats {
+	spec := cfg.spec(machine, bench)
 	if tweak != nil {
 		tweak(&spec)
 	}
@@ -130,7 +132,7 @@ func RunCorpus(cfg Config) *Corpus {
 	benches := cfg.benchmarks()
 	specs := make([]campaign.RunSpec, 0, 2*len(benches))
 	for _, b := range benches {
-		specs = append(specs, cfg.spec(pipeline.Base, b), cfg.spec(pipeline.GALS, b))
+		specs = append(specs, cfg.spec("base", b), cfg.spec("gals", b))
 	}
 	stats, err := cfg.engine().RunAll(cfg.ctx(), specs)
 	if err != nil {
@@ -270,8 +272,8 @@ func Fig9EnergyPower(c *Corpus) *report.Table {
 // blocks, for base and GALS, normalized to the base total. The paper's
 // single "ALUs" bar merges the integer and FP units, as done here.
 func Fig10Breakdown(cfg Config, bench string) *report.Table {
-	base := runOne(cfg, pipeline.Base, bench, nil)
-	gals := runOne(cfg, pipeline.GALS, bench, nil)
+	base := runOne(cfg, "base", bench, nil)
+	gals := runOne(cfg, "gals", bench, nil)
 	t := &report.Table{
 		ID:      "Figure 10",
 		Title:   fmt.Sprintf("Energy breakdown into macro blocks (%s), normalized to base total", bench),
@@ -321,8 +323,8 @@ func Fig10Breakdown(cfg Config, bench string) *report.Table {
 // scaled per Eq. 1) against the full-speed base machine. Keys are campaign
 // domain names ("fetch", "decode", "int", "fp", "mem").
 func slowdownRun(cfg Config, bench string, slow map[string]float64) (base, gals pipeline.Stats) {
-	base = runOne(cfg, pipeline.Base, bench, nil)
-	gals = runOne(cfg, pipeline.GALS, bench, func(s *campaign.RunSpec) {
+	base = runOne(cfg, "base", bench, nil)
+	gals = runOne(cfg, "gals", bench, func(s *campaign.RunSpec) {
 		s.Slowdowns = slow
 	})
 	return base, gals
@@ -420,7 +422,7 @@ func PhaseSensitivity(cfg Config, bench string, seeds int) *report.Table {
 	}
 	var ref float64
 	for s := 1; s <= seeds; s++ {
-		st := runOne(cfg, pipeline.GALS, bench, func(spec *campaign.RunSpec) {
+		st := runOne(cfg, "gals", bench, func(spec *campaign.RunSpec) {
 			spec.PhaseSeed = int64(s)
 		})
 		secs := st.SimTime.Seconds()

@@ -36,7 +36,7 @@ func TestAllocationBudget(t *testing.T) {
 			}
 			run := func(n uint64) float64 {
 				return testing.AllocsPerRun(1, func() {
-					cfg := DefaultConfig(GALS)
+					cfg := DefaultConfig(GALSTopology())
 					NewCore(cfg, prof).Run(n)
 				})
 			}
@@ -63,7 +63,7 @@ func TestArenaLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := NewCore(DefaultConfig(GALS), prof)
+	core := NewCore(DefaultConfig(GALSTopology()), prof)
 	st := core.Run(30_000)
 	ps := core.PoolStats()
 	if ps.Gets == 0 {
@@ -94,9 +94,9 @@ func TestRetainInstrsKeepsRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled := NewCore(DefaultConfig(GALS), prof).Run(8_000)
+	pooled := NewCore(DefaultConfig(GALSTopology()), prof).Run(8_000)
 
-	core := NewCore(DefaultConfig(GALS), prof)
+	core := NewCore(DefaultConfig(GALSTopology()), prof)
 	core.RetainInstrs()
 	var kept []*isa.Instr
 	core.OnCommit(func(in *isa.Instr) { kept = append(kept, in) })
@@ -139,16 +139,16 @@ func TestPooledMatchesRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []Kind{Base, GALS} {
-		cfg := DefaultConfig(kind)
-		if kind == GALS {
+	for _, topo := range []Topology{BaseTopology(), GALSTopology()} {
+		cfg := DefaultConfig(topo)
+		if !topo.Synchronous() {
 			cfg.DynamicDVFS = DefaultDynamicDVFS()
 		}
 		pooled := NewCore(cfg, prof).Run(10_000)
 		retained := NewCore(cfg, prof)
 		retained.RetainInstrs()
 		if got := retained.Run(10_000); !reflect.DeepEqual(got, pooled) {
-			t.Errorf("%v: pooled and retained runs diverge", kind)
+			t.Errorf("%v: pooled and retained runs diverge", topo.kind())
 		}
 	}
 }

@@ -1,21 +1,21 @@
 // Package pipeline implements the simulated processor: the 8-stage,
-// 4-wide out-of-order superscalar machine of the paper's Tables 2 and 3,
-// buildable in two variants that share every structural parameter:
+// 4-wide out-of-order superscalar machine of the paper's Tables 2 and 3.
 //
-//   - Base: fully synchronous; one clock drives all logic, pipe stages are
-//     ordinary clocked latches, and the clock distribution network is a
-//     global grid plus five local grids (21264-style hierarchy).
+// The five pipeline structures of Figure 3(b) are fixed — (1) fetch:
+// I-cache + branch prediction, (2) decode/rename/commit, (3) integer issue
+// queue + ALUs, (4) FP issue queue + FP units, (5) memory issue queue +
+// D-cache + L2. How they are clocked is not: every machine is built from a
+// Topology (Config.Topology) that assigns each structure to a clock domain.
+// Structures sharing a domain communicate through synchronous pipe latches;
+// structures in different domains communicate through mixed-clock FIFOs (or
+// stretchable-clock handshakes), and each domain has its own local clock
+// grid, its own (possibly scaled) frequency and its own supply voltage.
 //
-//   - GALS: five clock domains per Figure 3(b) — (1) fetch: I-cache + branch
-//     prediction, (2) decode/rename/commit, (3) integer issue queue + ALUs,
-//     (4) FP issue queue + FP units, (5) memory issue queue + D-cache + L2 —
-//     communicating through mixed-clock FIFOs; each domain has its own local
-//     clock grid, its own (possibly scaled) frequency, and its own supply
-//     voltage; there is no global grid.
-//
-// The two variants are wired identically; only the link factory (SyncLatch
-// vs MixedClockFIFO) and the clock/grid structure differ, which is exactly
-// the comparison methodology of the paper.
+// The paper's two machines are two topologies over identical structural
+// parameters: BaseTopology, one clock driving everything through a global
+// grid plus five local grids (21264-style hierarchy), and GALSTopology, one
+// domain per structure and no global grid. Any other partitioning — a
+// merged front end, a unified execution cluster — is just another Topology.
 package pipeline
 
 import (
@@ -83,10 +83,11 @@ func (m MemDisambiguation) String() string {
 	}
 }
 
-// Kind selects the machine variant.
+// Kind labels a run's statistics with its machine class: a single clock
+// domain is the synchronous (Base) class, anything partitioned is GALS.
 type Kind uint8
 
-// Machine variants.
+// Machine classes.
 const (
 	Base Kind = iota
 	GALS
@@ -135,17 +136,10 @@ func (d DomainID) String() string {
 // Config parameterizes a machine. The zero value is not usable; start from
 // DefaultConfig.
 type Config struct {
-	// Kind is a legacy variant label; the machine's actual clock structure
-	// lives in Topology. DefaultConfig keeps the two consistent; code that
-	// sets Topology directly may leave Kind at its DefaultConfig value (the
-	// run's statistics label is derived from the topology, not this field).
-	Kind Kind
-
 	// Topology assigns the five pipeline structures to clock domains and
-	// carries per-domain and per-link-class settings. nil selects the
-	// variant implied by Kind (BaseTopology or GALSTopology), which keeps
-	// configurations written before the topology layer working unchanged.
-	Topology *Topology
+	// carries per-domain and per-link-class settings. It is required: the
+	// zero Topology has no clock domains and fails Validate.
+	Topology Topology
 
 	// Widths (instructions per cycle).
 	FetchWidth  int
@@ -229,10 +223,6 @@ type Config struct {
 	Power  power.Params
 	DVFS   dvfs.Params
 
-	// debugEdges, when non-nil, overrides FIFOSyncEdges per link class for
-	// ablation: [fetch, dispatch, complete, wakeup].
-	debugEdges *[4]int
-
 	// WorkloadSeed seeds the synthetic benchmark generator.
 	WorkloadSeed int64
 
@@ -248,16 +238,18 @@ type Config struct {
 	SampleInterval uint64
 }
 
-// DefaultConfig returns the paper's machine (Tables 2 and 3) in the given
-// variant at full speed.
-func DefaultConfig(kind Kind) Config {
-	topo := BaseTopology()
-	if kind == GALS {
-		topo = GALSTopology()
-	}
+// Default communication-fabric geometry: the mixed-clock FIFO depth and
+// the synchronizer depth (two-flop) of DefaultConfig.
+const (
+	DefaultFIFOCapacity  = 16
+	DefaultFIFOSyncEdges = 2
+)
+
+// DefaultConfig returns the paper's machine (Tables 2 and 3) clocked by the
+// given topology, at full speed.
+func DefaultConfig(topo Topology) Config {
 	cfg := Config{
-		Kind:        kind,
-		Topology:    &topo,
+		Topology:    topo,
 		FetchWidth:  4,
 		DecodeWidth: 4,
 		RenameWidth: 4,
@@ -279,8 +271,8 @@ func DefaultConfig(kind Kind) Config {
 		AutoVoltage:   true,
 		PhaseSeed:     1,
 
-		FIFOCapacity:  16,
-		FIFOSyncEdges: 2,
+		FIFOCapacity:  DefaultFIFOCapacity,
+		FIFOSyncEdges: DefaultFIFOSyncEdges,
 		LatchCapacity: 4,
 
 		Bpred:  bpred.DefaultConfig(),
@@ -334,7 +326,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("pipeline: slowdown[%v] = %v < 1", DomainID(d), s)
 		}
 	}
-	topo := c.topo()
+	topo := c.Topology
 	if err := topo.Validate(); err != nil {
 		return err
 	}
@@ -373,18 +365,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	return c.Power.Validate()
-}
-
-// topo returns the machine's clock topology: the explicit one, or the
-// variant implied by Kind.
-func (c Config) topo() Topology {
-	if c.Topology != nil {
-		return *c.Topology
-	}
-	if c.Kind == GALS {
-		return GALSTopology()
-	}
-	return BaseTopology()
 }
 
 // SetUniformSlowdown sets every domain to the same slowdown (used for the

@@ -50,7 +50,6 @@ var execDomains = []DomainID{DomInt, DomFP, DomMem}
 // pipeline structures — bound to one workload.
 type Core struct {
 	cfg  Config
-	topo Topology
 	eng  *event.Engine
 	gen  workload.InstrSource
 	pred *bpred.Predictor
@@ -236,7 +235,6 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 	}
 	c := &Core{
 		cfg:  cfg,
-		topo: cfg.topo(),
 		eng:  event.NewEngine(),
 		gen:  src,
 		pred: bpred.New(cfg.Bpred),
@@ -245,7 +243,7 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 		rat:  rename.New(cfg.PhysInt, cfg.PhysFP),
 		rob:  rob.New(cfg.ROBSize),
 	}
-	c.stats.Kind = c.topo.kind()
+	c.stats.Kind = c.cfg.Topology.kind()
 	c.stats.Benchmark = name
 	c.lastFetchLine = ^uint64(0)
 	for l := cfg.Caches.L1I.LineBytes; l > 1; l >>= 1 {
@@ -268,7 +266,7 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 	c.dvfs.target = make([]float64, len(c.domClocks))
 	c.dvfs.pending = make([]bool, len(c.domClocks))
 	c.dvfs.frozen = make([]int, len(c.domClocks))
-	for g, dom := range c.topo.Domains {
+	for g, dom := range c.cfg.Topology.Domains {
 		if dom.Scalable {
 			c.scalable = append(c.scalable, g)
 		}
@@ -365,13 +363,14 @@ func (c *Core) buildScratch() {
 // phases, and aliases the per-structure clock table onto the domain clocks.
 func (c *Core) buildClocks() {
 	vnom := c.cfg.DVFS.VNominal
-	c.domClocks = make([]*clock.Domain, len(c.topo.Domains))
-	periods := make([]simtime.Duration, len(c.topo.Domains))
-	for g, dom := range c.topo.Domains {
-		d := clock.NewDomain(dom.Name, c.topo.nominalPeriod(g, c.cfg), 0, vnom)
+	topo := &c.cfg.Topology
+	c.domClocks = make([]*clock.Domain, len(topo.Domains))
+	periods := make([]simtime.Duration, len(topo.Domains))
+	for g, dom := range topo.Domains {
+		d := clock.NewDomain(dom.Name, topo.nominalPeriod(g, c.cfg), 0, vnom)
 		// Validate guaranteed every structure of the domain carries the same
 		// slowdown; read it off the first one.
-		if s := c.cfg.Slowdowns[c.topo.structuresOf(g)[0]]; s != 1 {
+		if s := c.cfg.Slowdowns[topo.structuresOf(g)[0]]; s != 1 {
 			d.SetSlowdown(s)
 			if c.cfg.AutoVoltage {
 				d.SetVoltage(c.voltageFor(g, s))
@@ -380,12 +379,12 @@ func (c *Core) buildClocks() {
 		periods[g] = d.Period()
 		c.domClocks[g] = d
 	}
-	phases := c.topo.randomPhases(c.cfg, periods)
+	phases := topo.randomPhases(c.cfg, periods)
 	for g, d := range c.domClocks {
 		d.SetPhase(phases[g])
 	}
 	for d := DomainID(0); d < NumDomains; d++ {
-		c.clocks[d] = c.domClocks[c.topo.Of[d]]
+		c.clocks[d] = c.domClocks[topo.Of[d]]
 	}
 }
 
@@ -393,7 +392,7 @@ func (c *Core) buildClocks() {
 // interpolated from the domain's voltage table when one is configured,
 // otherwise solved from the Equation 1 delay model.
 func (c *Core) voltageFor(g int, slow float64) float64 {
-	if tbl := c.topo.Domains[g].VoltTable; len(tbl) > 0 {
+	if tbl := c.cfg.Topology.Domains[g].VoltTable; len(tbl) > 0 {
 		return voltFromTable(tbl, slow)
 	}
 	return c.cfg.DVFS.VoltageForSlowdown(slow)
@@ -421,16 +420,13 @@ func voltFromTable(tbl []VoltPoint, slow float64) float64 {
 // crosses a boundary, so it is a latch under every topology.
 func (c *Core) buildLinks() {
 	edges := func(class LinkClass) int {
-		if c.cfg.debugEdges != nil {
-			return c.cfg.debugEdges[class]
-		}
-		if e := c.topo.Links[class].SyncEdges; e > 0 {
+		if e := c.cfg.Topology.Links[class].SyncEdges; e > 0 {
 			return e
 		}
 		return c.cfg.FIFOSyncEdges
 	}
 	capOf := func(class LinkClass, def int) int {
-		if v := c.topo.Links[class].Capacity; v > 0 {
+		if v := c.cfg.Topology.Links[class].Capacity; v > 0 {
 			return v
 		}
 		return def
@@ -445,7 +441,7 @@ func (c *Core) buildLinks() {
 	}
 	instrLink := func(name string, from, to DomainID, class LinkClass) fifo.Link[*isa.Instr] {
 		switch {
-		case !c.topo.Cross(from, to):
+		case !c.cfg.Topology.Cross(from, to):
 			return fifo.NewSyncLatch[*isa.Instr](name, c.clocks[from], capOf(class, c.cfg.LatchCapacity))
 		case c.cfg.LinkStyle == LinkStretch:
 			return fifo.NewStretchLink[*isa.Instr](name, c.clocks[from], c.clocks[to],
@@ -457,7 +453,7 @@ func (c *Core) buildLinks() {
 	}
 	wakeLink := func(name string, from, to DomainID) fifo.Link[wakeTag] {
 		switch {
-		case !c.topo.Cross(from, to):
+		case !c.cfg.Topology.Cross(from, to):
 			return fifo.NewSyncLatch[wakeTag](name, c.clocks[from], capOf(LinkClassWakeup, 2*c.cfg.FIFOCapacity))
 		case c.cfg.LinkStyle == LinkStretch:
 			return fifo.NewStretchLink[wakeTag](name, c.clocks[from], c.clocks[to],
@@ -583,7 +579,7 @@ func (c *Core) observeSquash(d DomainID, now simtime.Time) {
 		return
 	}
 	edges := int64(1)
-	if c.topo.Cross(d, DomInt) {
+	if c.cfg.Topology.Cross(d, DomInt) {
 		edges = int64(c.cfg.FIFOSyncEdges)
 	}
 	if now < c.clocks[d].NthEdgeAfter(c.sq.time, edges) {
@@ -667,7 +663,7 @@ func (c *Core) endCycle(d DomainID) {
 // single-structure GALS ticks, and the one all-structure synchronous tick
 // that also charges the global clock grid.
 func (c *Core) domainTick(g int) func(simtime.Time) {
-	owned := c.topo.structuresOf(g)
+	owned := c.cfg.Topology.structuresOf(g)
 	hasFetch, hasDecode := false, false
 	var execs []DomainID
 	for _, d := range owned {
@@ -680,7 +676,7 @@ func (c *Core) domainTick(g int) func(simtime.Time) {
 			execs = append(execs, d)
 		}
 	}
-	globalGrid := c.topo.GlobalGrid
+	globalGrid := c.cfg.Topology.GlobalGrid
 	dc := c.domClocks[g]
 	return func(now simtime.Time) {
 		if hasDecode && c.snapFn != nil {
@@ -748,7 +744,7 @@ func (c *Core) Run(n uint64) Stats {
 
 	// Priorities order simultaneous edges commit-side first; any fixed
 	// order is legal for truly asynchronous clocks.
-	prio := c.topo.priorities()
+	prio := c.cfg.Topology.priorities()
 	c.tickEvents = make([]*event.Event, len(c.domClocks))
 	c.tickFns = make([]func(simtime.Time), len(c.domClocks))
 	for g := range c.domClocks {

@@ -9,7 +9,7 @@ import (
 // runDisambig measures one policy on a memory-heavy benchmark.
 func runDisambig(t *testing.T, policy MemDisambiguation) Stats {
 	t.Helper()
-	cfg := DefaultConfig(Base)
+	cfg := DefaultConfig(BaseTopology())
 	cfg.MemDisambig = policy
 	prof, err := workload.ByName("vortex") // load/store heavy
 	if err != nil {
@@ -66,7 +66,7 @@ func TestDisambiguationStrings(t *testing.T) {
 }
 
 func TestDisambiguationGALS(t *testing.T) {
-	cfg := DefaultConfig(GALS)
+	cfg := DefaultConfig(GALSTopology())
 	cfg.MemDisambig = DisambigConservative
 	prof, _ := workload.ByName("li")
 	st := NewCore(cfg, prof).Run(10_000)

@@ -141,7 +141,7 @@ func (c *Core) dvfsController() {
 	for _, g := range c.scalable {
 		var num, denom float64
 		var ticksTotal uint64
-		for _, d := range c.topo.structuresOf(g) {
+		for _, d := range c.cfg.Topology.structuresOf(g) {
 			occSum, ticks := c.exec[d].queue.OccupancyCounters()
 			dSum := occSum - c.dvfs.lastOccSum[d]
 			dTicks := ticks - c.dvfs.lastTicks[d]

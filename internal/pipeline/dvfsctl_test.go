@@ -12,9 +12,9 @@ import (
 func TestDynamicDVFSSlowsIdleDomain(t *testing.T) {
 	prof, _ := workload.ByName("perl")
 
-	static := NewCore(DefaultConfig(GALS), prof).Run(80_000)
+	static := NewCore(DefaultConfig(GALSTopology()), prof).Run(80_000)
 
-	cfg := DefaultConfig(GALS)
+	cfg := DefaultConfig(GALSTopology())
 	cfg.DynamicDVFS = DefaultDynamicDVFS()
 	dyn := NewCore(cfg, prof).Run(80_000)
 
@@ -43,7 +43,7 @@ func TestDynamicDVFSSlowsIdleDomain(t *testing.T) {
 // benchmark the controller should keep the FP domain near full speed.
 func TestDynamicDVFSKeepsBusyDomainFast(t *testing.T) {
 	prof, _ := workload.ByName("swim")
-	cfg := DefaultConfig(GALS)
+	cfg := DefaultConfig(GALSTopology())
 	cfg.DynamicDVFS = DefaultDynamicDVFS()
 	dyn := NewCore(cfg, prof).Run(40_000)
 	if got := dyn.FinalSlowdowns[DomFP]; got > 1.7 {
@@ -58,7 +58,7 @@ func TestDynamicDVFSKeepsBusyDomainFast(t *testing.T) {
 }
 
 func TestDynamicDVFSRejectedOnBase(t *testing.T) {
-	cfg := DefaultConfig(Base)
+	cfg := DefaultConfig(BaseTopology())
 	cfg.DynamicDVFS = DefaultDynamicDVFS()
 	if err := cfg.Validate(); err == nil {
 		t.Error("dynamic DVFS accepted on the base machine")
@@ -89,7 +89,7 @@ func TestDynamicDVFSConfigValidation(t *testing.T) {
 func TestDynamicDVFSDeterministic(t *testing.T) {
 	prof, _ := workload.ByName("perl")
 	runIt := func() Stats {
-		cfg := DefaultConfig(GALS)
+		cfg := DefaultConfig(GALSTopology())
 		cfg.DynamicDVFS = DefaultDynamicDVFS()
 		return NewCore(cfg, prof).Run(20_000)
 	}

@@ -21,23 +21,23 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden Stats s
 // All use the default seeds (WorkloadSeed 42, PhaseSeed 1) and 20k commits.
 func goldenCases() []struct {
 	name  string
-	kind  Kind
+	topo  Topology
 	bench string
 	dvfs  bool
 } {
 	return []struct {
 		name  string
-		kind  Kind
+		topo  Topology
 		bench string
 		dvfs  bool
 	}{
-		{"base_gcc", Base, "gcc", false},
-		{"base_swim", Base, "swim", false},
-		{"base_perl", Base, "perl", false},
-		{"gals_gcc", GALS, "gcc", false},
-		{"gals_swim", GALS, "swim", false},
-		{"gals_perl", GALS, "perl", false},
-		{"gals_dyndvfs_perl", GALS, "perl", true},
+		{"base_gcc", BaseTopology(), "gcc", false},
+		{"base_swim", BaseTopology(), "swim", false},
+		{"base_perl", BaseTopology(), "perl", false},
+		{"gals_gcc", GALSTopology(), "gcc", false},
+		{"gals_swim", GALSTopology(), "swim", false},
+		{"gals_perl", GALSTopology(), "perl", false},
+		{"gals_dyndvfs_perl", GALSTopology(), "perl", true},
 	}
 }
 
@@ -52,7 +52,7 @@ func goldenCases() []struct {
 func TestGoldenStats(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(tc.kind)
+			cfg := DefaultConfig(tc.topo)
 			if tc.dvfs {
 				cfg.DynamicDVFS = DefaultDynamicDVFS()
 			}

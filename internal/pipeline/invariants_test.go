@@ -20,10 +20,9 @@ import (
 //     physical indices);
 //  5. FIFO residency never exceeds total slip.
 func TestCommitStreamInvariants(t *testing.T) {
-	for _, kind := range []Kind{Base, GALS} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := DefaultConfig(kind)
+	for _, topo := range []Topology{BaseTopology(), GALSTopology()} {
+		t.Run(topo.kind().String(), func(t *testing.T) {
+			cfg := DefaultConfig(topo)
 			prof, err := workload.ByName("gcc")
 			if err != nil {
 				t.Fatal(err)
@@ -87,7 +86,7 @@ func TestCommitOrderAcrossConfigs(t *testing.T) {
 	}
 	prof, _ := workload.ByName("li")
 	for i, mut := range muts {
-		cfg := DefaultConfig(GALS)
+		cfg := DefaultConfig(GALSTopology())
 		mut(&cfg)
 		core := NewCore(cfg, prof)
 		var last isa.Seq
@@ -109,9 +108,9 @@ func TestCommitOrderAcrossConfigs(t *testing.T) {
 // TestStretchLinkMachineSlower quantifies §3.2 at machine level.
 func TestStretchLinkMachineSlower(t *testing.T) {
 	prof, _ := workload.ByName("compress")
-	fifoCfg := DefaultConfig(GALS)
+	fifoCfg := DefaultConfig(GALSTopology())
 	fifoSt := NewCore(fifoCfg, prof).Run(15_000)
-	stretchCfg := DefaultConfig(GALS)
+	stretchCfg := DefaultConfig(GALSTopology())
 	stretchCfg.LinkStyle = LinkStretch
 	stretchSt := NewCore(stretchCfg, prof).Run(15_000)
 	if stretchSt.SimTime <= fifoSt.SimTime {
@@ -124,7 +123,7 @@ func TestStretchLinkMachineSlower(t *testing.T) {
 // with its clock: cycles ≈ simulated time / period (GALS domains tick
 // independently; a 2x-slowed domain must count half the cycles).
 func TestDomainCycleAccounting(t *testing.T) {
-	cfg := DefaultConfig(GALS)
+	cfg := DefaultConfig(GALSTopology())
 	cfg.Slowdowns[DomFP] = 2.0
 	prof, _ := workload.ByName("perl")
 	st := NewCore(cfg, prof).Run(10_000)
@@ -141,8 +140,8 @@ func TestDomainCycleAccounting(t *testing.T) {
 // TestEnergyAccountingClosed: the per-block breakdown always sums to the
 // total, and clock-grid energy scales with the domain's cycle count.
 func TestEnergyAccountingClosed(t *testing.T) {
-	for _, kind := range []Kind{Base, GALS} {
-		cfg := DefaultConfig(kind)
+	for _, topo := range []Topology{BaseTopology(), GALSTopology()} {
+		cfg := DefaultConfig(topo)
 		prof, _ := workload.ByName("compress")
 		st := NewCore(cfg, prof).Run(10_000)
 		var sum float64
@@ -150,13 +149,13 @@ func TestEnergyAccountingClosed(t *testing.T) {
 			sum += e
 		}
 		if d := (sum - st.EnergyPJ) / st.EnergyPJ; d > 1e-12 || d < -1e-12 {
-			t.Errorf("%v: breakdown sums to %.6g, total %.6g", kind, sum, st.EnergyPJ)
+			t.Errorf("%v: breakdown sums to %.6g, total %.6g", topo.kind(), sum, st.EnergyPJ)
 		}
 		// Grid energy per cycle is a constant at nominal voltage.
 		perCycle := st.EnergyBreakdown[power.BlockFetchClock] / float64(st.Cycles[DomFetch])
 		want := cfg.Power.Blocks[power.BlockFetchClock].PerAccess
 		if perCycle < want*0.999 || perCycle > want*1.001 {
-			t.Errorf("%v: fetch grid %.3f pJ/cycle, want %.3f", kind, perCycle, want)
+			t.Errorf("%v: fetch grid %.3f pJ/cycle, want %.3f", topo.kind(), perCycle, want)
 		}
 	}
 }
@@ -164,7 +163,7 @@ func TestEnergyAccountingClosed(t *testing.T) {
 // TestOnCommitAfterRunPanics guards hook registration discipline.
 func TestOnCommitAfterRunPanics(t *testing.T) {
 	prof, _ := workload.ByName("compress")
-	core := NewCore(DefaultConfig(Base), prof)
+	core := NewCore(DefaultConfig(BaseTopology()), prof)
 	core.Run(100)
 	defer func() {
 		if recover() == nil {

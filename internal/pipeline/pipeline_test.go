@@ -1,15 +1,16 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"galsim/internal/power"
 	"galsim/internal/workload"
 )
 
-func run(t *testing.T, kind Kind, bench string, n uint64, mutate func(*Config)) Stats {
+func run(t *testing.T, topo Topology, bench string, n uint64, mutate func(*Config)) Stats {
 	t.Helper()
-	cfg := DefaultConfig(kind)
+	cfg := DefaultConfig(topo)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -21,7 +22,7 @@ func run(t *testing.T, kind Kind, bench string, n uint64, mutate func(*Config)) 
 }
 
 func TestBaseRunsToCompletion(t *testing.T) {
-	st := run(t, Base, "compress", 20_000, nil)
+	st := run(t, BaseTopology(), "compress", 20_000, nil)
 	if st.Committed != 20_000 {
 		t.Fatalf("committed %d", st.Committed)
 	}
@@ -35,7 +36,7 @@ func TestBaseRunsToCompletion(t *testing.T) {
 }
 
 func TestGALSRunsToCompletion(t *testing.T) {
-	st := run(t, GALS, "compress", 20_000, nil)
+	st := run(t, GALSTopology(), "compress", 20_000, nil)
 	if st.Committed != 20_000 {
 		t.Fatalf("committed %d", st.Committed)
 	}
@@ -45,8 +46,8 @@ func TestGALSSlowerThanBase(t *testing.T) {
 	// The paper's headline performance result: asynchronous communication
 	// slows the GALS machine down, on the order of 5-15%.
 	for _, bench := range []string{"compress", "gcc", "li"} {
-		base := run(t, Base, bench, 30_000, nil)
-		gals := run(t, GALS, bench, 30_000, nil)
+		base := run(t, BaseTopology(), bench, 30_000, nil)
+		gals := run(t, GALSTopology(), bench, 30_000, nil)
 		rel := base.SimTime.Seconds() / gals.SimTime.Seconds()
 		if rel >= 1.0 {
 			t.Errorf("%s: GALS (%v) not slower than base (%v)", bench, gals.SimTime, base.SimTime)
@@ -58,8 +59,8 @@ func TestGALSSlowerThanBase(t *testing.T) {
 }
 
 func TestGALSSlipExceedsBase(t *testing.T) {
-	base := run(t, Base, "gcc", 30_000, nil)
-	gals := run(t, GALS, "gcc", 30_000, nil)
+	base := run(t, BaseTopology(), "gcc", 30_000, nil)
+	gals := run(t, GALSTopology(), "gcc", 30_000, nil)
 	if gals.AvgSlip() <= base.AvgSlip() {
 		t.Errorf("GALS slip %v not above base %v", gals.AvgSlip(), base.AvgSlip())
 	}
@@ -73,8 +74,8 @@ func TestGALSSlipExceedsBase(t *testing.T) {
 }
 
 func TestGALSMoreMisspeculation(t *testing.T) {
-	base := run(t, Base, "gcc", 30_000, nil)
-	gals := run(t, GALS, "gcc", 30_000, nil)
+	base := run(t, BaseTopology(), "gcc", 30_000, nil)
+	gals := run(t, GALSTopology(), "gcc", 30_000, nil)
 	if base.MisspeculationFrac() <= 0 {
 		t.Fatal("base shows no wrong-path fetch at all")
 	}
@@ -85,8 +86,8 @@ func TestGALSMoreMisspeculation(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := run(t, GALS, "li", 15_000, nil)
-	b := run(t, GALS, "li", 15_000, nil)
+	a := run(t, GALSTopology(), "li", 15_000, nil)
+	b := run(t, GALSTopology(), "li", 15_000, nil)
 	if a.SimTime != b.SimTime || a.Fetched != b.Fetched || a.EnergyPJ != b.EnergyPJ {
 		t.Errorf("identical configs diverged: %v/%v, %d/%d, %g/%g",
 			a.SimTime, b.SimTime, a.Fetched, b.Fetched, a.EnergyPJ, b.EnergyPJ)
@@ -94,8 +95,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestPhaseChangesResults(t *testing.T) {
-	a := run(t, GALS, "li", 15_000, nil)
-	b := run(t, GALS, "li", 15_000, func(c *Config) { c.PhaseSeed = 99 })
+	a := run(t, GALSTopology(), "li", 15_000, nil)
+	b := run(t, GALSTopology(), "li", 15_000, func(c *Config) { c.PhaseSeed = 99 })
 	if a.SimTime == b.SimTime {
 		t.Error("different clock phases produced identical timing")
 	}
@@ -107,8 +108,8 @@ func TestPhaseChangesResults(t *testing.T) {
 }
 
 func TestBaseHasGlobalClockGALSNot(t *testing.T) {
-	base := run(t, Base, "compress", 10_000, nil)
-	gals := run(t, GALS, "compress", 10_000, nil)
+	base := run(t, BaseTopology(), "compress", 10_000, nil)
+	gals := run(t, GALSTopology(), "compress", 10_000, nil)
 	if base.EnergyBreakdown[power.BlockGlobalClock] <= 0 {
 		t.Error("base machine burned no global clock energy")
 	}
@@ -126,8 +127,8 @@ func TestBaseHasGlobalClockGALSNot(t *testing.T) {
 func TestFppppLeastAffected(t *testing.T) {
 	// fpppp's branch scarcity makes it the least-hurt benchmark (Figure 5).
 	relOf := func(bench string) float64 {
-		base := run(t, Base, bench, 25_000, nil)
-		gals := run(t, GALS, bench, 25_000, nil)
+		base := run(t, BaseTopology(), bench, 25_000, nil)
+		gals := run(t, GALSTopology(), bench, 25_000, nil)
 		return base.SimTime.Seconds() / gals.SimTime.Seconds()
 	}
 	fp := relOf("fpppp")
@@ -138,8 +139,8 @@ func TestFppppLeastAffected(t *testing.T) {
 }
 
 func TestOccupanciesHigherInGALS(t *testing.T) {
-	base := run(t, Base, "ijpeg", 30_000, nil)
-	gals := run(t, GALS, "ijpeg", 30_000, nil)
+	base := run(t, BaseTopology(), "ijpeg", 30_000, nil)
+	gals := run(t, GALSTopology(), "ijpeg", 30_000, nil)
 	if gals.AvgIntRAT <= base.AvgIntRAT {
 		t.Errorf("GALS int RAT occupancy %.1f not above base %.1f",
 			gals.AvgIntRAT, base.AvgIntRAT)
@@ -151,8 +152,8 @@ func TestOccupanciesHigherInGALS(t *testing.T) {
 }
 
 func TestSlowedDomainStretchesRuntime(t *testing.T) {
-	normal := run(t, GALS, "swim", 20_000, nil)
-	slowFP := run(t, GALS, "swim", 20_000, func(c *Config) {
+	normal := run(t, GALSTopology(), "swim", 20_000, nil)
+	slowFP := run(t, GALSTopology(), "swim", 20_000, func(c *Config) {
 		c.Slowdowns[DomFP] = 1.5
 	})
 	if slowFP.SimTime <= normal.SimTime {
@@ -163,8 +164,8 @@ func TestSlowedDomainStretchesRuntime(t *testing.T) {
 func TestFPSlowdownHarmlessForIntegerCode(t *testing.T) {
 	// perl has no FP instructions; slowing the FP domain by 3x should cost
 	// very little extra time relative to plain GALS (paper §5.2).
-	normal := run(t, GALS, "perl", 25_000, nil)
-	slowFP := run(t, GALS, "perl", 25_000, func(c *Config) {
+	normal := run(t, GALSTopology(), "perl", 25_000, nil)
+	slowFP := run(t, GALSTopology(), "perl", 25_000, func(c *Config) {
 		c.Slowdowns[DomFP] = 3.0
 	})
 	ratio := slowFP.SimTime.Seconds() / normal.SimTime.Seconds()
@@ -177,11 +178,11 @@ func TestFPSlowdownHarmlessForIntegerCode(t *testing.T) {
 }
 
 func TestVoltageScalingReducesEnergy(t *testing.T) {
-	freqOnly := run(t, GALS, "perl", 20_000, func(c *Config) {
+	freqOnly := run(t, GALSTopology(), "perl", 20_000, func(c *Config) {
 		c.Slowdowns[DomFP] = 2.0
 		c.AutoVoltage = false
 	})
-	withDVS := run(t, GALS, "perl", 20_000, func(c *Config) {
+	withDVS := run(t, GALSTopology(), "perl", 20_000, func(c *Config) {
 		c.Slowdowns[DomFP] = 2.0
 		c.AutoVoltage = true
 	})
@@ -196,7 +197,7 @@ func TestVoltageScalingReducesEnergy(t *testing.T) {
 }
 
 func TestStatsInternallyConsistent(t *testing.T) {
-	st := run(t, GALS, "gcc", 25_000, nil)
+	st := run(t, GALSTopology(), "gcc", 25_000, nil)
 	if st.WrongPathFetched+st.Committed > st.Fetched {
 		t.Error("committed + wrong-path exceeds fetched")
 	}
@@ -226,41 +227,52 @@ func TestAllBenchmarksRunBothMachines(t *testing.T) {
 		t.Skip("full benchmark sweep in -short mode")
 	}
 	for _, name := range workload.Names() {
-		for _, kind := range []Kind{Base, GALS} {
-			st := run(t, kind, name, 8_000, nil)
+		for _, topo := range []Topology{BaseTopology(), GALSTopology()} {
+			st := run(t, topo, name, 8_000, nil)
 			if st.Committed != 8_000 {
-				t.Errorf("%s/%s committed %d", kind, name, st.Committed)
+				t.Errorf("%s/%s committed %d", topo.kind(), name, st.Committed)
 			}
 		}
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg := DefaultConfig(Base)
+	cfg := DefaultConfig(BaseTopology())
 	cfg.Slowdowns[DomFP] = 2.0 // base must be uniform
 	if err := cfg.Validate(); err == nil {
 		t.Error("non-uniform base slowdown accepted")
 	}
-	cfg = DefaultConfig(GALS)
+	cfg = DefaultConfig(GALSTopology())
 	cfg.ROBSize = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("zero ROB accepted")
 	}
-	cfg = DefaultConfig(GALS)
+	cfg = DefaultConfig(GALSTopology())
 	cfg.Slowdowns[DomInt] = 0.5
 	if err := cfg.Validate(); err == nil {
 		t.Error("overclock accepted")
 	}
+	// The zero Topology describes no machine; it must not stand for one.
+	cfg = DefaultConfig(GALSTopology())
+	cfg.Topology = Topology{}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "no clock domains") {
+		t.Errorf("zero topology: Validate = %v, want a no-clock-domains error", err)
+	}
 }
 
 func TestRunGuards(t *testing.T) {
-	cfg := DefaultConfig(Base)
+	cfg := DefaultConfig(BaseTopology())
 	prof, _ := workload.ByName("compress")
 	c := NewCore(cfg, prof)
 	c.Run(100)
 	for name, fn := range map[string]func(){
 		"double run": func() { c.Run(100) },
 		"zero run":   func() { NewCore(cfg, prof).Run(0) },
+		"zero topology": func() {
+			bad := cfg
+			bad.Topology = Topology{}
+			NewCore(bad, prof)
+		},
 	} {
 		func() {
 			defer func() {

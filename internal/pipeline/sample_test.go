@@ -17,7 +17,7 @@ func TestSamplerSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(GALS)
+	cfg := DefaultConfig(GALSTopology())
 	cfg.SampleInterval = 500
 	st := NewCore(cfg, prof).Run(20_000)
 
@@ -65,7 +65,7 @@ func TestSamplerSeries(t *testing.T) {
 	// Dynamic DVFS: the controller's retunes must show up as non-unit
 	// slowdowns somewhere in the series (perl converges on a slow FP
 	// domain, as the paper's hand tuning did).
-	cfg = DefaultConfig(GALS)
+	cfg = DefaultConfig(GALSTopology())
 	cfg.DynamicDVFS = DefaultDynamicDVFS()
 	cfg.SampleInterval = 2000
 	dyn := NewCore(cfg, prof).Run(60_000)
@@ -91,7 +91,7 @@ func TestSamplerOffIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewCore(DefaultConfig(GALS), prof).Run(5_000)
+	st := NewCore(DefaultConfig(GALSTopology()), prof).Run(5_000)
 	if st.Samples != nil {
 		t.Fatalf("sampling disabled but %d samples recorded", len(st.Samples))
 	}
@@ -107,7 +107,7 @@ func TestSamplerOffIdentical(t *testing.T) {
 // TestSampleIntervalValidation: non-zero intervals below the floor are
 // rejected before a run can generate pathological sample volumes.
 func TestSampleIntervalValidation(t *testing.T) {
-	cfg := DefaultConfig(GALS)
+	cfg := DefaultConfig(GALSTopology())
 	cfg.SampleInterval = 7
 	if err := cfg.Validate(); err == nil {
 		t.Error("SampleInterval=7 validated")

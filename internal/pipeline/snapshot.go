@@ -519,7 +519,7 @@ func RestoreCore(cfg Config, name string, src workload.InstrSource, st *CoreStat
 	c.smp.lastStalls = st.Sampler.LastStalls
 
 	c.stats = st.Stats
-	c.stats.Kind = c.topo.kind()
+	c.stats.Kind = c.cfg.Topology.kind()
 	c.stats.Benchmark = name
 
 	c.restoreWhen = append([]simtime.Time(nil), st.TickWhen...)

@@ -14,33 +14,33 @@ import (
 // interval-sampled run (whose Samples must stay byte-identical).
 func snapCases() []struct {
 	name   string
-	kind   Kind
+	topo   Topology
 	bench  string
 	dvfs   bool
 	sample uint64
 } {
 	return []struct {
 		name   string
-		kind   Kind
+		topo   Topology
 		bench  string
 		dvfs   bool
 		sample uint64
 	}{
-		{"base_gcc", Base, "gcc", false, 0},
-		{"base_swim", Base, "swim", false, 0},
-		{"base_perl", Base, "perl", false, 0},
-		{"gals_gcc", GALS, "gcc", false, 0},
-		{"gals_swim", GALS, "swim", false, 0},
-		{"gals_perl", GALS, "perl", false, 0},
-		{"gals_dyndvfs_perl", GALS, "perl", true, 0},
-		{"gals_sampled_gcc", GALS, "gcc", false, 2000},
-		{"gals_dyndvfs_sampled_swim", GALS, "swim", true, 2000},
+		{"base_gcc", BaseTopology(), "gcc", false, 0},
+		{"base_swim", BaseTopology(), "swim", false, 0},
+		{"base_perl", BaseTopology(), "perl", false, 0},
+		{"gals_gcc", GALSTopology(), "gcc", false, 0},
+		{"gals_swim", GALSTopology(), "swim", false, 0},
+		{"gals_perl", GALSTopology(), "perl", false, 0},
+		{"gals_dyndvfs_perl", GALSTopology(), "perl", true, 0},
+		{"gals_sampled_gcc", GALSTopology(), "gcc", false, 2000},
+		{"gals_dyndvfs_sampled_swim", GALSTopology(), "swim", true, 2000},
 	}
 }
 
-func snapConfig(t *testing.T, kind Kind, dvfs bool, sample uint64) Config {
+func snapConfig(t *testing.T, topo Topology, dvfs bool, sample uint64) Config {
 	t.Helper()
-	cfg := DefaultConfig(kind)
+	cfg := DefaultConfig(topo)
 	if dvfs {
 		cfg.DynamicDVFS = DefaultDynamicDVFS()
 	}
@@ -72,11 +72,11 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 			}
 
 			// Straight-line run: the reference.
-			straight := NewCore(snapConfig(t, tc.kind, tc.dvfs, tc.sample), prof).Run(total)
+			straight := NewCore(snapConfig(t, tc.topo, tc.dvfs, tc.sample), prof).Run(total)
 			wantJSON := mustJSON(t, straight)
 
 			// Capturing run: identical config, snapshot at warm.
-			capCore := NewCore(snapConfig(t, tc.kind, tc.dvfs, tc.sample), prof)
+			capCore := NewCore(snapConfig(t, tc.topo, tc.dvfs, tc.sample), prof)
 			var raw []byte
 			var atCommits uint64
 			if err := capCore.SnapshotAt([]uint64{warm}, func(commits uint64, st *CoreState) {
@@ -101,8 +101,8 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 			if err := json.Unmarshal(raw, &st); err != nil {
 				t.Fatal(err)
 			}
-			restored, err := RestoreCore(snapConfig(t, tc.kind, tc.dvfs, tc.sample), prof.Name,
-				workload.NewGenerator(prof, snapConfig(t, tc.kind, tc.dvfs, tc.sample).WorkloadSeed), &st)
+			restored, err := RestoreCore(snapConfig(t, tc.topo, tc.dvfs, tc.sample), prof.Name,
+				workload.NewGenerator(prof, snapConfig(t, tc.topo, tc.dvfs, tc.sample).WorkloadSeed), &st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,10 +123,10 @@ func TestSnapshotPeriodicCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	straight := NewCore(snapConfig(t, GALS, false, 0), prof).Run(total)
+	straight := NewCore(snapConfig(t, GALSTopology(), false, 0), prof).Run(total)
 	wantJSON := mustJSON(t, straight)
 
-	core := NewCore(snapConfig(t, GALS, false, 0), prof)
+	core := NewCore(snapConfig(t, GALSTopology(), false, 0), prof)
 	type ckpt struct {
 		commits uint64
 		raw     []byte
@@ -152,7 +152,7 @@ func TestSnapshotPeriodicCheckpoints(t *testing.T) {
 	if err := json.Unmarshal(ckpts[1].raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	cfg := snapConfig(t, GALS, false, 0)
+	cfg := snapConfig(t, GALSTopology(), false, 0)
 	restored, err := RestoreCore(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed), &st)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestSnapshotRejectsNonSnapshottableSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(Base)
+	cfg := DefaultConfig(BaseTopology())
 	src := struct{ workload.InstrSource }{workload.NewGenerator(prof, cfg.WorkloadSeed)}
 	core := NewCoreWithSource(cfg, "gcc", src)
 	if err := core.SnapshotAt([]uint64{100}, func(uint64, *CoreState) {}); err == nil {

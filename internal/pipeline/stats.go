@@ -193,7 +193,7 @@ func (c *Core) finalize() {
 	charge := func(l namedLink, from, to DomainID) {
 		st := l.Stats()
 		c.stats.Links[l.Name()] = st
-		if c.topo.Cross(from, to) {
+		if c.cfg.Topology.Cross(from, to) {
 			// Final voltages; exact for static scaling, a slight approximation
 			// when dynamic DVFS retuned voltages mid-run.
 			scale := (c.clocks[from].EnergyScale() + c.clocks[to].EnergyScale()) / 2

@@ -126,7 +126,7 @@ func ppm(x float64) int64 { return int64(x * 1e6) }
 func (t *timelineState) retune(c *Core, g int, now simtime.Time, slow float64) {
 	v := ppm(slow)
 	for d := DomainID(0); d < NumDomains; d++ {
-		if c.topo.Of[d] != g {
+		if c.cfg.Topology.Of[d] != g {
 			continue
 		}
 		t.rec.Record(now, timeline.KindInstant, t.trkDomain[d], t.nRetune, v)

@@ -19,8 +19,7 @@ import (
 // through mixed-clock FIFOs (or stretchable-clock handshakes).
 
 // LinkClass identifies one class of inter-structure communication link, for
-// per-class capacity and synchronizer-depth overrides. The indices match the
-// debugEdges ablation order.
+// per-class capacity and synchronizer-depth overrides (Topology.Links).
 type LinkClass uint8
 
 // Link classes.
@@ -196,7 +195,7 @@ func (t Topology) priorities() []int {
 // ceilings are checked by Config.Validate, which knows the DVFS model.
 func (t Topology) Validate() error {
 	if len(t.Domains) == 0 {
-		return fmt.Errorf("pipeline: topology has no clock domains")
+		return fmt.Errorf("pipeline: topology has no clock domains (the zero Topology is not a machine; start from BaseTopology, GALSTopology or a machine spec's topology)")
 	}
 	if len(t.Domains) > int(NumDomains) {
 		return fmt.Errorf("pipeline: topology has %d clock domains for %d structures; every domain must own at least one structure",
