@@ -172,12 +172,10 @@ func main() {
 		Metrics:       svc.Metrics(),
 		Log:           log,
 		Spans:         spans,
+		Admission:     gate,
 	}
 	if journal != nil {
 		coordCfg.Store = journal
-	}
-	if gate != nil {
-		coordCfg.Admission = gate
 	}
 	coord := cluster.NewCoordinator(coordCfg)
 	svc.Backend = coord

@@ -496,27 +496,26 @@ func Run(o Options) (Result, error) {
 		Warmup:      o.Warmup,
 		SnapshotOut: o.SnapshotOut,
 	}
-	var st pipeline.Stats
+	var f *os.File
 	if o.RecordTrace != "" {
-		f, err := os.Create(o.RecordTrace)
-		if err != nil {
+		if f, err = os.Create(o.RecordTrace); err != nil {
 			return Result{}, fmt.Errorf("galsim: creating trace file: %w", err)
 		}
 		execOpts.TraceOut = f
-		st, err = campaign.ExecuteOpts(spec, execOpts)
+	}
+	st, err := campaign.ExecuteOpts(spec, execOpts)
+	if f != nil {
 		if cerr := f.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("galsim: closing trace file: %w", cerr)
 		}
 		if err != nil {
 			os.Remove(o.RecordTrace) // don't leave a truncated trace behind
-			// A failed run still returns the timeline: the flight recorder's
-			// whole point is a post-mortem of the events leading to failure.
-			return Result{Timeline: tap.Recorder}, err
 		}
-	} else {
-		if st, err = campaign.ExecuteOpts(spec, execOpts); err != nil {
-			return Result{Timeline: tap.Recorder}, err
-		}
+	}
+	if err != nil {
+		// A failed run still returns the timeline: the flight recorder's
+		// whole point is a post-mortem of the events leading to failure.
+		return Result{Timeline: tap.Recorder}, err
 	}
 	r := resultFrom(spec.WorkloadName(), o, st)
 	r.Timeline = tap.Recorder

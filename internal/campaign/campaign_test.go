@@ -349,7 +349,6 @@ func TestEngineDoesNotCacheFailures(t *testing.T) {
 }
 
 func TestRunAllCancellation(t *testing.T) {
-	e := NewEngine(4)
 	sweep := Sweep{
 		Benchmarks:   Benchmarks(), // 15 benchmarks...
 		Machines:     []string{"base", "gals"},
@@ -360,34 +359,39 @@ func TestRunAllCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Already-cancelled context: nothing must be simulated.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.RunAll(cancelled, units); err == nil {
-		t.Error("RunAll with cancelled context returned no error")
-	}
-	if st := e.Stats(); st.Misses != 0 {
-		t.Errorf("cancelled RunAll simulated %d units", st.Misses)
-	}
-	// Mid-flight cancellation: the pool must stop promptly, far short of
-	// the full grid.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() { _, err := e.RunAll(ctx, units); done <- err }()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("cancelled RunAll returned no error")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunAll did not stop within 10s of cancellation")
-	}
-	elapsed := time.Since(start)
-	if st := e.Stats(); st.Misses >= uint64(len(units)) {
-		t.Errorf("pool ran the whole %d-unit grid (%d simulated in %v) despite cancellation",
-			len(units), st.Misses, elapsed)
+	for _, r := range batchRunners {
+		t.Run(r.name, func(t *testing.T) {
+			// Already-cancelled context: nothing must be simulated.
+			e := NewEngine(4)
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := r.run(e, cancelled, units, nil); err == nil {
+				t.Error("batch with cancelled context returned no error")
+			}
+			if st := e.Stats(); st.Misses != 0 {
+				t.Errorf("cancelled batch simulated %d units", st.Misses)
+			}
+			// Mid-flight cancellation: the pool must stop promptly, far short
+			// of the full grid.
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() { _, err := r.run(e, ctx, units, nil); done <- err }()
+			time.Sleep(50 * time.Millisecond)
+			cancel()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Error("cancelled batch returned no error")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("batch did not stop within 10s of cancellation")
+			}
+			elapsed := time.Since(start)
+			if st := e.Stats(); st.Misses >= uint64(len(units)) {
+				t.Errorf("pool ran the whole %d-unit grid (%d simulated in %v) despite cancellation",
+					len(units), st.Misses, elapsed)
+			}
+		})
 	}
 }

@@ -49,10 +49,12 @@ type shard struct {
 }
 
 // Engine executes RunSpecs with bounded concurrency and memoizes every
-// completed run in a sharded in-memory cache keyed by RunSpec.Key. At most
-// `workers` simulations execute at any moment, across all concurrent Run
-// and RunAll callers. It is safe for concurrent use; concurrent requests
-// for the same key share a single simulation (singleflight).
+// completed run in a sharded in-memory cache keyed by RunSpec.Key. Every
+// execution takes one path: RunOpts per unit, and one batch loop (under
+// RunAll, RunAllProgress and RunAllWarm) that calls RunOpts. At most
+// `workers` simulations execute at any moment, across all concurrent
+// callers. It is safe for concurrent use; concurrent requests for the same
+// key share a single simulation (singleflight).
 type Engine struct {
 	workers int
 	sem     chan struct{} // global simulation-concurrency bound
@@ -120,40 +122,28 @@ func hexNibble(c byte) byte {
 	return c - '0'
 }
 
-// Run executes one unit through the cache: a previously completed identical
-// spec returns instantly, an in-flight one is joined, and a new one is
-// simulated on the calling goroutine once a worker slot frees up, so
-// concurrent callers never exceed the engine's worker bound. ctx
-// cancellation abandons the wait (an already-started simulation still
-// completes and populates the cache).
+// Run executes one unit through the cache with no taps: RunOpts with zero
+// ExecOpts.
 func (e *Engine) Run(ctx context.Context, spec RunSpec) (pipeline.Stats, error) {
-	st, _, err := e.run(ctx, spec, TimelineTap{})
+	st, _, err := e.RunOpts(ctx, spec, ExecOpts{})
 	return st, err
 }
 
-// RunTimeline is Run with a cache-hit report and a timeline tap attached
-// when this call actually simulates. A unit served from the cache (or
-// joined in flight) reports hit=true and leaves the recorder empty — the
-// cached result was produced elsewhere and a timeline is an observation
-// of one execution, not part of the memoized value.
-func (e *Engine) RunTimeline(ctx context.Context, spec RunSpec, tap TimelineTap) (pipeline.Stats, bool, error) {
-	return e.run(ctx, spec, tap)
-}
-
-// run is Run plus a cache-hit report: hit is true when the result came from
-// a completed cache entry or joined an in-flight simulation — the signal
-// Progress.CacheHits aggregates.
-func (e *Engine) run(ctx context.Context, spec RunSpec, tap TimelineTap) (pipeline.Stats, bool, error) {
-	return e.runWith(ctx, spec, func(s RunSpec) (pipeline.Stats, error) {
-		return ExecuteOpts(s, ExecOpts{Tap: tap})
-	})
-}
-
-// runWith is the cache/singleflight core of run with the execution itself
-// pluggable: warm-up sharing swaps in executors that capture or resume a
-// snapshot, whose results are cache-grade because the pipeline differential
-// gate proves them byte-identical to cold executions.
-func (e *Engine) runWith(ctx context.Context, spec RunSpec, exec func(RunSpec) (pipeline.Stats, error)) (pipeline.Stats, bool, error) {
+// RunOpts is the engine's one per-unit entry point. It executes a unit
+// through the cache: a previously completed identical spec returns
+// instantly, an in-flight one is joined, and a new one is simulated on the
+// calling goroutine once a worker slot frees up, so concurrent callers never
+// exceed the engine's worker bound. hit reports a result served from a
+// completed entry or joined in flight — the signal Progress.CacheHits
+// aggregates. ctx cancellation abandons the wait (an already-started
+// simulation still completes and populates the cache).
+//
+// opts act only when this call simulates: on a hit no tap fires, no
+// snapshot is captured and Resume is unused, because the result was
+// produced elsewhere. Results are cache-grade whatever opts holds — taps
+// only observe, and the pipeline differential gate proves captured and
+// resumed executions byte-identical to cold ones.
+func (e *Engine) RunOpts(ctx context.Context, spec RunSpec, opts ExecOpts) (pipeline.Stats, bool, error) {
 	// Canonicalize once up front: this pins a trace's content digest, so
 	// the cache key below and the execution's own Validate see the same
 	// content. A trace file swapped between keying and execution then fails
@@ -198,7 +188,7 @@ func (e *Engine) runWith(ctx context.Context, spec RunSpec, exec func(RunSpec) (
 		}
 		if ent.err == nil {
 			e.misses.Add(1)
-			ent.st, ent.err = exec(spec)
+			ent.st, ent.err = ExecuteOpts(spec, opts)
 			<-e.sem
 		}
 		if ent.err != nil {
@@ -224,6 +214,21 @@ func (e *Engine) RunAll(ctx context.Context, specs []RunSpec) ([]pipeline.Stats,
 // receives a monotone Progress snapshot after every completed unit, from
 // the completing worker goroutines. Implements ProgressBackend.
 func (e *Engine) RunAllProgress(ctx context.Context, specs []RunSpec, fn ProgressFunc) ([]pipeline.Stats, error) {
+	return e.runBatch(ctx, specs, fn, func(int) (ExecOpts, bool) { return ExecOpts{}, true })
+}
+
+// pass selects the units one stage of a batch runs: for unit i it returns
+// the options to run it with, or false to leave it to another pass.
+type pass func(i int) (ExecOpts, bool)
+
+// runBatch is the engine's one batch loop, under both RunAllProgress and
+// RunAllWarm. Passes run in order, each over at most Workers() goroutines
+// that execute the units it selects through RunOpts, so a later pass may
+// read what an earlier one captured. Results land by unit index; fn sees a
+// Progress snapshot after every finished unit; the first error cancels the
+// rest of the batch and is returned. A unit that simulates from a Resume
+// snapshot adds the snapshot's committed count to the warm-up savings.
+func (e *Engine) runBatch(ctx context.Context, specs []RunSpec, fn ProgressFunc, passes ...pass) ([]pipeline.Stats, error) {
 	if len(specs) == 0 {
 		if fn != nil {
 			fn(Progress{})
@@ -234,73 +239,80 @@ func (e *Engine) RunAllProgress(ctx context.Context, specs []RunSpec, fn Progres
 	defer cancel()
 
 	var (
-		progMu sync.Mutex
-		prog   = Progress{Total: len(specs)}
-	)
-	report := func(mutate func(*Progress)) {
-		if fn == nil {
-			return
-		}
-		progMu.Lock()
-		mutate(&prog)
-		snap := prog
-		progMu.Unlock()
-		fn(snap)
-	}
-
-	results := make([]pipeline.Stats, len(specs))
-	var (
+		mu       sync.Mutex
+		prog     = Progress{Total: len(specs)}
 		firstErr error
-		errOnce  sync.Once
-		wg       sync.WaitGroup
+		results  = make([]pipeline.Stats, len(specs))
 	)
-	next := make(chan int)
-	workers := min(e.workers, len(specs))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					return
-				}
-				st, hit, err := e.run(ctx, specs[i], TimelineTap{})
-				if err != nil {
-					// Only the winning (first) error counts as a failed
-					// unit; the cancellation errors it induces in the other
-					// workers are not failures of their units.
-					won := false
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("campaign: unit %d (%s/%s): %w",
-							i, specs[i].MachineName(), specs[i].WorkloadName(), err)
-						cancel()
-						won = true
-					})
-					if won {
-						report(func(p *Progress) { p.Failed++ })
-					}
-					return
-				}
-				results[i] = st
-				report(func(p *Progress) {
-					p.Completed++
-					if hit {
-						p.CacheHits++
-					}
-				})
+	// finish records unit i's outcome; false means the worker should stop.
+	finish := func(i int, st pipeline.Stats, hit bool, err error) bool {
+		mu.Lock()
+		if err != nil {
+			// Only the winning (first) error counts as a failed unit; the
+			// cancellation errors it induces in the other workers are not
+			// failures of their units.
+			if firstErr != nil {
+				mu.Unlock()
+				return false
 			}
-		}()
-	}
-feed:
-	for i := range specs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+			firstErr = fmt.Errorf("campaign: unit %d (%s/%s): %w",
+				i, specs[i].MachineName(), specs[i].WorkloadName(), err)
+			cancel()
+			prog.Failed++
+		} else {
+			results[i] = st
+			prog.Completed++
+			if hit {
+				prog.CacheHits++
+			}
 		}
+		snap := prog
+		mu.Unlock()
+		if fn != nil {
+			fn(snap)
+		}
+		return err == nil
 	}
-	close(next)
-	wg.Wait()
+	type job struct {
+		i    int
+		opts ExecOpts
+	}
+	for _, sel := range passes {
+		next := make(chan job)
+		var wg sync.WaitGroup
+		for w := 0; w < min(e.workers, len(specs)); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := range next {
+					if ctx.Err() != nil {
+						return
+					}
+					st, hit, err := e.RunOpts(ctx, specs[j.i], j.opts)
+					if err == nil && !hit && j.opts.Resume != nil {
+						e.warmSaved.Add(j.opts.Resume.Committed)
+					}
+					if !finish(j.i, st, hit, err) {
+						return
+					}
+				}
+			}()
+		}
+	feed:
+		for i := range specs {
+			opts, ok := sel(i)
+			if !ok {
+				continue
+			}
+			select {
+			case next <- job{i, opts}:
+			case <-ctx.Done():
+				break feed
+			}
+		}
+		close(next)
+		wg.Wait()
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -317,189 +329,80 @@ func (e *Engine) WarmSharing() (groups, savedInstructions uint64) {
 	return e.warmGroups.Load(), e.warmSaved.Load()
 }
 
-// RunCheckpointed is Run with periodic checkpoint capture and optional
-// resume — the cluster worker's seam for long jobs. Every `every` committed
-// instructions the execution delivers its full state to onSnap; a non-nil
-// resume skips straight past its Committed prefix. A cache hit (or joined
-// in-flight run) returns instantly and onSnap never fires: nothing was
-// simulated. Results are cache-grade — the pipeline differential gate
-// proves a resumed execution byte-identical to a cold one.
-func (e *Engine) RunCheckpointed(ctx context.Context, spec RunSpec, every uint64, onSnap func(*snapshot.Snapshot), resume *snapshot.Snapshot) (pipeline.Stats, bool, error) {
-	return e.runWith(ctx, spec, func(s RunSpec) (pipeline.Stats, error) {
-		return ExecuteOpts(s, ExecOpts{CheckpointEvery: every, OnSnapshot: onSnap, Resume: resume})
-	})
-}
-
-// maxWarmUnits bounds RunAllWarm's per-group orchestration goroutines;
-// batches beyond it fall back to the plain worker pool.
-const maxWarmUnits = 1 << 16
-
 // RunAllWarm is RunAllProgress with warm-up sharing: units that share a
 // warm identity (WarmKey — same machine, workload and run settings, any
-// instruction budget) simulate their common prefix once. The first unit of
-// each group runs cold and captures a snapshot at `warmup` committed
-// instructions — a pure observation, so its own result is untouched — and
-// the group's other units resume from that snapshot instead of re-warming.
-// Results are byte-identical to RunAll's (the pipeline differential gate
-// proves restore ≡ straight-line run) and populate the same cache. Units
-// with no prefix peers — machine- or workload-divergent points — warm
-// independently, and the engine says so on the log.
+// instruction budget) simulate their common prefix once. It is a two-pass
+// plan over the same batch loop. The first pass runs each group's leader
+// (its first unit) and every unit without prefix peers; a leader captures a
+// snapshot at `warmup` committed instructions — a pure observation, so its
+// own result is untouched. The second pass runs the followers, resuming
+// from their leader's snapshot instead of re-warming; a leader served from
+// the cache captured nothing, and its followers run cold. Results are
+// byte-identical to RunAll's (the pipeline differential gate proves
+// restore ≡ straight-line run) and populate the same cache.
 func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64, fn ProgressFunc) ([]pipeline.Stats, error) {
-	if warmup == 0 || len(specs) < 2 {
+	if warmup == 0 {
 		return e.RunAllProgress(ctx, specs, fn)
 	}
-	if len(specs) > maxWarmUnits {
-		slog.Default().Info("campaign: batch too large for warm-up sharing; running unshared",
-			"units", len(specs), "max", maxWarmUnits)
-		return e.RunAllProgress(ctx, specs, fn)
-	}
-	canon := make([]RunSpec, len(specs))
+	// leader[i] is the first unit of i's warm group, or i itself. A unit
+	// that cannot share a prefix — already snapshot-seeded, or its whole
+	// budget inside the warm-up — leads a group of one and runs cold.
+	leader := make([]int, len(specs))
+	followed := make([]bool, len(specs))
+	first := map[string]int{}
+	shared := 0
 	for i := range specs {
-		canon[i] = specs[i].Canonical()
-		if err := canon[i].Validate(); err != nil {
-			return nil, fmt.Errorf("campaign: unit %d (%s/%s): %w",
-				i, specs[i].MachineName(), specs[i].WorkloadName(), err)
+		leader[i] = i
+		s := specs[i].Canonical()
+		if s.Snapshot != nil || warmup >= s.Instructions {
+			continue
 		}
-	}
-	// Group by warm identity. A unit that cannot share a prefix — already
-	// snapshot-seeded, or its whole budget inside the warm-up — gets a
-	// private group and runs cold.
-	groups := map[string][]int{}
-	var order []string
-	for i, s := range canon {
-		key := fmt.Sprintf("cold!%d", i) // '!' is not hex: never collides with a warm key
-		if s.Snapshot == nil && warmup < s.Instructions {
-			key = s.WarmKey()
+		k := s.WarmKey()
+		l, ok := first[k]
+		if !ok {
+			first[k] = i
+			continue
 		}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
+		if !followed[l] {
+			followed[l] = true
+			shared++
 		}
-		groups[key] = append(groups[key], i)
-	}
-	sharedGroups := 0
-	for _, members := range groups {
-		if len(members) > 1 {
-			sharedGroups++
-		}
+		leader[i] = l
 	}
 	slog.Default().Info("campaign: warm-up sharing plan",
-		"units", len(specs), "shared_groups", sharedGroups,
-		"independent", len(groups)-sharedGroups, "warmup", warmup)
+		"units", len(specs), "shared_groups", shared, "warmup", warmup)
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		progMu sync.Mutex
-		prog   = Progress{Total: len(specs)}
-	)
-	report := func(mutate func(*Progress)) {
-		if fn == nil {
-			return
+	// snaps[l] is written by leader l's simulation in the first pass and
+	// read by the second pass's feeder, after the first pass has joined.
+	snaps := make([]*snapshot.Snapshot, len(specs))
+	leaders := func(i int) (ExecOpts, bool) {
+		if leader[i] != i {
+			return ExecOpts{}, false
 		}
-		progMu.Lock()
-		mutate(&prog)
-		snap := prog
-		progMu.Unlock()
-		fn(snap)
-	}
-	results := make([]pipeline.Stats, len(specs))
-	var (
-		firstErr error
-		errOnce  sync.Once
-	)
-	// runOne executes unit i through the cache with the given executor,
-	// recording its result and progress; false means failed or cancelled.
-	runOne := func(i int, exec func(RunSpec) (pipeline.Stats, error)) bool {
-		if ctx.Err() != nil {
-			return false
+		if !followed[i] {
+			return ExecOpts{}, true
 		}
-		st, hit, err := e.runWith(ctx, canon[i], exec)
-		if err != nil {
-			won := false
-			errOnce.Do(func() {
-				firstErr = fmt.Errorf("campaign: unit %d (%s/%s): %w",
-					i, specs[i].MachineName(), specs[i].WorkloadName(), err)
-				cancel()
-				won = true
-			})
-			if won {
-				report(func(p *Progress) { p.Failed++ })
-			}
-			return false
+		return ExecOpts{Warmup: warmup, OnSnapshot: func(sn *snapshot.Snapshot) { snaps[i] = sn }}, true
+	}
+	followers := func(i int) (ExecOpts, bool) {
+		l := leader[i]
+		if l == i {
+			return ExecOpts{}, false
 		}
-		results[i] = st
-		report(func(p *Progress) {
-			p.Completed++
-			if hit {
-				p.CacheHits++
-			}
-		})
-		return true
+		// The capture lands on the first decode-cycle boundary at or past
+		// warmup, so it can overshoot a budget just above warmup: such a
+		// follower runs cold.
+		sn := snaps[l]
+		if sn != nil && sn.Committed >= specs[i].Canonical().Instructions {
+			sn = nil
+		}
+		return ExecOpts{Resume: sn}, true
 	}
-	cold := func(s RunSpec) (pipeline.Stats, error) { return ExecuteOpts(s, ExecOpts{}) }
-	var wg sync.WaitGroup
-	for _, key := range order {
-		members := groups[key]
-		wg.Add(1)
-		go func(key string, members []int) {
-			defer wg.Done()
-			if len(members) == 1 {
-				i := members[0]
-				slog.Default().Debug("campaign: warming independently (no prefix peers)",
-					"unit", i, "machine", canon[i].MachineName(), "workload", canon[i].WorkloadName())
-				runOne(i, cold)
-				return
-			}
-			// Leader runs cold and captures the group's shared warm state.
-			// A cache hit leaves snap nil (nothing was simulated, so nothing
-			// was captured) and the followers simply run cold too — results
-			// are identical either way.
-			var snap *snapshot.Snapshot
-			leader := members[0]
-			if !runOne(leader, func(s RunSpec) (pipeline.Stats, error) {
-				return ExecuteOpts(s, ExecOpts{
-					Warmup:     warmup,
-					OnSnapshot: func(sn *snapshot.Snapshot) { snap = sn },
-				})
-			}) {
-				return
-			}
-			var resumed atomic.Uint64
-			var fwg sync.WaitGroup
-			for _, m := range members[1:] {
-				fwg.Add(1)
-				go func(m int) {
-					defer fwg.Done()
-					exec := cold
-					if sn := snap; sn != nil {
-						exec = func(s RunSpec) (pipeline.Stats, error) {
-							st, err := ExecuteOpts(s, ExecOpts{Resume: sn})
-							if err == nil {
-								resumed.Add(1)
-								e.warmSaved.Add(sn.Committed)
-							}
-							return st, err
-						}
-					}
-					runOne(m, exec)
-				}(m)
-			}
-			fwg.Wait()
-			if snap != nil {
-				e.warmGroups.Add(1)
-				slog.Default().Info("campaign: warm-up prefix shared",
-					"group", key[:12], "peers", len(members), "resumed", resumed.Load(),
-					"warmup_committed", snap.Committed,
-					"instructions_saved", resumed.Load()*snap.Committed)
-			}
-		}(key, members)
+	stats, err := e.runBatch(ctx, specs, fn, leaders, followers)
+	for _, sn := range snaps {
+		if sn != nil {
+			e.warmGroups.Add(1)
+		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return stats, err
 }

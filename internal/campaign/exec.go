@@ -20,6 +20,10 @@ import (
 // is byte-equivalent to having simulated the prefix (same gate) — only a
 // RunSpec.Snapshot file reference, whose content the engine cannot vouch
 // for, joins the spec's key.
+//
+// ExecuteOpts takes it directly; Engine.RunOpts takes it through the cache,
+// where it acts only when the call simulates. The engine's batch loop, the
+// cluster worker and galsimd all reach the simulator that way.
 type ExecOpts struct {
 	// OnCommit receives every committed instruction in program order.
 	OnCommit func(*isa.Instr)
@@ -58,8 +62,8 @@ func Execute(spec RunSpec, onCommit func(*isa.Instr)) (pipeline.Stats, error) {
 }
 
 // ExecuteOpts runs one unit with the full set of taps and snapshot
-// controls. It is the single execution path under Execute, the engine cache
-// and the cluster worker.
+// controls, bypassing any cache. It is the single execution path under
+// Execute, galsim.Run and Engine.RunOpts.
 func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 	// Canonicalize once: pins trace and snapshot digests (so the later
 	// Validate detects a file swapped underneath us) and spares repeated

@@ -88,6 +88,30 @@ func TestRunAllWarmDivergentUnitsWarmIndependently(t *testing.T) {
 	}
 }
 
+// TestRunAllWarmBudgetInsideCapture: a follower whose budget lies between
+// warmup and the leader's actual capture point (the capture lands on a
+// decode-cycle boundary, a few commits past warmup) cannot resume from it
+// and must run cold, matching plain RunAll.
+func TestRunAllWarmBudgetInsideCapture(t *testing.T) {
+	specs := []RunSpec{
+		{Benchmark: "gcc", Machine: "base", Instructions: 2_000},
+		{Benchmark: "gcc", Machine: "base", Instructions: 501},
+		{Benchmark: "gcc", Machine: "base", Instructions: 502},
+	}
+	want, err := NewEngine(1).RunAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewEngine(1).RunAllWarm(context.Background(), specs, 500, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	if gotJSON, _ := json.Marshal(got); !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("warm batch differs from RunAll")
+	}
+}
+
 // TestSnapshotSpecRoundTrip drives the file-based path: capture a warm-up
 // snapshot via ExecOpts, then seed a RunSpec.Snapshot run from it and check
 // the stats match a straight cold run — and that the snapshot joins the

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"galsim/internal/admission"
 	"galsim/internal/campaign"
 	"galsim/internal/pipeline"
 	"galsim/internal/telemetry"
@@ -60,15 +60,7 @@ type Config struct {
 	// Admission, when non-nil, gates the fleet HTTP endpoints (join/lease/
 	// complete) behind per-tenant API keys and token buckets; see
 	// internal/admission and Register.
-	Admission AdmissionGate
-}
-
-// AdmissionGate is what the coordinator needs from an admission controller:
-// authenticate-and-rate-limit one request, answering it (401/429 with
-// Retry-After) when rejected. Implemented by *admission.Controller; an
-// interface here keeps the dependency arrow pointing out of cluster.
-type AdmissionGate interface {
-	Admit(w http.ResponseWriter, r *http.Request) (tenant string, ok bool)
+	Admission *admission.Controller
 }
 
 // Coordinator shards campaign batches into jobs and serves them to a fleet

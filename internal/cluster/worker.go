@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"galsim/internal/campaign"
-	"galsim/internal/pipeline"
 	"galsim/internal/snapshot"
 	"galsim/internal/telemetry"
 	"galsim/internal/timeline"
@@ -72,14 +71,19 @@ type Worker struct {
 	// microarchitecture events of each traced simulation are converted to
 	// spans and shipped back with the completion. 0 selects a small default;
 	// negative disables in-sim spans (execute/simulate spans still ship).
+	// A checkpointing worker (CheckpointEvery > 0) ignores it: it ships no
+	// worker spans at all for traced jobs.
 	TimelineEvents int
 	// CheckpointEvery, when positive, makes long jobs crash-resumable: every
 	// N committed instructions the worker posts the job's full execution
 	// state to the coordinator (POST /jobs/checkpoint), and a job that
 	// arrives carrying a previous holder's checkpoint resumes from it
 	// instead of re-simulating the prefix. Results are byte-identical either
-	// way (the snapshot differential gate proves it); checkpointed jobs skip
-	// in-sim trace spans. Zero disables checkpointing.
+	// way (the snapshot differential gate proves it). Checkpointing takes
+	// precedence over tracing: a checkpointing worker attaches no timeline
+	// and ships no worker spans (execute, simulate or in-sim) for traced
+	// jobs, so their traces show only the coordinator's spans. Zero disables
+	// checkpointing.
 	CheckpointEvery uint64
 
 	m struct {
@@ -223,23 +227,26 @@ func (w *Worker) pull(leaseCtx, jobCtx context.Context) {
 			w.log().Info("job start", "worker", w.ID, "job_id", jb.ID,
 				"request_id", jb.RequestID, "benchmark", jb.Spec.Benchmark)
 			start := time.Now()
-			var (
-				st    pipeline.Stats
-				err   error
-				spans []timeline.Span
-			)
+			// Checkpointing takes precedence over tracing: a checkpointing
+			// worker attaches no timeline and ships no worker spans.
+			var opts campaign.ExecOpts
+			trID, parentSp, traced := timeline.ParseTraceParent(jb.TraceParent)
 			if w.CheckpointEvery > 0 {
-				st, err = w.runCheckpointed(jobCtx, jb)
-			} else if trID, parentSp, ok := timeline.ParseTraceParent(jb.TraceParent); ok {
-				st, spans, err = w.runTraced(jobCtx, jb, trID, parentSp)
-			} else {
-				st, err = w.Engine.Run(jobCtx, jb.Spec)
+				opts, traced = w.checkpointOpts(jobCtx, jb), false
+			} else if traced {
+				opts.Tap.Recorder = w.flightRecorder()
 			}
-			dur := time.Since(start)
+			st, hit, err := w.Engine.RunOpts(jobCtx, jb.Spec, opts)
+			end := time.Now()
+			dur := end.Sub(start)
 			if jobCtx.Err() != nil {
 				// Dying mid-job: report nothing and let the lease expire, so
 				// the job is re-run whole on a live worker.
 				return
+			}
+			var spans []timeline.Span
+			if traced {
+				spans = w.jobSpans(jb, trID, parentSp, start, end, hit, err, opts.Tap.Recorder)
 			}
 			draining := leaseCtx.Err() != nil
 			res := JobResult{JobID: jb.ID}
@@ -294,27 +301,27 @@ func (w *Worker) lease(ctx context.Context) (LeaseResponse, error) {
 	return resp, err
 }
 
-// runCheckpointed executes one job under the checkpoint regime: resume from
-// the job's attached checkpoint when it has a valid one (a checkpoint that
-// fails its typed validation is discarded for a cold run — never a partial
-// restore), and post a fresh checkpoint to the coordinator every
-// CheckpointEvery committed instructions. A rejected post (this worker lost
-// the lease) or an unreachable coordinator never fails the run: the
-// completion retry path settles who wins.
-func (w *Worker) runCheckpointed(ctx context.Context, jb Job) (pipeline.Stats, error) {
-	var resume *snapshot.Snapshot
+// checkpointOpts builds the execution options of one job under the
+// checkpoint regime: resume from the job's attached checkpoint when it has a
+// valid one (a checkpoint that fails its typed validation is discarded for
+// a cold run — never a partial restore), and post a fresh checkpoint to the
+// coordinator every CheckpointEvery committed instructions. A rejected post
+// (this worker lost the lease) or an unreachable coordinator never fails
+// the run: the completion retry path settles who wins.
+func (w *Worker) checkpointOpts(ctx context.Context, jb Job) campaign.ExecOpts {
+	opts := campaign.ExecOpts{CheckpointEvery: w.CheckpointEvery}
 	if len(jb.Checkpoint) > 0 {
 		snap, err := snapshot.DecodeBytes(jb.Checkpoint)
 		if err != nil {
 			w.log().Warn("job checkpoint unusable; running cold", "worker", w.ID,
 				"job_id", jb.ID, "request_id", jb.RequestID, "error", err)
 		} else {
-			resume = snap
+			opts.Resume = snap
 			w.log().Info("resuming from checkpoint", "worker", w.ID, "job_id", jb.ID,
 				"request_id", jb.RequestID, "committed", snap.Committed)
 		}
 	}
-	onSnap := func(sn *snapshot.Snapshot) {
+	opts.OnSnapshot = func(sn *snapshot.Snapshot) {
 		blob, err := sn.EncodeBytes()
 		if err != nil {
 			w.log().Warn("encoding checkpoint failed", "worker", w.ID, "job_id", jb.ID, "error", err)
@@ -339,8 +346,7 @@ func (w *Worker) runCheckpointed(ctx context.Context, jb Job) (pipeline.Stats, e
 				"request_id", jb.RequestID, "committed", sn.Committed)
 		}
 	}
-	st, _, err := w.Engine.RunCheckpointed(ctx, jb.Spec, w.CheckpointEvery, onSnap, resume)
-	return st, err
+	return opts
 }
 
 // maxSimSpans bounds how many in-sim windows one traced job ships back:
@@ -348,30 +354,29 @@ func (w *Worker) runCheckpointed(ctx context.Context, jb Job) (pipeline.Stats, e
 // last events) while keeping completion bodies small.
 const maxSimSpans = 256
 
-// runTraced executes one traced job and renders the worker's side of the
-// trace: an "execute" span under the job's lease span, a "simulate" or
-// "cache-hit" child, and — on an actual simulation — the flight recorder's
+// flightRecorder returns the timeline ring attached to a traced job, or nil
+// when TimelineEvents disables in-sim spans.
+func (w *Worker) flightRecorder() *timeline.Recorder {
+	if w.TimelineEvents < 0 {
+		return nil
+	}
+	events := w.TimelineEvents
+	if events == 0 {
+		// 1024 events = 24KB: the ring stays L1-resident, so steady
+		// state recording does not evict the simulator's working set.
+		// SimSpans folds at most maxSimSpans windows into the trace
+		// anyway, so a deeper default ring buys nothing.
+		events = 1024
+	}
+	return timeline.NewRecorder(timeline.Options{MaxEvents: events, Flight: true})
+}
+
+// jobSpans renders the worker's side of one traced job's trace: an
+// "execute" span under the job's lease span, a "simulate" or "cache-hit"
+// child, and — on an actual simulation — the flight recorder's
 // stall/squash/backpressure windows rebased into the simulate window as
 // grandchild spans.
-func (w *Worker) runTraced(ctx context.Context, jb Job, traceID, parentSpan string) (pipeline.Stats, []timeline.Span, error) {
-	var rec *timeline.Recorder
-	if w.TimelineEvents >= 0 {
-		events := w.TimelineEvents
-		if events == 0 {
-			// 1024 events = 24KB: the ring stays L1-resident, so steady
-			// state recording does not evict the simulator's working set.
-			// SimSpans folds at most maxSimSpans windows into the trace
-			// anyway, so a deeper default ring buys nothing.
-			events = 1024
-		}
-		rec = timeline.NewRecorder(timeline.Options{MaxEvents: events, Flight: true})
-	}
-	start := time.Now()
-	st, hit, err := w.Engine.RunTimeline(ctx, jb.Spec, campaign.TimelineTap{Recorder: rec})
-	end := time.Now()
-	if ctx.Err() != nil {
-		return st, nil, err
-	}
+func (w *Worker) jobSpans(jb Job, traceID, parentSpan string, start, end time.Time, hit bool, err error, rec *timeline.Recorder) []timeline.Span {
 	service := "worker " + w.ID
 	exec := timeline.Span{
 		TraceID:     traceID,
@@ -388,7 +393,7 @@ func (w *Worker) runTraced(ctx context.Context, jb Job, traceID, parentSpan stri
 	}
 	if err != nil {
 		exec.Attrs["error"] = err.Error()
-		return st, []timeline.Span{exec}, err
+		return []timeline.Span{exec}
 	}
 	childName := "simulate"
 	if hit {
@@ -408,7 +413,7 @@ func (w *Worker) runTraced(ctx context.Context, jb Job, traceID, parentSpan stri
 		spans = append(spans, rec.SimSpans(traceID, child.SpanID, service,
 			start.UnixNano(), end.UnixNano(), maxSimSpans)...)
 	}
-	return st, spans, nil
+	return spans
 }
 
 // complete posts one finished job, retrying a few times so a briefly

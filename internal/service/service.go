@@ -52,6 +52,7 @@ import (
 	"strings"
 	"sync"
 
+	"galsim/internal/admission"
 	"galsim/internal/campaign"
 	"galsim/internal/experiments"
 	"galsim/internal/httpjson"
@@ -76,17 +77,6 @@ const (
 	maxCustomMachines      = 1024
 	maxCustomMachineBytes  = 16 << 20
 )
-
-// AdmissionGate is what the server needs from an admission controller:
-// authenticate-and-rate-limit one request, and charge/return queued-unit
-// quota. Rejections are answered by the gate itself (401, or 429 with a
-// Retry-After hint). Implemented by *admission.Controller; an interface
-// here keeps the service free of the admission package.
-type AdmissionGate interface {
-	Admit(w http.ResponseWriter, r *http.Request) (tenant string, ok bool)
-	AcquireUnits(w http.ResponseWriter, tenant string, n int) bool
-	ReleaseUnits(tenant string, n int)
-}
 
 // customEntry is one uploaded profile plus its accounted size.
 type customEntry struct {
@@ -121,7 +111,7 @@ type Server struct {
 	// per-tenant API keys, rate limits, and queued-unit quotas (see
 	// internal/admission). nil leaves the API open, the pre-multi-tenant
 	// behavior. Set before the server starts handling requests.
-	Admission AdmissionGate
+	Admission *admission.Controller
 
 	// Spans, when set, backs GET /sweeps/{id}/trace: the collector the
 	// fleet coordinator records campaign/lease spans into and folds worker
@@ -391,7 +381,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if wantTimeline {
 		rec = timeline.NewRecorder(timeline.Options{})
 		var hit bool
-		st, hit, err = s.engine.RunTimeline(r.Context(), spec, campaign.TimelineTap{Recorder: rec})
+		st, hit, err = s.engine.RunOpts(r.Context(), spec, campaign.ExecOpts{Tap: campaign.TimelineTap{Recorder: rec}})
 		if hit {
 			rec = nil // served from cache: nothing was simulated, no events
 		}
