@@ -1,32 +1,24 @@
-// Command galsim-trace records, inspects, and replays workload instruction
-// traces: the operational front door to the record/replay subsystem.
+// Command galsim-trace inspects workload instruction trace files: their
+// header and provenance, and the statistics of the stream they hold.
 //
-//	galsim-trace record -bench gcc -o gcc.trace            # record a run
-//	galsim-trace record -profile phases.json -o ph.trace   # custom workload
-//	galsim-trace inspect gcc.trace                         # header + digest
-//	galsim-trace stats gcc.trace                           # stream statistics
-//	galsim-trace replay gcc.trace -machine gals            # re-run the trace
-//	galsim-trace replay gcc.trace -machine gals -timeline t.json  # + Perfetto timeline
-//	galsim-trace fast-forward gcc.trace -at 50000 -o warm.gsnp -machine gals  # snapshot at N
-//	galsim-trace replay gcc.trace -machine gals -from warm.gsnp  # resume past the prefix
+//	galsim-trace inspect gcc.trace    # header + digest
+//	galsim-trace stats gcc.trace      # stream statistics
 //
-// A replayed trace driven through a machine configured identically to the
-// recording reproduces its results exactly; driven through a different
-// machine, it answers "what would this exact instruction stream have done
-// there".
+// Recording, replaying, fast-forwarding and resuming are runs, and every
+// run goes through the galsim command:
+//
+//	galsim -bench gcc -machine gals -record gcc.trace
+//	galsim -replay gcc.trace -machine gals
+//	galsim -replay gcc.trace -machine gals -warmup 50000 -snapshot-out warm.snap
+//	galsim -replay gcc.trace -machine gals -snapshot-in warm.snap
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
-	"galsim"
 	"galsim/internal/isa"
-	"galsim/internal/snapshot"
 	"galsim/internal/trace"
 )
 
@@ -37,16 +29,10 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "record":
-		err = cmdRecord(os.Args[2:])
 	case "inspect":
 		err = cmdInspect(os.Args[2:])
 	case "stats":
 		err = cmdStats(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
-	case "fast-forward":
-		err = cmdFastForward(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -62,220 +48,36 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: galsim-trace <command> [flags]
+	fmt.Fprint(os.Stderr, `usage: galsim-trace <command> <trace-file>
 
 commands:
-  record   run a workload and record its instruction stream to a trace file
   inspect  print a trace's header, provenance and content digest
   stats    decode a trace and print stream statistics (mix, branches, memory)
-  replay   replay a trace through a machine and print the run's results
-  fast-forward
-           replay a trace up to instruction N and save a full-state snapshot;
-           later replays resume from it with -from, skipping the warm-up prefix
 
-run "galsim-trace <command> -h" for the command's flags
+Runs go through galsim (same machine flags as any galsim run):
+  record          galsim -bench gcc -record gcc.trace
+  replay          galsim -replay gcc.trace -machine gals
+  fast-forward    galsim -replay gcc.trace -machine gals -warmup N -snapshot-out warm.snap
+  replay -from    galsim -replay gcc.trace -machine gals -snapshot-in warm.snap
 `)
 }
 
-// machineFlags holds the run-configuration flags shared by record and
-// replay.
-type machineFlags struct {
-	fs        *flag.FlagSet
-	machine   *string
-	n         *uint64
-	slow      *string
-	noDVS     *bool
-	seed      *int64
-	phaseSeed *int64
-	memOrder  *string
-	linkStyle *string
-	dynDVFS   *bool
-	sample    *uint64
-	sampleOut *string
-	sampleFmt *string
-	timeline  *string
-	tlFlight  *int
-}
-
-func addMachineFlags(fs *flag.FlagSet) *machineFlags {
-	return &machineFlags{
-		fs:        fs,
-		machine:   fs.String("machine", "base", `machine: "base", "gals", or a MachineSpec JSON file`),
-		n:         fs.Uint64("n", 0, "instructions to commit (0 = default: 100000, or the recorded length for replay)"),
-		slow:      fs.String("slow", "", `per-domain clock slowdowns, e.g. "fp=3,fetch=1.1"`),
-		noDVS:     fs.Bool("no-dvs", false, "disable voltage scaling of slowed domains"),
-		seed:      fs.Int64("seed", 42, "workload seed (ignored by replay)"),
-		phaseSeed: fs.Int64("phase-seed", 1, "GALS clock phase seed"),
-		memOrder:  fs.String("mem-order", "perfect", "memory disambiguation: perfect, conservative, addr-match"),
-		linkStyle: fs.String("links", "fifo", "GALS link style: fifo or stretch"),
-		dynDVFS:   fs.Bool("dyn-dvfs", false, "enable the online per-domain DVFS controller (gals only)"),
-		sample:    fs.Uint64("sample", 0, "sample per-domain occupancy/IPC/DVFS state every N decode cycles (0 = off, min 100)"),
-		sampleOut: fs.String("sample-out", "", "write the sample series to this file (default stdout after the summary)"),
-		sampleFmt: fs.String("sample-format", "csv", "sample encoding: csv or json"),
-		timeline: fs.String("timeline", "",
-			"write a Perfetto-loadable microarchitecture timeline (Chrome trace-event JSON) to this file"),
-		tlFlight: fs.Int("timeline-flight", 0,
-			"flight-recorder mode: keep only the last N timeline events (0 = record from the start)"),
-	}
-}
-
-// emitSamples writes a run's interval series per the -sample-* flags; a
-// no-op unless -sample was set.
-func (m *machineFlags) emitSamples(samples []galsim.Sample) error {
-	if *m.sample == 0 {
-		return nil
-	}
-	var w io.Writer = os.Stdout
-	if *m.sampleOut != "" {
-		f, err := os.Create(*m.sampleOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *m.sampleFmt {
-	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(samples)
-	case "csv":
-		return galsim.WriteSamplesCSV(w, samples)
-	}
-	return fmt.Errorf("-sample-format %q: want csv or json", *m.sampleFmt)
-}
-
-// emitTimeline saves a run's timeline per the -timeline flags; a no-op
-// unless -timeline was set.
-func (m *machineFlags) emitTimeline(tl *galsim.Timeline) error {
-	if tl == nil || *m.timeline == "" {
-		return nil
-	}
-	f, err := os.Create(*m.timeline)
-	if err != nil {
-		return err
-	}
-	if err := tl.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("  timeline    %d events -> %s (open at https://ui.perfetto.dev)\n", tl.Len(), *m.timeline)
-	return nil
-}
-
-func (m *machineFlags) options() (galsim.Options, error) {
-	slowdowns, err := galsim.ParseSlowdowns(*m.slow)
-	if err != nil {
-		return galsim.Options{}, err
-	}
-	// The "base" default must reach the library as "no machine chosen":
-	// replaying a trace recorded on another topology errors loudly unless
-	// the machine is an explicit choice. Anything that is not a built-in
-	// name is read as a MachineSpec JSON file.
-	name := ""
-	var spec *galsim.MachineSpec
-	m.fs.Visit(func(f *flag.Flag) {
-		if f.Name == "machine" {
-			name = *m.machine
-		}
-	})
-	builtin := name == ""
-	for _, b := range galsim.Machines() {
-		builtin = builtin || name == b
-	}
-	if !builtin {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return galsim.Options{}, fmt.Errorf("-machine %q is neither a built-in machine (%s) nor a readable spec file: %v",
-				name, strings.Join(galsim.Machines(), ", "), err)
-		}
-		parsed, err := galsim.ParseMachineSpec(data)
-		if err != nil {
-			return galsim.Options{}, fmt.Errorf("-machine %s: %v", name, err)
-		}
-		spec, name = &parsed, ""
-	}
-	opts := galsim.Options{
-		Machine:               galsim.Machine(name),
-		MachineSpec:           spec,
-		Instructions:          *m.n,
-		Slowdowns:             slowdowns,
-		DisableVoltageScaling: *m.noDVS,
-		WorkloadSeed:          *m.seed,
-		PhaseSeed:             *m.phaseSeed,
-		MemoryOrdering:        *m.memOrder,
-		LinkStyle:             *m.linkStyle,
-		DynamicDVFS:           *m.dynDVFS,
-		SampleInterval:        *m.sample,
-	}
-	if *m.timeline != "" {
-		opts.Timeline = &galsim.TimelineOptions{
-			MaxEvents:      *m.tlFlight,
-			FlightRecorder: *m.tlFlight > 0,
-		}
-	}
-	return opts, nil
-}
-
-func cmdRecord(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	bench := fs.String("bench", "", "built-in benchmark to record (see galsim -list)")
-	profilePath := fs.String("profile", "", "JSON file with a custom (possibly phased) workload profile")
-	out := fs.String("o", "", "output trace file (required)")
-	mf := addMachineFlags(fs)
+// traceArg parses a subcommand's arguments, which are exactly one trace
+// file.
+func traceArg(cmd string, args []string) (string, error) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
-
-	if *out == "" {
-		return fmt.Errorf("record: -o is required")
+	if fs.NArg() != 1 {
+		return "", fmt.Errorf("%s: usage: galsim-trace %s <file>", cmd, cmd)
 	}
-	opts, err := mf.options()
-	if err != nil {
-		return err
-	}
-	opts.Benchmark = *bench
-	opts.RecordTrace = *out
-	if *profilePath != "" {
-		data, err := os.ReadFile(*profilePath)
-		if err != nil {
-			return err
-		}
-		spec, err := galsim.ParseWorkloadProfile(data)
-		if err != nil {
-			return err
-		}
-		opts.Profile = &spec
-	}
-	res, err := galsim.Run(opts)
-	if err != nil {
-		return err
-	}
-	t, err := trace.Load(*out)
-	if err != nil {
-		return fmt.Errorf("recorded trace failed to validate: %w", err)
-	}
-	info, err := os.Stat(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("recorded %s: %d committed, %.3f us simulated\n", res.Benchmark, res.Committed, res.SimSeconds*1e6)
-	fmt.Printf("  %s: %d bytes, %d instructions (%d wrong-path, %d excursions)\n",
-		*out, info.Size(), t.Stats.Instrs, t.Stats.WrongPath, t.Stats.Excursions)
-	if err := mf.emitTimeline(res.Timeline); err != nil {
-		return err
-	}
-	return mf.emitSamples(res.Samples)
+	return fs.Arg(0), nil
 }
 
 func cmdInspect(args []string) error {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
-	fs.Parse(args) //nolint:errcheck
-	if fs.NArg() != 1 {
-		return fmt.Errorf("inspect: usage: galsim-trace inspect <file>")
+	path, err := traceArg("inspect", args)
+	if err != nil {
+		return err
 	}
-	path := fs.Arg(0)
 	meta, err := trace.ReadMeta(path)
 	if err != nil {
 		return err
@@ -303,19 +105,9 @@ func cmdInspect(args []string) error {
 }
 
 func cmdStats(args []string) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	mf := addMachineFlags(fs)
-	// Accept the trace file before the flags, as replay does.
-	var file string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		file, args = args[0], args[1:]
-	}
-	fs.Parse(args) //nolint:errcheck
-	if file == "" && fs.NArg() == 1 {
-		file = fs.Arg(0)
-	}
-	if file == "" || fs.NArg() > 1 {
-		return fmt.Errorf("stats: usage: galsim-trace stats <file> [flags]")
+	file, err := traceArg("stats", args)
+	if err != nil {
+		return err
 	}
 	t, err := trace.Load(file)
 	if err != nil {
@@ -338,117 +130,5 @@ func cmdStats(args []string) error {
 		}
 		fmt.Printf("    %-8s %8d  %5.1f%%\n", isa.Class(c), s.ByClass[c], 100*float64(s.ByClass[c])/float64(s.Instrs))
 	}
-	// With -sample, additionally replay the trace through a machine (the
-	// machine flags match replay's) and emit the interval time-series.
-	if *mf.sample > 0 {
-		opts, err := mf.options()
-		if err != nil {
-			return err
-		}
-		opts.Trace = file
-		res, err := galsim.Run(opts)
-		if err != nil {
-			return err
-		}
-		if err := mf.emitTimeline(res.Timeline); err != nil {
-			return err
-		}
-		return mf.emitSamples(res.Samples)
-	}
 	return nil
-}
-
-func cmdFastForward(args []string) error {
-	fs := flag.NewFlagSet("fast-forward", flag.ExitOnError)
-	at := fs.Uint64("at", 0, "instruction count to snapshot at (required; must be below the replay budget)")
-	out := fs.String("o", "", "output snapshot file (required)")
-	mf := addMachineFlags(fs)
-	// Accept the trace file before the flags, as replay does.
-	var file string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		file, args = args[0], args[1:]
-	}
-	fs.Parse(args) //nolint:errcheck
-	if file == "" && fs.NArg() == 1 {
-		file = fs.Arg(0)
-	}
-	if file == "" || fs.NArg() > 1 {
-		return fmt.Errorf("fast-forward: usage: galsim-trace fast-forward <file> -at N -o snap.gsnp [flags]")
-	}
-	if *at == 0 {
-		return fmt.Errorf("fast-forward: -at N is required")
-	}
-	if *out == "" {
-		return fmt.Errorf("fast-forward: -o is required")
-	}
-	opts, err := mf.options()
-	if err != nil {
-		return err
-	}
-	opts.Trace = file
-	opts.Warmup = *at
-	opts.SnapshotOut = *out
-	res, err := galsim.Run(opts)
-	if err != nil {
-		return err
-	}
-	if _, err := snapshot.ReadFile(*out); err != nil {
-		return fmt.Errorf("written snapshot failed to validate: %w", err)
-	}
-	digest, err := snapshot.FileDigest(*out)
-	if err != nil {
-		return err
-	}
-	info, err := os.Stat(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fast-forwarded %s to instruction %d (full replay: %d committed, %.3f us)\n",
-		file, *at, res.Committed, res.SimSeconds*1e6)
-	fmt.Printf("  %s: %d bytes, digest %s\n", *out, info.Size(), digest)
-	fmt.Printf("  resume with: galsim-trace replay %s -from %s [same machine flags]\n", file, *out)
-	return nil
-}
-
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	mf := addMachineFlags(fs)
-	from := fs.String("from", "", "resume from a fast-forward snapshot file instead of replaying the warm-up prefix")
-	// Accept the trace file before the flags (flag.Parse stops at the first
-	// non-flag argument): galsim-trace replay x.trace -machine gals.
-	var file string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		file, args = args[0], args[1:]
-	}
-	fs.Parse(args) //nolint:errcheck
-	if file == "" && fs.NArg() == 1 {
-		file = fs.Arg(0)
-	}
-	if file == "" || fs.NArg() > 1 {
-		return fmt.Errorf("replay: usage: galsim-trace replay <file> [flags]")
-	}
-	opts, err := mf.options()
-	if err != nil {
-		return err
-	}
-	opts.Trace = file
-	opts.SnapshotIn = *from
-	res, err := galsim.Run(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s on %s machine: %d instructions\n", res.Benchmark, res.Machine, res.Committed)
-	fmt.Printf("  time        %.3f us   IPC %.2f   %.0f MIPS\n", res.SimSeconds*1e6, res.IPC, res.MIPS)
-	fmt.Printf("  slip        %.2f ns   (%.1f%% in FIFOs)\n", res.AvgSlipNs, 100*res.FIFOSlipShare)
-	fmt.Printf("  energy      %.3f mJ   power %.2f W\n", res.EnergyJoules*1e3, res.PowerWatts)
-	fmt.Printf("  caches      L1I %.1f%%  L1D %.1f%%  L2 %.1f%%\n",
-		100*res.L1IHitRate, 100*res.L1DHitRate, 100*res.L2HitRate)
-	if res.Retunes > 0 {
-		fmt.Printf("  dvfs        %d retunes; final slowdowns int %.2f, fp %.2f, mem %.2f\n",
-			res.Retunes, res.FinalSlowdowns["int"], res.FinalSlowdowns["fp"], res.FinalSlowdowns["mem"])
-	}
-	if err := mf.emitTimeline(res.Timeline); err != nil {
-		return err
-	}
-	return mf.emitSamples(res.Samples)
 }

@@ -1,5 +1,9 @@
 // Command galsim runs one benchmark on one machine configuration and prints
-// its statistics: the interactive front door to the simulator.
+// its statistics: the interactive front door to the simulator. Every single
+// run goes through it: recording a trace (-record), replaying one (-replay),
+// fast-forwarding to a snapshot (-warmup with -snapshot-out) and resuming
+// from one (-snapshot-in). The trace or snapshot a run writes is read back
+// and validated before it reports success. galsim-trace inspects trace files.
 //
 // Examples:
 //
@@ -8,6 +12,8 @@
 //	galsim -profile phases.json -machine gals -dyn-dvfs
 //	galsim -bench gcc -record gcc.trace
 //	galsim -replay gcc.trace -machine gals
+//	galsim -replay gcc.trace -machine gals -warmup 50000 -snapshot-out warm.snap
+//	galsim -replay gcc.trace -machine gals -snapshot-in warm.snap
 //	galsim -bench gcc -machine gals -dyn-dvfs -sample 2000 -sample-out gcc.csv
 //	galsim -bench gcc -machine gals -dyn-dvfs -timeline gcc-trace.json
 //	galsim -bench gcc -machine gals -timeline last.json -timeline-flight 65536 -timeline-stall 10000
@@ -17,6 +23,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,6 +34,8 @@ import (
 	"strings"
 
 	"galsim"
+	"galsim/internal/snapshot"
+	"galsim/internal/trace"
 )
 
 func main() {
@@ -93,20 +102,17 @@ func main() {
 		*machine = ""
 	}
 	if benchSet && (*profile != "" || *replay != "") {
-		fmt.Fprintln(os.Stderr, "galsim: -bench, -profile and -replay are mutually exclusive; pass exactly one")
-		os.Exit(2)
+		fail(2, errors.New("-bench, -profile and -replay are mutually exclusive; pass exactly one"))
 	}
 
 	slowdowns, err := galsim.ParseSlowdowns(*slow)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "galsim:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
 
 	machineSpec, machineName, err := resolveMachineFlag(*machine)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "galsim:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
 
 	opts := galsim.Options{
@@ -129,12 +135,10 @@ func main() {
 		SnapshotIn:            *snapIn,
 	}
 	if *sampleFmt != "csv" && *sampleFmt != "json" {
-		fmt.Fprintf(os.Stderr, "galsim: -sample-format %q: want csv or json\n", *sampleFmt)
-		os.Exit(2)
+		fail(2, fmt.Errorf("-sample-format %q: want csv or json", *sampleFmt))
 	}
 	if (*tlFlight > 0 || *tlStall > 0 || *tlDetail) && *timelineOut == "" {
-		fmt.Fprintln(os.Stderr, "galsim: -timeline-flight/-timeline-stall/-timeline-detail require -timeline FILE")
-		os.Exit(2)
+		fail(2, errors.New("-timeline-flight/-timeline-stall/-timeline-detail require -timeline FILE"))
 	}
 	if *timelineOut != "" {
 		opts.Timeline = &galsim.TimelineOptions{
@@ -150,13 +154,11 @@ func main() {
 	if *profile != "" {
 		data, err := os.ReadFile(*profile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "galsim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		spec, err := galsim.ParseWorkloadProfile(data)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "galsim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		opts.Profile = &spec
 	}
@@ -175,12 +177,10 @@ func main() {
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "galsim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "galsim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -189,9 +189,6 @@ func main() {
 	}
 	res, err := galsim.Run(opts)
 	if err != nil {
-		// os.Exit skips defers: flush the CPU profile first so a failing run
-		// still leaves a readable profile (no-op when profiling is off).
-		pprof.StopCPUProfile()
 		// A flight recorder's whole point is the post-mortem: dump whatever
 		// the ring holds so the failure window can be inspected in Perfetto.
 		if res.Timeline != nil && res.Timeline.Len() > 0 {
@@ -200,41 +197,96 @@ func main() {
 					res.Timeline.Len(), *timelineOut)
 			}
 		}
-		fmt.Fprintln(os.Stderr, "galsim:", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	printResult(res)
+	if *record != "" {
+		if err := checkTrace(*record); err != nil {
+			fail(1, err)
+		}
+	}
+	if *snapOut != "" {
+		if err := checkSnapshot(*snapOut); err != nil {
+			fail(1, err)
+		}
+	}
 	if res.Timeline != nil {
 		if err := writeTimeline(res.Timeline, *timelineOut); err != nil {
-			fmt.Fprintln(os.Stderr, "galsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		fmt.Printf("  timeline    %d events -> %s (open at https://ui.perfetto.dev)\n",
 			res.Timeline.Len(), *timelineOut)
 	}
 	if *sample > 0 {
 		if err := writeSamples(res.Samples, *sampleOut, *sampleFmt); err != nil {
-			fmt.Fprintln(os.Stderr, "galsim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	}
 	if *memProf != "" {
-		// os.Exit skips defers: flush the CPU profile before any error exit
-		// so -cpuprofile output stays readable (no-op when profiling is off).
 		f, err := os.Create(*memProf)
 		if err != nil {
-			pprof.StopCPUProfile()
-			fmt.Fprintln(os.Stderr, "galsim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		runtime.GC() // a clean picture of what the run left behind
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			pprof.StopCPUProfile()
-			fmt.Fprintln(os.Stderr, "galsim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		f.Close()
 	}
+}
+
+// fail reports err and exits with code. Package galsim prefixes its own
+// errors with "galsim:", so the prefix is added only where it is missing.
+// os.Exit skips defers, so the CPU profile is flushed first and a failing
+// run still leaves a readable profile (a no-op when profiling is off).
+func fail(code int, err error) {
+	pprof.StopCPUProfile()
+	fmt.Fprintln(os.Stderr, "galsim:", strings.TrimPrefix(err.Error(), "galsim: "))
+	os.Exit(code)
+}
+
+// checkTrace reloads the -record trace through the full decoder and
+// reports what it holds.
+func checkTrace(path string) error {
+	t, err := trace.Load(path)
+	if err != nil {
+		return fmt.Errorf("recorded trace failed to validate: %w", err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  %s: %d bytes, %d instructions (%d wrong-path, %d excursions)\n",
+		path, info.Size(), t.Stats.Instrs, t.Stats.WrongPath, t.Stats.Excursions)
+	return nil
+}
+
+// checkSnapshot re-reads the -snapshot-out file through the full decoder,
+// reports its size and content digest, and prints the command line that
+// resumes from it: this run's flags, less the capture and recording ones.
+func checkSnapshot(path string) error {
+	if _, err := snapshot.ReadFile(path); err != nil {
+		return fmt.Errorf("written snapshot failed to validate: %w", err)
+	}
+	digest, err := snapshot.FileDigest(path)
+	if err != nil {
+		return err
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	resume := []string{"galsim"}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "warmup", "snapshot-out", "snapshot-in", "record":
+		default:
+			resume = append(resume, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	fmt.Printf("  %s: %d bytes, digest %s\n", path, info.Size(), digest)
+	fmt.Printf("  resume with: %s -snapshot-in %s\n", strings.Join(resume, " "), path)
+	return nil
 }
 
 // writeTimeline saves the recorder's events as Chrome trace-event JSON.

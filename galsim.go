@@ -126,7 +126,7 @@ func Benchmarks() []string { return workload.Names() }
 // instruction-mix phases the generator cycles through (see Options.Profile).
 // A single-phase profile behaves like a custom benchmark; multiple phases
 // give the run time-varying behaviour that DynamicDVFS can react to. Its
-// JSON form is accepted by the galsimd service and the galsim-trace CLI.
+// JSON form is accepted by the galsimd service and the galsim CLI.
 type WorkloadProfile = workload.ProfileSpec
 
 // WorkloadPhase is one phase of a WorkloadProfile: either a built-in
@@ -148,7 +148,7 @@ type Mix = workload.Mix
 type PatternMix = workload.PatternMix
 
 // ParseWorkloadProfile decodes and validates a JSON workload profile (the
-// format accepted by the galsimd /workloads endpoint and the galsim-trace
+// format accepted by the galsimd /workloads endpoint and the galsim
 // -profile flag). Unknown fields are rejected so typos fail loudly.
 func ParseWorkloadProfile(data []byte) (WorkloadProfile, error) {
 	return workload.ParseSpec(data)
@@ -156,7 +156,7 @@ func ParseWorkloadProfile(data []byte) (WorkloadProfile, error) {
 
 // ParseSlowdowns parses the CLI syntax for Options.Slowdowns —
 // comma-separated domain=factor pairs such as "fp=3,fetch=1.1" — used by
-// the galsim and galsim-trace front ends. An empty string yields nil.
+// the galsim front end. An empty string yields nil.
 // Domain names and factor ranges are checked later by Options.Validate,
 // which knows the machine variant.
 func ParseSlowdowns(s string) (map[string]float64, error) {
@@ -221,7 +221,7 @@ type Options struct {
 	// cache identities under RunMany, regardless of pointer or path.
 	Profile *WorkloadProfile
 	// Trace replays a recorded instruction trace file (see RecordTrace and
-	// cmd/galsim-trace) as the workload. When Instructions is zero the
+	// galsim -replay) as the workload. When Instructions is zero the
 	// replay defaults to the recorded run's committed-instruction count.
 	// Requesting more instructions than the trace records is an error under
 	// the recorded configuration (wrapping the stream would fabricate

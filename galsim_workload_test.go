@@ -55,6 +55,24 @@ func TestTraceRoundTripDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(orig, replayed) {
 				t.Errorf("full Result diverged:\noriginal %+v\nreplayed %+v", orig, replayed)
 			}
+
+			// Fast-forward: capturing a snapshot mid-replay, and resuming
+			// the replay from it, must each reproduce the straight replay.
+			snap := filepath.Join(dir, string(machine)+".snap")
+			captured, err := Run(Options{Trace: path, Machine: machine, Warmup: 5_000, SnapshotOut: snap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := Run(Options{Trace: path, Machine: machine, SnapshotIn: snap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed.Benchmark = "replay:gcc"
+			for name, r := range map[string]Result{"capturing": captured, "resumed": resumed} {
+				if !reflect.DeepEqual(r, replayed) {
+					t.Errorf("%s replay diverged:\nstraight %+v\n%s %+v", name, replayed, name, r)
+				}
+			}
 		})
 	}
 }

@@ -340,9 +340,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if spec.Trace != nil {
 		// A trace reference names a server-side file; honouring it would let
 		// clients probe the server's filesystem. Traces are a local-tooling
-		// feature (galsim-trace / the library API).
+		// feature (galsim -replay / the library API).
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("trace replay is not available over HTTP; use the galsim-trace CLI or the library API"))
+			fmt.Errorf("trace replay is not available over HTTP; use galsim -replay or the library API"))
 		return
 	}
 	s.resolveWorkload(&spec)

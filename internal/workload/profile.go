@@ -66,7 +66,7 @@ func (p PatternMix) Sum() float64 { return p.Biased + p.Loop + p.Alternating + p
 
 // Profile statistically characterizes one benchmark. The JSON form is the
 // wire format of user-defined profiles (ProfileSpec phases, the galsimd
-// workload-upload endpoint and the galsim-trace CLI).
+// workload-upload endpoint and the galsim CLI).
 type Profile struct {
 	Name  string `json:"name,omitempty"`
 	Suite string `json:"suite,omitempty"` // "spec95int", "spec95fp", "mediabench", "custom"

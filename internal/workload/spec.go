@@ -25,7 +25,7 @@ type PhaseSpec struct {
 // benchmark; multi-phase specs give the run non-stationary behaviour
 // (changing instruction mixes over time) that dynamic per-domain DVFS can
 // react to. The JSON form is the wire format accepted by galsim.Options,
-// the galsimd service and the galsim-trace CLI.
+// the galsimd service and the galsim CLI.
 type ProfileSpec struct {
 	Name   string      `json:"name"`
 	Phases []PhaseSpec `json:"phases"`

@@ -33,8 +33,7 @@ type ProgressFunc = campaign.ProgressFunc
 // WriteSamplesCSV writes an interval sample series as CSV: one row per
 // sample, with global columns first, then per-domain column groups in
 // pipeline order (prefixed with the domain name), then the stall deltas.
-// The layout matches `galsim -sample -sample-format csv` and
-// `galsim-trace stats -sample`.
+// The layout matches `galsim -sample -sample-format csv`.
 func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 	cw := csv.NewWriter(w)
 	header := []string{"cycle", "time_ns", "committed", "ipc"}
