@@ -17,27 +17,32 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden Stats s
 // goldenCases are the runs whose complete Stats are pinned byte-for-byte:
 // both machine variants over a branchy integer code (gcc), an FP streamer
 // (swim) and a mixed workload (perl), plus one dynamic-DVFS run whose
-// controller decisions depend on every occupancy counter in the machine.
+// controller decisions depend on every occupancy counter in the machine,
+// and one GALS run with every clock at phase 0, whose domains' edges
+// coincide and so pin the firing order of simultaneous edges.
 // All use the default seeds (WorkloadSeed 42, PhaseSeed 1) and 20k commits.
 func goldenCases() []struct {
-	name  string
-	topo  Topology
-	bench string
-	dvfs  bool
+	name       string
+	topo       Topology
+	bench      string
+	dvfs       bool
+	zeroPhases bool
 } {
 	return []struct {
-		name  string
-		topo  Topology
-		bench string
-		dvfs  bool
+		name       string
+		topo       Topology
+		bench      string
+		dvfs       bool
+		zeroPhases bool
 	}{
-		{"base_gcc", BaseTopology(), "gcc", false},
-		{"base_swim", BaseTopology(), "swim", false},
-		{"base_perl", BaseTopology(), "perl", false},
-		{"gals_gcc", GALSTopology(), "gcc", false},
-		{"gals_swim", GALSTopology(), "swim", false},
-		{"gals_perl", GALSTopology(), "perl", false},
-		{"gals_dyndvfs_perl", GALSTopology(), "perl", true},
+		{"base_gcc", BaseTopology(), "gcc", false, false},
+		{"base_swim", BaseTopology(), "swim", false, false},
+		{"base_perl", BaseTopology(), "perl", false, false},
+		{"gals_gcc", GALSTopology(), "gcc", false, false},
+		{"gals_swim", GALSTopology(), "swim", false, false},
+		{"gals_perl", GALSTopology(), "perl", false, false},
+		{"gals_dyndvfs_perl", GALSTopology(), "perl", true, false},
+		{"gals_zerophase_gcc", GALSTopology(), "gcc", false, true},
 	}
 }
 
@@ -56,6 +61,7 @@ func TestGoldenStats(t *testing.T) {
 			if tc.dvfs {
 				cfg.DynamicDVFS = DefaultDynamicDVFS()
 			}
+			cfg.ZeroPhases = tc.zeroPhases
 			prof, err := workload.ByName(tc.bench)
 			if err != nil {
 				t.Fatal(err)
