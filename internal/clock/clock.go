@@ -95,7 +95,7 @@ func (d *Domain) EnergyScale() float64 {
 }
 
 // MarkStarted freezes the domain's frequency and voltage; called by the
-// simulator when its periodic tick event is installed.
+// simulator when it starts firing the domain's clock edges.
 func (d *Domain) MarkStarted() { d.started = true }
 
 // Started reports whether the domain has been frozen by MarkStarted.

@@ -6,7 +6,6 @@ import (
 	"galsim/internal/bpred"
 	"galsim/internal/cache"
 	"galsim/internal/clock"
-	"galsim/internal/event"
 	"galsim/internal/fifo"
 	"galsim/internal/iq"
 	"galsim/internal/isa"
@@ -50,7 +49,6 @@ var execDomains = []DomainID{DomInt, DomFP, DomMem}
 // pipeline structures — bound to one workload.
 type Core struct {
 	cfg  Config
-	eng  *event.Engine
 	gen  workload.InstrSource
 	pred *bpred.Predictor
 	mem  *cache.Hierarchy
@@ -139,19 +137,25 @@ type Core struct {
 
 	commitHook func(*isa.Instr)
 
-	// Snapshot triggers (SnapshotAt) and, on a restored core, the absolute
-	// tick-event schedule to resume from (see snapshot.go).
-	snapTargets   []uint64
-	snapFn        func(uint64, *CoreState)
-	restoreWhen   []simtime.Time
-	restorePeriod []simtime.Duration
-
-	// Dynamic DVFS controller state, the per-clock-domain periodic tick
-	// events it retunes, and the scalable-domain scan list.
-	dvfs       dvfsState
-	tickEvents []*event.Event
+	// Clock-edge calendar: one periodic tick per clock domain (the paper's
+	// §4.2 event queue, which for a clocked system holds nothing else).
+	// tickAt[g] is domain g's next edge and tickPeriod[g] its period;
+	// tickFns[g] handles the edge; tickOrder lists the domains in firing
+	// order for simultaneous edges. now is the edge being processed, or the
+	// last one processed once Run returns.
+	now        simtime.Time
+	tickAt     []simtime.Time
+	tickPeriod []simtime.Duration
 	tickFns    []func(simtime.Time)
-	scalable   []int
+	tickOrder  []int
+
+	// Snapshot triggers (SnapshotAt; see snapshot.go).
+	snapTargets []uint64
+	snapFn      func(uint64, *CoreState)
+
+	// Dynamic DVFS controller state and the scalable-domain scan list.
+	dvfs     dvfsState
+	scalable []int
 
 	// Interval sampler state (Config.SampleInterval > 0 only).
 	smp samplerState
@@ -235,7 +239,6 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 	}
 	c := &Core{
 		cfg:  cfg,
-		eng:  event.NewEngine(),
 		gen:  src,
 		pred: bpred.New(cfg.Bpred),
 		mem:  cache.NewHierarchy(cfg.Caches),
@@ -360,7 +363,8 @@ func (c *Core) buildScratch() {
 
 // buildClocks creates one physical clock per topology domain, applies the
 // (per-domain-equal) slowdowns and their voltages, draws the starting
-// phases, and aliases the per-structure clock table onto the domain clocks.
+// phases, aliases the per-structure clock table onto the domain clocks, and
+// schedules each domain's first edge at its phase.
 func (c *Core) buildClocks() {
 	vnom := c.cfg.DVFS.VNominal
 	topo := &c.cfg.Topology
@@ -380,8 +384,11 @@ func (c *Core) buildClocks() {
 		c.domClocks[g] = d
 	}
 	phases := topo.randomPhases(c.cfg, periods)
+	c.tickAt = make([]simtime.Time, len(c.domClocks))
+	c.tickPeriod = make([]simtime.Duration, len(c.domClocks))
 	for g, d := range c.domClocks {
 		d.SetPhase(phases[g])
+		c.tickAt[g], c.tickPeriod[g] = d.Phase(), d.Period()
 	}
 	for d := DomainID(0); d < NumDomains; d++ {
 		c.clocks[d] = c.domClocks[topo.Of[d]]
@@ -742,26 +749,27 @@ func (c *Core) Run(n uint64) Stats {
 		}
 	}
 
-	// Priorities order simultaneous edges commit-side first; any fixed
-	// order is legal for truly asynchronous clocks.
-	prio := c.cfg.Topology.priorities()
-	c.tickEvents = make([]*event.Event, len(c.domClocks))
+	c.tickOrder = c.cfg.Topology.firingOrder()
 	c.tickFns = make([]func(simtime.Time), len(c.domClocks))
 	for g := range c.domClocks {
 		c.tickFns[g] = c.domainTick(g)
 	}
-	for g, dc := range c.domClocks {
-		start, period := dc.Phase(), dc.Period()
-		if c.restoreWhen != nil {
-			// Restored core: resume the captured absolute event schedule
-			// instead of starting each clock at its initial phase.
-			start, period = c.restoreWhen[g], c.restorePeriod[g]
-		}
-		c.tickEvents[g] = c.eng.SchedulePeriodic(start, period, prio[g],
-			dc.Name()+"-clock", c.tickFns[g])
-	}
 
-	c.eng.Run()
+	// Fire the earliest edge until the commit stage reaches the target. The
+	// scan runs in firing order with a strict <, so of simultaneous edges the
+	// commit-side domain fires first. A slot advances by its period before
+	// its handler runs, so a retune inside the handler may rewrite it.
+	for !c.done {
+		g := c.tickOrder[0]
+		for _, h := range c.tickOrder[1:] {
+			if c.tickAt[h] < c.tickAt[g] {
+				g = h
+			}
+		}
+		c.now = c.tickAt[g]
+		c.tickAt[g] += c.tickPeriod[g]
+		c.tickFns[g](c.now)
+	}
 	c.finalize()
 	return c.stats
 }

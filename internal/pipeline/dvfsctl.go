@@ -187,10 +187,9 @@ func (c *Core) dvfsController() {
 }
 
 // maybeRetune applies a pending frequency/voltage change to clock domain g
-// at one of its own clock edges (now). The periodic tick event is
-// rescheduled to the new period, and the clock itself is rebased so that
-// edge arithmetic (FIFO synchronizers, squash observation) follows the new
-// regime.
+// at one of its own clock edges (now). The domain's calendar slot moves to
+// the new period, and the clock itself is rebased so that edge arithmetic
+// (FIFO synchronizers, squash observation) follows the new regime.
 func (c *Core) maybeRetune(g int, now simtime.Time) {
 	if !c.dvfs.pending[g] {
 		return
@@ -207,11 +206,8 @@ func (c *Core) maybeRetune(g int, now simtime.Time) {
 		c.tl.retune(c, g, now, slow)
 	}
 
-	// Replace the domain's tick event: the old one was already rescheduled
-	// with the previous period when it fired.
-	if ev := c.tickEvents[g]; ev != nil {
-		c.eng.Cancel(ev)
-		c.tickEvents[g] = c.eng.SchedulePeriodic(now+c.domClocks[g].Period(), c.domClocks[g].Period(),
-			ev.Priority(), ev.Name(), c.tickFns[g])
-	}
+	// The slot already advanced by the old period when this edge fired;
+	// the next edge is one new period after this one.
+	c.tickPeriod[g] = c.domClocks[g].Period()
+	c.tickAt[g] = now + c.tickPeriod[g]
 }

@@ -69,7 +69,7 @@ func (c *Core) maybeSample() {
 	dc := c.decodeCycles - c.smp.lastCycle // == SampleInterval, except first
 	s := Sample{
 		Cycle:     c.decodeCycles,
-		TimeNs:    c.eng.Now().Seconds() * 1e9,
+		TimeNs:    c.now.Seconds() * 1e9,
 		Committed: c.stats.Committed,
 		IPC:       float64(c.stats.Committed-c.smp.lastCommitted) / float64(dc),
 	}

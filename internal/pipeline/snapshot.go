@@ -3,20 +3,19 @@ package pipeline
 // Full-machine snapshot capture and restore.
 //
 // A snapshot is taken at the instant a decode-domain clock edge begins,
-// before any of that edge's stages execute — a decode-cycle boundary. At
-// that point the event queue holds exactly one periodic tick event per clock
-// domain, so the machine's complete dynamic state is: every architectural
-// structure (ROB, issue queues, rename table, predictor, caches, power
-// meter), every link's contents, the in-flight instruction records, the
-// clock and DVFS controller state, the workload source's position, and each
-// tick event's next firing time. Restoring schedules the tick events at
-// their captured absolute times; the firing decode event is recorded at the
-// capture instant itself (the engine reschedules a periodic event before
-// invoking its handler, so at capture time its own entry already points one
-// period ahead — the restored run must re-execute that edge in full).
+// before any of that edge's stages execute — a decode-cycle boundary. The
+// machine's complete dynamic state is then: every architectural structure
+// (ROB, issue queues, rename table, predictor, caches, power meter), every
+// link's contents, the in-flight instruction records, the clock and DVFS
+// controller state, the workload source's position, and the clock-edge
+// calendar (each domain's next edge time and period). Restoring writes the
+// captured calendar back; the firing decode domain's slot is recorded at the
+// capture instant itself (Run advances a slot by its period before invoking
+// the edge handler, so at capture time that slot already points one period
+// ahead — the restored run must re-execute that edge in full).
 //
 // The restored run is bit-identical to the straight-line run: same stage
-// order, same event schedule, same RNG draws, same statistics.
+// order, same edge schedule, same RNG draws, same statistics.
 
 import (
 	"encoding/json"
@@ -187,9 +186,9 @@ func (c *Core) maybeSnapshot(g int, now simtime.Time) {
 	c.snapFn(c.stats.Committed, st)
 }
 
-// captureState serializes the machine. firing is the clock group whose edge
-// is currently being processed; its tick event was already rescheduled one
-// period ahead, so its captured firing time is now itself.
+// captureState serializes the machine. firing is the clock domain whose edge
+// is currently being processed; its calendar slot already advanced one
+// period, so its captured edge time is now itself.
 func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 	snapSrc, ok := c.gen.(workload.Snapshotter)
 	if !ok {
@@ -264,13 +263,11 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 	}
 
 	st.Clocks = make([]clock.State, len(c.domClocks))
-	st.TickWhen = make([]simtime.Time, len(c.domClocks))
-	st.TickPeriod = make([]simtime.Duration, len(c.domClocks))
 	for g, dc := range c.domClocks {
 		st.Clocks[g] = dc.State()
-		st.TickWhen[g] = c.tickEvents[g].When()
-		st.TickPeriod[g] = c.tickEvents[g].Period()
 	}
+	st.TickWhen = append([]simtime.Time(nil), c.tickAt...)
+	st.TickPeriod = append([]simtime.Duration(nil), c.tickPeriod...)
 	st.TickWhen[firing] = now
 
 	st.Pred = c.pred.CaptureState()
@@ -522,12 +519,15 @@ func RestoreCore(cfg Config, name string, src workload.InstrSource, st *CoreStat
 	c.stats.Kind = c.cfg.Topology.kind()
 	c.stats.Benchmark = name
 
-	c.restoreWhen = append([]simtime.Time(nil), st.TickWhen...)
-	c.restorePeriod = append([]simtime.Duration(nil), st.TickPeriod...)
-	for g, p := range c.restorePeriod {
-		if p <= 0 {
+	for g := range c.domClocks {
+		if p := st.TickPeriod[g]; p <= 0 {
 			return nil, fmt.Errorf("pipeline: snapshot tick period %v for clock domain %d not positive", p, g)
 		}
+		if w := st.TickWhen[g]; w < 0 {
+			return nil, fmt.Errorf("pipeline: snapshot tick time %v for clock domain %d is negative", w, g)
+		}
 	}
+	copy(c.tickAt, st.TickWhen)
+	copy(c.tickPeriod, st.TickPeriod)
 	return c, nil
 }

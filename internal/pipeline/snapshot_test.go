@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"galsim/internal/workload"
@@ -174,5 +175,46 @@ func TestSnapshotRejectsNonSnapshottableSource(t *testing.T) {
 	core := NewCoreWithSource(cfg, "gcc", src)
 	if err := core.SnapshotAt([]uint64{100}, func(uint64, *CoreState) {}); err == nil {
 		t.Fatal("SnapshotAt accepted a non-snapshottable source")
+	}
+}
+
+// TestRestoreRejectsBadSchedule pins RestoreCore's checks on the captured
+// clock-edge calendar: one edge time and one positive period per clock
+// domain, and no edge before time zero.
+func TestRestoreRejectsBadSchedule(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := snapConfig(t, GALSTopology(), false, 0)
+	core := NewCore(cfg, prof)
+	var raw []byte
+	if err := core.SnapshotAt([]uint64{1_000}, func(_ uint64, st *CoreState) {
+		raw = mustJSON(t, st)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	core.Run(2_000)
+
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*CoreState)
+		wantErr string
+	}{
+		{"length_mismatch", func(st *CoreState) { st.TickWhen = st.TickWhen[1:] }, "clock domains"},
+		{"zero_period", func(st *CoreState) { st.TickPeriod[2] = 0 }, "not positive"},
+		{"negative_time", func(st *CoreState) { st.TickWhen[2] = -1 }, "negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st CoreState
+			if err := json.Unmarshal(raw, &st); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&st)
+			_, err := RestoreCore(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed), &st)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("RestoreCore error = %v, want one containing %q", err, tc.wantErr)
+			}
+		})
 	}
 }

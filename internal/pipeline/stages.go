@@ -232,7 +232,6 @@ func (c *Core) stageCommit(now simtime.Time) {
 		c.releaseInstr(h)
 		if c.stats.Committed >= c.targetCommits {
 			c.done = true
-			c.eng.Stop()
 			return
 		}
 	}

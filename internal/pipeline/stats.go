@@ -172,7 +172,7 @@ func (s Stats) String() string {
 // finalize gathers end-of-run statistics from the subsystems and computes
 // FIFO energy from link activity.
 func (c *Core) finalize() {
-	c.stats.SimTime = c.eng.Now()
+	c.stats.SimTime = c.now
 	c.stats.IntIQ = c.exec[DomInt].queue.Stats()
 	c.stats.FPIQ = c.exec[DomFP].queue.Stats()
 	c.stats.MemIQ = c.exec[DomMem].queue.Stats()

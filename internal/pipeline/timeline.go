@@ -283,6 +283,6 @@ func (t *timelineState) checkStallTrigger(c *Core) {
 	}
 	t.stallTripped = true
 	t.rec.MarkTriggered()
-	t.rec.Record(c.eng.Now(), timeline.KindInstant, t.trkDomain[DomDecode], t.nStallTrip,
+	t.rec.Record(c.now, timeline.KindInstant, t.trkDomain[DomDecode], t.nStallTrip,
 		int64(c.decodeCycles-c.lastProgress))
 }

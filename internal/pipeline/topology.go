@@ -156,39 +156,25 @@ func (t Topology) structuresOf(g int) []DomainID {
 	return out
 }
 
-// tickPrio is the canonical intra-instant ordering of simultaneous clock
-// edges: commit-side domains first. Any fixed order is legal for truly
-// asynchronous clocks; this one is the order the golden runs were taken
-// with.
-var tickPrio = [NumDomains]int{DomDecode: 0, DomInt: 1, DomFP: 2, DomMem: 3, DomFetch: 4}
+// commitSideFirst is the canonical intra-instant ordering of simultaneous
+// clock edges over the structures: commit side first. Any fixed order is
+// legal for truly asynchronous clocks; this one is the order the golden runs
+// were taken with.
+var commitSideFirst = [NumDomains]DomainID{DomDecode, DomInt, DomFP, DomMem, DomFetch}
 
-// priorities ranks the domains for simultaneous-edge ordering: each domain
-// gets the rank of its most commit-side structure.
-func (t Topology) priorities() []int {
-	type dp struct{ g, p int }
-	best := make([]dp, len(t.Domains))
-	for g := range t.Domains {
-		best[g] = dp{g, int(NumDomains)}
-	}
-	for d := DomainID(0); d < NumDomains; d++ {
-		if p := tickPrio[d]; p < best[t.Of[d]].p {
-			best[t.Of[d]].p = p
+// firingOrder lists the clock domains in the order their simultaneous edges
+// fire: each domain takes the place of its most commit-side structure. Every
+// domain owns at least one structure, so every domain appears exactly once.
+func (t Topology) firingOrder() []int {
+	seen := make([]bool, len(t.Domains))
+	order := make([]int, 0, len(t.Domains))
+	for _, d := range commitSideFirst {
+		if g := t.Of[d]; !seen[g] {
+			seen[g] = true
+			order = append(order, g)
 		}
 	}
-	// Rank by best structure priority (insertion sort over <= 5 entries;
-	// domain index breaks ties, though distinct domains can never tie).
-	order := make([]dp, len(best))
-	copy(order, best)
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].p < order[j-1].p; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	prio := make([]int, len(t.Domains))
-	for rank, e := range order {
-		prio[e.g] = rank
-	}
-	return prio
+	return order
 }
 
 // Validate reports the first structural problem with the topology. Voltage
