@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"context"
+	"slices"
 	"testing"
+	"time"
 )
 
 // benchSweep expands to 56 units: 14 benchmarks x 2 machines x 2 phase
@@ -75,4 +77,45 @@ func BenchmarkSweepCached(b *testing.B) {
 	}
 	st := e.Stats()
 	b.ReportMetric(float64(st.Hits), "cache-hits")
+}
+
+// BenchmarkWarmSharing measures warm-up snapshot sharing on a convergence
+// grid: three instruction budgets per operating point, where the budgets of
+// a point fork one snapshot warmed for 24k instructions instead of each
+// simulating the warm-up. The warm-up must outweigh the snapshot round-trip
+// for sharing to pay, hence convergence-study budgets. Each iteration runs
+// the cold and the warm sweep on fresh serial engines, in alternating order
+// so host drift lands on both; warm-speedup is the median over iterations of
+// cold time ÷ warm time, and below 1 sharing does not pay.
+//
+//	go test ./internal/campaign -run '^$' -bench WarmSharing -benchtime 10x
+func BenchmarkWarmSharing(b *testing.B) {
+	grid := func(warmup uint64) Sweep {
+		return Sweep{
+			Benchmarks:       []string{"gcc", "swim"},
+			Machines:         []string{"base", "gals"},
+			InstructionsGrid: []uint64{30_000, 36_000, 42_000},
+			Warmup:           warmup,
+		}
+	}
+	sweeps := []Sweep{grid(0), grid(24_000)}
+	var speedup []float64
+	for i := 0; i < b.N; i++ {
+		took := make([]float64, len(sweeps))
+		for k := range sweeps {
+			v := (i + k) % len(sweeps)
+			start := time.Now()
+			if _, err := NewEngine(1).RunSweep(context.Background(), sweeps[v]); err != nil {
+				b.Fatal(err)
+			}
+			took[v] = time.Since(start).Seconds()
+		}
+		speedup = append(speedup, took[0]/took[1])
+	}
+	b.ReportMetric(median(speedup), "warm-speedup")
+}
+
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
 }

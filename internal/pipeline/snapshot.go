@@ -495,6 +495,10 @@ func RestoreCore(cfg Config, name string, src workload.InstrSource, st *CoreStat
 		return nil, fmt.Errorf("pipeline: snapshot DVFS state sized for %d clock domains, this topology has %d",
 			len(st.DVFS.Target), len(c.domClocks))
 	}
+	if g := st.DVFS.ProbeDomain; g < 0 || g >= len(c.domClocks) {
+		return nil, fmt.Errorf("pipeline: snapshot DVFS probe domain %d outside this topology's %d clock domains",
+			g, len(c.domClocks))
+	}
 	c.dvfs.lastCheck = st.DVFS.LastCheck
 	c.dvfs.lastOccSum = st.DVFS.LastOccSum
 	c.dvfs.lastTicks = st.DVFS.LastTicks

@@ -179,8 +179,9 @@ func TestSnapshotRejectsNonSnapshottableSource(t *testing.T) {
 }
 
 // TestRestoreRejectsBadSchedule pins RestoreCore's checks on the captured
-// clock-edge calendar: one edge time and one positive period per clock
-// domain, and no edge before time zero.
+// clock-edge calendar (one edge time and one positive period per clock
+// domain, and no edge before time zero) and on the DVFS probe domain, which
+// the controller indexes per-domain state with.
 func TestRestoreRejectsBadSchedule(t *testing.T) {
 	prof, err := workload.ByName("gcc")
 	if err != nil {
@@ -204,6 +205,8 @@ func TestRestoreRejectsBadSchedule(t *testing.T) {
 		{"length_mismatch", func(st *CoreState) { st.TickWhen = st.TickWhen[1:] }, "clock domains"},
 		{"zero_period", func(st *CoreState) { st.TickPeriod[2] = 0 }, "not positive"},
 		{"negative_time", func(st *CoreState) { st.TickWhen[2] = -1 }, "negative"},
+		{"probe_domain", func(st *CoreState) { st.DVFS.ProbeActive, st.DVFS.ProbeDomain = true, 7 }, "probe domain"},
+		{"negative_probe_domain", func(st *CoreState) { st.DVFS.ProbeActive, st.DVFS.ProbeDomain = true, -1 }, "probe domain"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var st CoreState
