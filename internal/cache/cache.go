@@ -13,7 +13,10 @@
 // trace-driven); tags are.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Level is anything that can serve a memory access: a Cache or main Memory.
 type Level interface {
@@ -60,11 +63,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// way is one line's tag-store entry (24 bytes).
 type way struct {
 	tag        uint64
-	valid      bool
 	lru        uint64 // timestamp of last touch; larger = more recent
-	prefetched bool   // installed by prefetch and not yet demanded
+	valid      bool
+	prefetched bool // installed by prefetch and not yet demanded
+	dirty      bool
 }
 
 // Stats counts cache activity; Writebacks counts dirty-line evictions (we
@@ -88,13 +93,14 @@ func (s Stats) HitRate() float64 {
 // Cache is one set-associative level backed by a lower Level.
 type Cache struct {
 	cfg      Config
-	sets     [][]way
-	dirty    [][]bool
+	ways     []way // the tag store: set s is ways[s*assoc : (s+1)*assoc]
+	assoc    int
 	lower    Level
 	tick     uint64
 	stats    Stats
 	setMask  uint64
 	lineBits uint
+	setBits  uint // log2 of the set count: the tag is lineAddr >> setBits
 }
 
 // New builds a cache over the given lower level (which must not be nil).
@@ -108,14 +114,11 @@ func New(cfg Config, lower Level) *Cache {
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]way, nsets),
-		dirty:   make([][]bool, nsets),
+		ways:    make([]way, nsets*cfg.Assoc),
+		assoc:   cfg.Assoc,
 		lower:   lower,
 		setMask: uint64(nsets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Assoc)
-		c.dirty[i] = make([]bool, cfg.Assoc)
+		setBits: uint(bits.OnesCount64(uint64(nsets - 1))),
 	}
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		c.lineBits++
@@ -137,17 +140,13 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Access(addr uint64, write bool) int {
 	c.tick++
 	c.stats.Accesses++
-	lineAddr := addr >> c.lineBits
-	setIdx := lineAddr & c.setMask
-	tag := lineAddr >> uint(popcount(c.setMask))
-	set := c.sets[setIdx]
-
+	set, tag := c.lookup(addr)
 	for w := range set {
 		if set[w].valid && set[w].tag == tag {
 			c.stats.Hits++
 			set[w].lru = c.tick
 			if write {
-				c.dirty[setIdx][w] = true
+				set[w].dirty = true
 			}
 			if set[w].prefetched {
 				// Tagged prefetch: the stream reached this line; keep one
@@ -165,26 +164,7 @@ func (c *Cache) Access(addr uint64, write bool) int {
 		c.Prefetch(addr + uint64(c.cfg.LineBytes))
 	}
 
-	victim := -1
-	for w := range set {
-		if !set[w].valid {
-			victim = w
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for w := 1; w < len(set); w++ {
-			if set[w].lru < set[victim].lru {
-				victim = w
-			}
-		}
-	}
-	if set[victim].valid && c.dirty[setIdx][victim] {
-		c.stats.Writebacks++
-	}
-	set[victim] = way{tag: tag, valid: true, lru: c.tick}
-	c.dirty[setIdx][victim] = write
+	c.install(set, way{tag: tag, valid: true, lru: c.tick, dirty: write})
 	return c.cfg.HitLatency + lowerLat
 }
 
@@ -198,15 +178,25 @@ func (c *Cache) Prefetch(addr uint64) {
 		lower.Prefetch(addr)
 	}
 	c.tick++
-	lineAddr := addr >> c.lineBits
-	setIdx := lineAddr & c.setMask
-	tag := lineAddr >> uint(popcount(c.setMask))
-	set := c.sets[setIdx]
+	set, tag := c.lookup(addr)
 	for w := range set {
 		if set[w].valid && set[w].tag == tag {
 			return // already resident; leave LRU alone
 		}
 	}
+	c.install(set, way{tag: tag, valid: true, lru: c.tick, prefetched: c.cfg.NextLinePrefetch})
+}
+
+// lookup returns the set the line containing addr maps to and its tag.
+func (c *Cache) lookup(addr uint64) ([]way, uint64) {
+	lineAddr := addr >> c.lineBits
+	base := int(lineAddr&c.setMask) * c.assoc
+	return c.ways[base : base+c.assoc], lineAddr >> c.setBits
+}
+
+// install fills a line into set, replacing the first invalid way or else
+// the least recently used one, and counts the writeback of a dirty victim.
+func (c *Cache) install(set []way, line way) {
 	victim := -1
 	for w := range set {
 		if !set[w].valid {
@@ -222,21 +212,18 @@ func (c *Cache) Prefetch(addr uint64) {
 			}
 		}
 	}
-	if set[victim].valid && c.dirty[setIdx][victim] {
+	if set[victim].valid && set[victim].dirty {
 		c.stats.Writebacks++
 	}
-	set[victim] = way{tag: tag, valid: true, lru: c.tick, prefetched: c.cfg.NextLinePrefetch}
-	c.dirty[setIdx][victim] = false
+	set[victim] = line
 }
 
 // Probe reports whether the line containing addr is present, without
 // touching LRU state or statistics. Used by tests and by the fetch stage's
 // next-line prefetch heuristic check.
 func (c *Cache) Probe(addr uint64) bool {
-	lineAddr := addr >> c.lineBits
-	setIdx := lineAddr & c.setMask
-	tag := lineAddr >> uint(popcount(c.setMask))
-	for _, w := range c.sets[setIdx] {
+	set, tag := c.lookup(addr)
+	for _, w := range set {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -269,14 +256,6 @@ func (m *Memory) Access(addr uint64, write bool) int {
 
 // Accesses returns the number of requests that reached main memory.
 func (m *Memory) Accesses() uint64 { return m.accesses }
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
 
 // Hierarchy bundles the standard three-cache configuration of Table 3 plus
 // main memory, shared between the base and GALS machines.

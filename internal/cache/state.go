@@ -21,14 +21,14 @@ type State struct {
 
 // CaptureState snapshots the cache.
 func (c *Cache) CaptureState() State {
-	st := State{Tick: c.tick, Stats: c.stats, Sets: make([][]WayState, len(c.sets))}
-	for s, set := range c.sets {
-		ws := make([]WayState, len(set))
-		for w, way := range set {
-			ws[w] = WayState{Tag: way.tag, Valid: way.valid, LRU: way.lru,
-				Prefetched: way.prefetched, Dirty: c.dirty[s][w]}
-		}
-		st.Sets[s] = ws
+	nsets := len(c.ways) / c.assoc
+	st := State{Tick: c.tick, Stats: c.stats, Sets: make([][]WayState, nsets)}
+	all := make([]WayState, len(c.ways))
+	for i, w := range c.ways {
+		all[i] = WayState{Tag: w.tag, Valid: w.valid, LRU: w.lru, Prefetched: w.prefetched, Dirty: w.dirty}
+	}
+	for s := range st.Sets {
+		st.Sets[s] = all[s*c.assoc : (s+1)*c.assoc : (s+1)*c.assoc]
 	}
 	return st
 }
@@ -36,20 +36,20 @@ func (c *Cache) CaptureState() State {
 // RestoreState reinstates a captured state into a cache built with the same
 // geometry.
 func (c *Cache) RestoreState(st State) error {
-	if len(st.Sets) != len(c.sets) {
+	if nsets := len(c.ways) / c.assoc; len(st.Sets) != nsets {
 		return fmt.Errorf("cache %q: restored set count %d does not match geometry (%d sets)",
-			c.cfg.Name, len(st.Sets), len(c.sets))
+			c.cfg.Name, len(st.Sets), nsets)
 	}
 	for s, ws := range st.Sets {
-		if len(ws) != len(c.sets[s]) {
+		if len(ws) != c.assoc {
 			return fmt.Errorf("cache %q: restored set %d has %d ways, geometry has %d",
-				c.cfg.Name, s, len(ws), len(c.sets[s]))
+				c.cfg.Name, s, len(ws), c.assoc)
 		}
 	}
 	for s, ws := range st.Sets {
 		for w, wst := range ws {
-			c.sets[s][w] = way{tag: wst.Tag, valid: wst.Valid, lru: wst.LRU, prefetched: wst.Prefetched}
-			c.dirty[s][w] = wst.Dirty
+			c.ways[s*c.assoc+w] = way{tag: wst.Tag, valid: wst.Valid, lru: wst.LRU,
+				prefetched: wst.Prefetched, dirty: wst.Dirty}
 		}
 	}
 	c.tick = st.Tick

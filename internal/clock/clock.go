@@ -10,6 +10,11 @@
 // cycle index of an instant) is the foundation of the mixed-clock FIFO
 // synchronization model and of the squash-bus latency model.
 //
+// The simulator asks for the edge after the current instant, and the
+// current instant only moves forward, so EdgeAfter steps from the edge it
+// last answered and divides only when a query moves backward or jumps more
+// than a period ahead.
+//
 // A Domain's frequency and voltage are fixed for the duration of a
 // simulation run: the paper's second set of experiments applies *static*
 // per-domain slowdowns chosen per application (§5.2). Frequencies are
@@ -24,7 +29,8 @@ import (
 	"galsim/internal/simtime"
 )
 
-// Domain is one synchronous block's clock.
+// Domain is one synchronous block's clock. It is not safe for concurrent
+// use: EdgeAfter moves the domain's record of the last edge it answered.
 type Domain struct {
 	name    string
 	nominal simtime.Duration // period at slowdown 1.0
@@ -33,7 +39,13 @@ type Domain struct {
 	voltage float64          // current supply voltage (V)
 	vnom    float64          // nominal supply voltage (V)
 	slow    float64          // period / nominal
+	escale  float64          // (voltage/vnom)², kept in step with voltage
 	started bool
+
+	// next is the edge the last forward EdgeAfter query returned: every
+	// instant in [next−period, next) has it as its EdgeAfter. Each change of
+	// period or phase resets it to the phase.
+	next simtime.Time
 }
 
 // NewDomain creates a clock domain with the given nominal period, starting
@@ -49,15 +61,17 @@ func NewDomain(name string, period simtime.Duration, phase simtime.Time, vnom fl
 	if vnom <= 0 {
 		panic(fmt.Sprintf("clock: domain %q: nominal voltage %v must be positive", name, vnom))
 	}
-	return &Domain{
+	d := &Domain{
 		name:    name,
 		nominal: period,
 		period:  period,
 		phase:   phase,
-		voltage: vnom,
 		vnom:    vnom,
 		slow:    1.0,
+		next:    phase,
 	}
+	d.setVoltage(vnom)
+	return d
 }
 
 // Name returns the domain's diagnostic name.
@@ -89,9 +103,13 @@ func (d *Domain) Slowdown() float64 { return d.slow }
 // EnergyScale returns the factor by which dynamic energy per access changes
 // at the current supply voltage: (V/Vnom)². Energy consumption is dependent
 // on the square of the supply voltage (paper §3.3).
-func (d *Domain) EnergyScale() float64 {
-	r := d.voltage / d.vnom
-	return r * r
+func (d *Domain) EnergyScale() float64 { return d.escale }
+
+// setVoltage sets the supply voltage and recomputes EnergyScale.
+func (d *Domain) setVoltage(v float64) {
+	d.voltage = v
+	r := v / d.vnom
+	d.escale = r * r
 }
 
 // MarkStarted freezes the domain's frequency and voltage; called by the
@@ -116,6 +134,7 @@ func (d *Domain) SetSlowdown(factor float64) {
 	if d.phase >= d.period {
 		d.phase %= d.period
 	}
+	d.next = d.phase
 }
 
 // SetVoltage sets the supply voltage (typically from the dvfs solver after
@@ -127,7 +146,7 @@ func (d *Domain) SetVoltage(v float64) {
 	if v <= 0 || v > d.vnom {
 		panic(fmt.Sprintf("clock: domain %q: voltage %v outside (0, %v]", d.name, v, d.vnom))
 	}
-	d.voltage = v
+	d.setVoltage(v)
 }
 
 // SetPhase changes the starting phase; must be in [0, period) and set before
@@ -140,6 +159,7 @@ func (d *Domain) SetPhase(phase simtime.Time) {
 		panic(fmt.Sprintf("clock: domain %q: phase %v outside [0, %v)", d.name, phase, d.period))
 	}
 	d.phase = phase
+	d.next = phase
 }
 
 // Retune rebases the clock at time at — which must be at or after the
@@ -159,11 +179,12 @@ func (d *Domain) Retune(at simtime.Time, slowdown, voltage float64) {
 	d.slow = slowdown
 	d.period = simtime.Duration(math.Round(float64(d.nominal) * slowdown))
 	d.phase = at // edge indices restart at the retune instant
+	d.next = at
 	if voltage > 0 {
 		if voltage > d.vnom {
 			panic(fmt.Sprintf("clock: domain %q: retune voltage %v above nominal %v", d.name, voltage, d.vnom))
 		}
-		d.voltage = voltage
+		d.setVoltage(voltage)
 	}
 }
 
@@ -196,6 +217,30 @@ func (d *Domain) EdgeAtOrAfter(t simtime.Time) simtime.Time {
 
 // EdgeAfter returns the time of the first edge strictly after t.
 func (d *Domain) EdgeAfter(t simtime.Time) simtime.Time {
+	if e := d.next; t < e && t >= e-d.period {
+		return e
+	}
+	return d.seek(t)
+}
+
+// seek answers an EdgeAfter query that the last edge answered does not: a
+// step to the following edge, or the closed form when the query jumps
+// ahead or moves backward. A backward query leaves the last edge in place,
+// so the forward queries around it keep stepping.
+func (d *Domain) seek(t simtime.Time) simtime.Time {
+	switch e := d.next; {
+	case t < e:
+		return d.edgeAfter(t)
+	case t < e+d.period:
+		d.next = e + d.period
+	default:
+		d.next = d.edgeAfter(t)
+	}
+	return d.next
+}
+
+// edgeAfter is EdgeAfter in closed form.
+func (d *Domain) edgeAfter(t simtime.Time) simtime.Time {
 	if t < d.phase {
 		return d.phase
 	}

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +174,76 @@ func TestEdgeProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// closedEdgeAfter is the closed form EdgeAfter must agree with.
+func closedEdgeAfter(d *Domain, t simtime.Time) simtime.Time {
+	if t < d.Phase() {
+		return d.Phase()
+	}
+	return d.Phase() + ((t-d.Phase())/d.Period()+1)*d.Period()
+}
+
+// The stepped EdgeAfter, NthEdgeAfter and the cached EnergyScale equal their
+// formulas exactly under forward, repeated, backward and jumping queries
+// interleaved with retunes, restores and the pre-start setters.
+func TestSteppedEdgesMatchClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		period := simtime.Duration(rng.Intn(5000) + 1)
+		d := NewDomain("p", period, simtime.Time(rng.Int63n(int64(period))), 1.65)
+		now := simtime.Time(0)
+		for op := 0; op < 400; op++ {
+			switch x := rng.Intn(100); {
+			case x < 45: // forward within a period or two
+				now += simtime.Time(rng.Int63n(int64(2*d.Period()) + 1))
+			case x < 55: // repeat the last instant
+			case x < 70: // backward, possibly before the first edge
+				now -= simtime.Time(rng.Int63n(int64(4*d.Period()) + 1))
+				if now < 0 {
+					now = simtime.Time(rng.Int63n(int64(d.Phase()) + 1))
+				}
+			case x < 80: // jump far ahead
+				now += simtime.Time(rng.Int63n(1000*int64(d.Period())) + 1)
+			case x < 88:
+				if now < d.Phase() {
+					now = d.Phase()
+				}
+				v := 0.0
+				if rng.Intn(2) == 0 {
+					v = 0.8 + 0.85*rng.Float64()
+				}
+				d.Retune(now, 1+2*rng.Float64(), v)
+			case x < 94:
+				st := State{
+					Period:   simtime.Duration(rng.Intn(5000) + 1),
+					Phase:    simtime.Time(rng.Int63n(int64(now) + 1)),
+					Voltage:  0.8 + 0.85*rng.Float64(),
+					Slowdown: 1 + rng.Float64(),
+				}
+				if err := d.RestoreState(st); err != nil {
+					t.Fatal(err)
+				}
+			case x < 96:
+				d.SetVoltage(0.8 + 0.85*rng.Float64())
+			case x < 98:
+				d.SetSlowdown(1 + rng.Float64())
+			default:
+				d.SetPhase(simtime.Time(rng.Int63n(int64(d.Period()))))
+			}
+			want := closedEdgeAfter(d, now)
+			if got := d.EdgeAfter(now); got != want {
+				t.Fatalf("trial %d op %d: EdgeAfter(%v) = %v, want %v (%v)", trial, op, now, got, want, d)
+			}
+			n := rng.Int63n(3) + 1
+			if got, want := d.NthEdgeAfter(now, n), want+simtime.Time(n-1)*d.Period(); got != want {
+				t.Fatalf("trial %d op %d: NthEdgeAfter(%v, %d) = %v, want %v (%v)", trial, op, now, n, got, want, d)
+			}
+			r := d.Voltage() / d.NominalVoltage()
+			if got := d.EnergyScale(); got != r*r {
+				t.Fatalf("trial %d op %d: EnergyScale = %v, want %v", trial, op, got, r*r)
+			}
+		}
 	}
 }

@@ -45,7 +45,8 @@ func (d *Domain) RestoreState(st State) error {
 	}
 	d.period = st.Period
 	d.phase = st.Phase
-	d.voltage = st.Voltage
+	d.next = st.Phase
+	d.setVoltage(st.Voltage)
 	d.slow = st.Slowdown
 	return nil
 }

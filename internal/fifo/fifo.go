@@ -3,11 +3,14 @@
 // asynchronous FIFOs (after Chelcea & Nowick) that replace them between
 // clock domains in the GALS processor (paper §3.2, Figure 2).
 //
-// Both implementations satisfy the same Link interface, so the pipeline is
-// wired identically for the two machines and only the link factory differs —
-// exactly the paper's methodology ("in the synchronous version,
-// communication between successive logic blocks is done using regular pipe
-// stages; in the GALS model, asynchronous FIFOs have been used").
+// One concrete type, Link, carries every kind of channel: its timing rule —
+// a same-clock pipe latch, a mixed-clock FIFO or a stretchable-clock
+// handshake (stretch.go) — is fixed by the constructor that built it. The
+// pipeline is therefore wired identically for the two machines and only the
+// choice of constructor differs — exactly the paper's methodology ("in the
+// synchronous version, communication between successive logic blocks is
+// done using regular pipe stages; in the GALS model, asynchronous FIFOs have
+// been used").
 //
 // Synchronization model. The Chelcea–Nowick FIFO exposes an empty flag
 // synchronized into the consumer's clock and a full flag synchronized into
@@ -42,40 +45,53 @@ import (
 	"galsim/internal/simtime"
 )
 
+// rule is a link's timing rule, fixed at construction.
+type rule uint8
+
+const (
+	ruleLatch   rule = iota // NewSyncLatch
+	ruleMixed               // NewMixedClockFIFO
+	ruleStretch             // NewStretchLink
+)
+
 // Link is a unidirectional, capacity-bounded, order-preserving channel
-// between two pipeline stages. Implementations are not safe for concurrent
-// use; the simulator is single-threaded.
-type Link[T any] interface {
-	// Name returns the link's diagnostic name.
-	Name() string
-	// CanPut reports whether the producer, observing at time now, sees room
-	// for one more item.
-	CanPut(now simtime.Time) bool
-	// Put enqueues an item carrying the given sequence number. It panics if
-	// CanPut(now) is false — producers must check first, as hardware does.
-	Put(now simtime.Time, seq isa.Seq, item T)
-	// CanGet reports whether the consumer, observing at time now, sees at
-	// least one item.
-	CanGet(now simtime.Time) bool
-	// Peek returns the head item without removing it; ok is false when
-	// CanGet(now) is false.
-	Peek(now simtime.Time) (item T, ok bool)
-	// Get removes and returns the head item. wait is the time the item spent
-	// in the link (now − enqueue time); ok is false when CanGet(now) is false.
-	Get(now simtime.Time) (item T, wait simtime.Duration, ok bool)
-	// FlushYoungerThan discards every entry with sequence number > seq and
-	// returns the number discarded.
-	FlushYoungerThan(seq isa.Seq) int
-	// FlushMatching discards every entry whose payload matches the
-	// predicate and returns the number discarded. Squash logic uses this
-	// with a wrong-path predicate, since post-recovery correct-path entries
-	// can carry sequence numbers above the squashing branch's.
-	FlushMatching(doomed func(T) bool) int
-	// Len returns the number of physically present entries (independent of
-	// synchronized visibility).
-	Len() int
-	// Stats returns the link's activity counters.
-	Stats() Stats
+// between two pipeline stages. A Link is not safe for concurrent use; the
+// simulator is single-threaded.
+//
+// Storage is a ring buffer sized to the link's rated capacity at
+// construction. Hardware FIFOs are circular buffers of a configured depth,
+// and modeling them the same way makes the per-item path allocation- and
+// copy-free: a dequeue advances the head index instead of shifting the
+// slice, and in steady state the backing array never grows. (The backing
+// array can exceed the rated capacity: a stretch link admits a new
+// transaction while older items await visibility, so its physical occupancy
+// is not bounded by cap; push grows the ring on demand and the occupancy
+// soon restabilizes.)
+type Link[T any] struct {
+	name  string
+	rule  rule
+	cap   int        // rated capacity (the CanPut bound; a stretch link's width)
+	buf   []entry[T] // backing ring; len(buf) >= cap
+	head  int        // index of the oldest entry
+	n     int        // occupancy
+	stats Stats
+
+	// producer and consumer are the two ends' clocks; a latch has one
+	// clock, held in both.
+	producer *clock.Domain
+	consumer *clock.Domain
+
+	// Mixed-clock FIFO: syncEdges is the flag synchronizer depth; freeAt
+	// holds, for each dequeue not yet visible to the producer, the
+	// producer-clock time at which the freed slot becomes visible.
+	syncEdges int64
+	freeAt    []simtime.Time
+
+	// Stretch link: the handshake length, the end of the open transaction
+	// and the items it carries so far.
+	handshake simtime.Duration
+	busyUntil simtime.Time
+	inFlight  int
 }
 
 // Stats counts link activity; the power model charges energy per Put/Get
@@ -105,187 +121,29 @@ type entry[T any] struct {
 	visibleAt simtime.Time
 }
 
-// queue is the storage shared by every Link implementation: a ring buffer
-// sized to the link's rated capacity at construction. Hardware FIFOs are
-// circular buffers of a configured depth, and modeling them the same way
-// makes the per-item path allocation- and copy-free: a dequeue advances the
-// head index instead of shifting the slice, and in steady state the backing
-// array never grows. (The backing array can exceed the rated capacity:
-// StretchLink admits a new transaction while older items await visibility,
-// so its physical occupancy is not bounded by cap; push grows the ring on
-// demand and the occupancy soon restabilizes.)
-type queue[T any] struct {
-	name  string
-	cap   int        // rated capacity (the CanPut bound)
-	buf   []entry[T] // backing ring; len(buf) >= cap
-	head  int        // index of the oldest entry
-	n     int        // occupancy
-	stats Stats
+func newLink[T any](name string, r rule, capacity int, producer, consumer *clock.Domain) *Link[T] {
+	return &Link[T]{name: name, rule: r, cap: capacity, buf: make([]entry[T], capacity),
+		producer: producer, consumer: consumer}
 }
 
-func newQueue[T any](name string, capacity int) queue[T] {
-	return queue[T]{name: name, cap: capacity, buf: make([]entry[T], capacity)}
-}
-
-func (q *queue[T]) Name() string { return q.name }
-func (q *queue[T]) Len() int     { return q.n }
-func (q *queue[T]) Stats() Stats { return q.stats }
-
-// slot maps a logical position (0 = head) to a buffer index.
-func (q *queue[T]) slot(i int) int {
-	i += q.head
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	return i
-}
-
-func (q *queue[T]) headEntry() *entry[T] { return &q.buf[q.head] }
-
-func (q *queue[T]) headVisible(now simtime.Time) bool {
-	return q.n > 0 && q.buf[q.head].visibleAt <= now
-}
-
-func (q *queue[T]) push(e entry[T]) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[q.slot(q.n)] = e
-	q.n++
-	q.stats.Puts++
-	q.stats.OccupancySum += uint64(q.n)
-}
-
-// grow doubles the backing ring, relinearizing entries so head returns to
-// index 0. Only reachable through links whose physical occupancy can exceed
-// the rated capacity (see the queue comment).
-func (q *queue[T]) grow() {
-	nb := make([]entry[T], 2*len(q.buf))
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[q.slot(i)]
-	}
-	q.buf = nb
-	q.head = 0
-}
-
-func (q *queue[T]) pop(now simtime.Time) (T, simtime.Duration, bool) {
-	var zero T
-	if !q.headVisible(now) {
-		return zero, 0, false
-	}
-	e := &q.buf[q.head]
-	item := e.item
-	wait := now - e.enqueued
-	*e = entry[T]{} // do not pin the payload
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
-	q.stats.Gets++
-	q.stats.TotalWait += wait
-	q.stats.OccupancySum += uint64(q.n)
-	return item, wait, true
-}
-
-func (q *queue[T]) flushYoungerThan(seq isa.Seq) int {
-	return q.flushMatchingEntry(func(e *entry[T]) bool { return e.seq > seq })
-}
-
-func (q *queue[T]) flushMatching(doomed func(T) bool) int {
-	return q.flushMatchingEntry(func(e *entry[T]) bool { return doomed(e.item) })
-}
-
-// flushMatchingEntry compacts survivors toward the head in order. The write
-// position never passes the read position, so the in-place ring compaction
-// is safe; vacated tail slots are zeroed so flushed payloads do not pin
-// memory.
-func (q *queue[T]) flushMatchingEntry(doomed func(*entry[T]) bool) int {
-	kept := 0
-	for i := 0; i < q.n; i++ {
-		e := &q.buf[q.slot(i)]
-		if doomed(e) {
-			continue
-		}
-		if w := q.slot(kept); w != q.slot(i) {
-			q.buf[w] = *e
-		}
-		kept++
-	}
-	flushed := q.n - kept
-	for i := kept; i < q.n; i++ {
-		q.buf[q.slot(i)] = entry[T]{}
-	}
-	q.n = kept
-	q.stats.Flushed += uint64(flushed)
-	return flushed
-}
-
-// SyncLatch is the base machine's link: a clocked pipe-stage queue. An item
-// written at one clock edge is readable at the next edge of the same clock;
-// occupancy is visible to the producer immediately (same-clock full logic).
-type SyncLatch[T any] struct {
-	queue[T]
-	clk *clock.Domain
-}
-
-// NewSyncLatch builds a synchronous pipe stage of the given capacity on clk.
-func NewSyncLatch[T any](name string, clk *clock.Domain, capacity int) *SyncLatch[T] {
+// NewSyncLatch builds the base machine's link: a clocked pipe-stage queue of
+// the given capacity on clk. An item written at one clock edge is readable
+// at the next edge of the same clock; occupancy is visible to the producer
+// immediately (same-clock full logic).
+func NewSyncLatch[T any](name string, clk *clock.Domain, capacity int) *Link[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("fifo: latch %q capacity %d must be positive", name, capacity))
 	}
-	return &SyncLatch[T]{queue: newQueue[T](name, capacity), clk: clk}
+	return newLink[T](name, ruleLatch, capacity, clk, clk)
 }
 
-// CanPut implements Link.
-func (l *SyncLatch[T]) CanPut(now simtime.Time) bool { return l.n < l.cap }
-
-// Put implements Link.
-func (l *SyncLatch[T]) Put(now simtime.Time, seq isa.Seq, item T) {
-	if !l.CanPut(now) {
-		panic(fmt.Sprintf("fifo: latch %q overflow at %v", l.name, now))
-	}
-	l.push(entry[T]{item: item, seq: seq, enqueued: now, visibleAt: l.clk.EdgeAfter(now)})
-}
-
-// CanGet implements Link.
-func (l *SyncLatch[T]) CanGet(now simtime.Time) bool { return l.headVisible(now) }
-
-// Peek implements Link.
-func (l *SyncLatch[T]) Peek(now simtime.Time) (T, bool) {
-	var zero T
-	if !l.headVisible(now) {
-		return zero, false
-	}
-	return l.headEntry().item, true
-}
-
-// Get implements Link.
-func (l *SyncLatch[T]) Get(now simtime.Time) (T, simtime.Duration, bool) { return l.pop(now) }
-
-// FlushYoungerThan implements Link.
-func (l *SyncLatch[T]) FlushYoungerThan(seq isa.Seq) int { return l.flushYoungerThan(seq) }
-
-// FlushMatching implements Link.
-func (l *SyncLatch[T]) FlushMatching(doomed func(T) bool) int { return l.flushMatching(doomed) }
-
-// MixedClockFIFO is the GALS machine's link: the Chelcea–Nowick style
-// mixed-timing FIFO with synchronized full/empty flags.
-type MixedClockFIFO[T any] struct {
-	queue[T]
-	producer  *clock.Domain
-	consumer  *clock.Domain
-	syncEdges int64
-	// freeAt holds, for each dequeue/flush not yet visible to the producer,
-	// the producer-clock time at which the freed slot becomes visible.
-	freeAt []simtime.Time
-}
-
-// NewMixedClockFIFO builds a mixed-clock FIFO between the producer's and
-// consumer's clock domains. syncEdges is the depth of the flag
-// synchronizers in destination-clock edges (2 = two-flop, the default used
-// by the paper's experiments; 1 models an aggressive single-flop design).
-func NewMixedClockFIFO[T any](name string, producer, consumer *clock.Domain, capacity, syncEdges int) *MixedClockFIFO[T] {
+// NewMixedClockFIFO builds the GALS machine's link: a Chelcea–Nowick style
+// mixed-timing FIFO with synchronized full/empty flags between the
+// producer's and consumer's clock domains. syncEdges is the depth of the
+// flag synchronizers in destination-clock edges (2 = two-flop, the default
+// used by the paper's experiments; 1 models an aggressive single-flop
+// design).
+func NewMixedClockFIFO[T any](name string, producer, consumer *clock.Domain, capacity, syncEdges int) *Link[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("fifo: fifo %q capacity %d must be positive", name, capacity))
 	}
@@ -295,82 +153,185 @@ func NewMixedClockFIFO[T any](name string, producer, consumer *clock.Domain, cap
 	if producer == nil || consumer == nil {
 		panic(fmt.Sprintf("fifo: fifo %q requires both clock domains", name))
 	}
-	return &MixedClockFIFO[T]{
-		queue:     newQueue[T](name, capacity),
-		producer:  producer,
-		consumer:  consumer,
-		syncEdges: int64(syncEdges),
-	}
+	l := newLink[T](name, ruleMixed, capacity, producer, consumer)
+	l.syncEdges = int64(syncEdges)
+	return l
 }
 
-// perceivedLen returns the occupancy as the producer sees it at time now:
-// physically present entries plus freed slots whose release has not yet
-// crossed the full-flag synchronizer.
-func (f *MixedClockFIFO[T]) perceivedLen(now simtime.Time) int {
+// Name returns the link's diagnostic name.
+func (l *Link[T]) Name() string { return l.name }
+
+// Len returns the number of physically present entries (independent of
+// synchronized visibility).
+func (l *Link[T]) Len() int { return l.n }
+
+// Stats returns the link's activity counters.
+func (l *Link[T]) Stats() Stats { return l.stats }
+
+// CanPut reports whether the producer, observing at time now, sees room for
+// one more item.
+func (l *Link[T]) CanPut(now simtime.Time) bool {
+	switch l.rule {
+	case ruleMixed:
+		return l.perceivedLen(now) < l.cap
+	case ruleStretch:
+		// A new item may join the current transaction if the channel is
+		// idle or the in-progress transaction still has width left.
+		if now < l.busyUntil {
+			return l.inFlight > 0 && l.inFlight < l.cap
+		}
+	}
+	return l.n < l.cap
+}
+
+// Put enqueues an item carrying the given sequence number. It panics if
+// CanPut(now) is false — producers must check first, as hardware does.
+func (l *Link[T]) Put(now simtime.Time, seq isa.Seq, item T) {
+	if !l.CanPut(now) {
+		panic(fmt.Sprintf("fifo: link %q full at %v", l.name, now))
+	}
+	var visibleAt simtime.Time
+	switch l.rule {
+	case ruleLatch:
+		visibleAt = l.consumer.EdgeAfter(now)
+	case ruleMixed:
+		visibleAt = l.consumer.NthEdgeAfter(now, l.syncEdges)
+	case ruleStretch:
+		visibleAt = l.stretchVisibleAt(now)
+	}
+	l.push(entry[T]{item: item, seq: seq, enqueued: now, visibleAt: visibleAt})
+}
+
+// CanGet reports whether the consumer, observing at time now, sees at least
+// one item.
+func (l *Link[T]) CanGet(now simtime.Time) bool {
+	return l.n > 0 && l.buf[l.head].visibleAt <= now
+}
+
+// Peek returns the head item without removing it; ok is false when
+// CanGet(now) is false.
+func (l *Link[T]) Peek(now simtime.Time) (item T, ok bool) {
+	if !l.CanGet(now) {
+		return item, false
+	}
+	return l.buf[l.head].item, true
+}
+
+// Get removes and returns the head item. wait is the time the item spent in
+// the link (now − enqueue time); ok is false when CanGet(now) is false.
+func (l *Link[T]) Get(now simtime.Time) (item T, wait simtime.Duration, ok bool) {
+	if !l.CanGet(now) {
+		return item, 0, false
+	}
+	e := &l.buf[l.head]
+	item = e.item
+	wait = now - e.enqueued
+	*e = entry[T]{} // do not pin the payload
+	l.head++
+	if l.head == len(l.buf) {
+		l.head = 0
+	}
+	l.n--
+	l.stats.Gets++
+	l.stats.TotalWait += wait
+	l.stats.OccupancySum += uint64(l.n)
+	if l.rule == ruleMixed {
+		l.freeAt = append(l.freeAt, l.producer.NthEdgeAfter(now, l.syncEdges))
+	}
+	return item, wait, true
+}
+
+// FlushYoungerThan discards every entry with sequence number > seq and
+// returns the number discarded.
+func (l *Link[T]) FlushYoungerThan(seq isa.Seq) int {
+	return l.flush(func(e *entry[T]) bool { return e.seq > seq })
+}
+
+// FlushMatching discards every entry whose payload matches the predicate and
+// returns the number discarded. Squash logic uses this with a wrong-path
+// predicate, since post-recovery correct-path entries can carry sequence
+// numbers above the squashing branch's.
+func (l *Link[T]) FlushMatching(doomed func(T) bool) int {
+	return l.flush(func(e *entry[T]) bool { return doomed(e.item) })
+}
+
+// slot maps a logical position (0 = head) to a buffer index.
+func (l *Link[T]) slot(i int) int {
+	i += l.head
+	if i >= len(l.buf) {
+		i -= len(l.buf)
+	}
+	return i
+}
+
+func (l *Link[T]) push(e entry[T]) {
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[l.slot(l.n)] = e
+	l.n++
+	l.stats.Puts++
+	l.stats.OccupancySum += uint64(l.n)
+}
+
+// grow doubles the backing ring, relinearizing entries so head returns to
+// index 0. Only reachable through links whose physical occupancy can exceed
+// the rated capacity (see the Link comment).
+func (l *Link[T]) grow() {
+	nb := make([]entry[T], 2*len(l.buf))
+	for i := 0; i < l.n; i++ {
+		nb[i] = l.buf[l.slot(i)]
+	}
+	l.buf = nb
+	l.head = 0
+}
+
+// flush compacts survivors toward the head in order. The write position
+// never passes the read position, so the in-place ring compaction is safe;
+// vacated tail slots are zeroed so flushed payloads do not pin memory.
+//
+// Space freed by a flush is visible to the producer immediately (pointer
+// reset; see the package comment), and a stretch link left empty drops its
+// open transaction.
+func (l *Link[T]) flush(doomed func(*entry[T]) bool) int {
+	kept := 0
+	for i := 0; i < l.n; i++ {
+		e := &l.buf[l.slot(i)]
+		if doomed(e) {
+			continue
+		}
+		if w := l.slot(kept); w != l.slot(i) {
+			l.buf[w] = *e
+		}
+		kept++
+	}
+	flushed := l.n - kept
+	for i := kept; i < l.n; i++ {
+		l.buf[l.slot(i)] = entry[T]{}
+	}
+	l.n = kept
+	l.stats.Flushed += uint64(flushed)
+	if l.rule == ruleStretch && l.n == 0 {
+		l.busyUntil = 0
+		l.inFlight = 0
+	}
+	return flushed
+}
+
+// perceivedLen returns a mixed-clock FIFO's occupancy as the producer sees
+// it at time now: physically present entries plus freed slots whose release
+// has not yet crossed the full-flag synchronizer.
+func (l *Link[T]) perceivedLen(now simtime.Time) int {
+	if len(l.freeAt) == 0 {
+		return l.n
+	}
 	// Prune frees that have become visible.
-	kept := f.freeAt[:0]
-	for _, t := range f.freeAt {
+	kept := l.freeAt[:0]
+	for _, t := range l.freeAt {
 		if t > now {
 			kept = append(kept, t)
 		}
 	}
-	f.freeAt = kept
-	return f.n + len(f.freeAt)
+	l.freeAt = kept
+	return l.n + len(l.freeAt)
 }
-
-// CanPut implements Link.
-func (f *MixedClockFIFO[T]) CanPut(now simtime.Time) bool {
-	return f.perceivedLen(now) < f.cap
-}
-
-// Put implements Link.
-func (f *MixedClockFIFO[T]) Put(now simtime.Time, seq isa.Seq, item T) {
-	if !f.CanPut(now) {
-		panic(fmt.Sprintf("fifo: fifo %q overflow at %v", f.name, now))
-	}
-	f.push(entry[T]{
-		item:      item,
-		seq:       seq,
-		enqueued:  now,
-		visibleAt: f.consumer.NthEdgeAfter(now, f.syncEdges),
-	})
-}
-
-// CanGet implements Link.
-func (f *MixedClockFIFO[T]) CanGet(now simtime.Time) bool { return f.headVisible(now) }
-
-// Peek implements Link.
-func (f *MixedClockFIFO[T]) Peek(now simtime.Time) (T, bool) {
-	var zero T
-	if !f.headVisible(now) {
-		return zero, false
-	}
-	return f.headEntry().item, true
-}
-
-// Get implements Link.
-func (f *MixedClockFIFO[T]) Get(now simtime.Time) (T, simtime.Duration, bool) {
-	item, wait, ok := f.pop(now)
-	if ok {
-		f.freeAt = append(f.freeAt, f.producer.NthEdgeAfter(now, f.syncEdges))
-	}
-	return item, wait, ok
-}
-
-// FlushYoungerThan implements Link. Freed space is visible to the producer
-// immediately (pointer reset; see package comment).
-func (f *MixedClockFIFO[T]) FlushYoungerThan(seq isa.Seq) int {
-	return f.flushYoungerThan(seq)
-}
-
-// FlushMatching implements Link. Freed space is visible to the producer
-// immediately, as with FlushYoungerThan.
-func (f *MixedClockFIFO[T]) FlushMatching(doomed func(T) bool) int {
-	return f.flushMatching(doomed)
-}
-
-// Compile-time interface checks.
-var (
-	_ Link[int] = (*SyncLatch[int])(nil)
-	_ Link[int] = (*MixedClockFIFO[int])(nil)
-)

@@ -17,85 +17,54 @@ type EntryState[S any] struct {
 	VisibleAt simtime.Time `json:"vis"`
 }
 
-// LinkState is the full mutable state of any Link implementation, in
-// logical (head-first) order. The implementation-specific fields are only
-// meaningful for the matching link type and zero otherwise.
+// LinkState is the full mutable state of a Link, in logical (head-first)
+// order. The rule-specific fields are only meaningful for the matching
+// constructor's links and zero otherwise.
 type LinkState[S any] struct {
 	Entries []EntryState[S] `json:"entries,omitempty"`
 	Stats   Stats           `json:"stats"`
-	// FreeAt is MixedClockFIFO's pending slot-release visibility times.
+	// FreeAt is a mixed-clock FIFO's pending slot-release visibility times.
 	FreeAt []simtime.Time `json:"free_at,omitempty"`
-	// BusyUntil/InFlight are StretchLink's open-transaction state.
+	// BusyUntil/InFlight are a stretch link's open-transaction state.
 	BusyUntil simtime.Time `json:"busy_until,omitempty"`
 	InFlight  int          `json:"in_flight,omitempty"`
 }
 
-// baseQueue exposes the ring shared by the three Link implementations.
-func baseQueue[T any](l Link[T]) *queue[T] {
-	switch v := l.(type) {
-	case *SyncLatch[T]:
-		return &v.queue
-	case *MixedClockFIFO[T]:
-		return &v.queue
-	case *StretchLink[T]:
-		return &v.queue
-	}
-	return nil
-}
-
 // CaptureLink snapshots a link's entries (converted through conv), stats,
-// and implementation-specific timing state.
-func CaptureLink[T, S any](l Link[T], conv func(T) S) (LinkState[S], error) {
-	q := baseQueue(l)
-	if q == nil {
-		return LinkState[S]{}, fmt.Errorf("fifo: link %q: unknown implementation %T", l.Name(), l)
-	}
-	st := LinkState[S]{Stats: q.stats}
-	for i := 0; i < q.n; i++ {
-		e := &q.buf[q.slot(i)]
+// and rule-specific timing state.
+func CaptureLink[T, S any](l *Link[T], conv func(T) S) LinkState[S] {
+	st := LinkState[S]{Stats: l.stats, FreeAt: append([]simtime.Time(nil), l.freeAt...),
+		BusyUntil: l.busyUntil, InFlight: l.inFlight}
+	for i := 0; i < l.n; i++ {
+		e := &l.buf[l.slot(i)]
 		st.Entries = append(st.Entries, EntryState[S]{
 			Item: conv(e.item), Seq: e.seq, Enqueued: e.enqueued, VisibleAt: e.visibleAt,
 		})
 	}
-	switch v := l.(type) {
-	case *MixedClockFIFO[T]:
-		st.FreeAt = append([]simtime.Time(nil), v.freeAt...)
-	case *StretchLink[T]:
-		st.BusyUntil = v.busyUntil
-		st.InFlight = v.inFlight
-	}
-	return st, nil
+	return st
 }
 
 // RestoreLink reinstates a captured state into a freshly built, empty link
-// of the same implementation and capacity. Entries bypass Put so the
+// from the same constructor and capacity. Entries bypass Put so the
 // captured per-entry visibility times and the stats counters are carried
 // verbatim rather than recomputed.
-func RestoreLink[T, S any](l Link[T], st LinkState[S], conv func(S) T) error {
-	q := baseQueue(l)
-	if q == nil {
-		return fmt.Errorf("fifo: link %q: unknown implementation %T", l.Name(), l)
+func RestoreLink[T, S any](l *Link[T], st LinkState[S], conv func(S) T) error {
+	if l.n != 0 {
+		return fmt.Errorf("fifo: link %q: restore into non-empty link (%d entries)", l.name, l.n)
 	}
-	if q.n != 0 {
-		return fmt.Errorf("fifo: link %q: restore into non-empty link (%d entries)", q.name, q.n)
-	}
-	if len(st.Entries) > len(q.buf) {
+	if len(st.Entries) > len(l.buf) {
 		// The capture came from a ring that had grown past its rated
-		// capacity (StretchLink admits transient overshoot); grow to fit.
-		q.buf = make([]entry[T], len(st.Entries))
+		// capacity (a stretch link admits transient overshoot); grow to fit.
+		l.buf = make([]entry[T], len(st.Entries))
 	}
-	q.head = 0
+	l.head = 0
 	for i, es := range st.Entries {
-		q.buf[i] = entry[T]{item: conv(es.Item), seq: es.Seq, enqueued: es.Enqueued, visibleAt: es.VisibleAt}
+		l.buf[i] = entry[T]{item: conv(es.Item), seq: es.Seq, enqueued: es.Enqueued, visibleAt: es.VisibleAt}
 	}
-	q.n = len(st.Entries)
-	q.stats = st.Stats
-	switch v := l.(type) {
-	case *MixedClockFIFO[T]:
-		v.freeAt = append([]simtime.Time(nil), st.FreeAt...)
-	case *StretchLink[T]:
-		v.busyUntil = st.BusyUntil
-		v.inFlight = st.InFlight
-	}
+	l.n = len(st.Entries)
+	l.stats = st.Stats
+	l.freeAt = append([]simtime.Time(nil), st.FreeAt...)
+	l.busyUntil = st.BusyUntil
+	l.inFlight = st.InFlight
 	return nil
 }

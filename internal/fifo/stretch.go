@@ -4,18 +4,17 @@ import (
 	"fmt"
 
 	"galsim/internal/clock"
-	"galsim/internal/isa"
 	"galsim/internal/simtime"
 )
 
-// StretchLink models the stretchable-clock communication scheme the paper
-// discusses (and rejects) in §3.2: an arbiter inside the loop of each ring
-// oscillator stretches one phase of *both* clocks while a handshake and
-// data transfer take place. The scheme is elegant and fail-safe but
-// serializes communication — "stretching the clock every cycle would lead
-// to a situation where the effective clock frequency is determined not by
-// the clock generator but by the rate of communication with other
-// synchronous modules".
+// NewStretchLink builds a link that models the stretchable-clock
+// communication scheme the paper discusses (and rejects) in §3.2: an
+// arbiter inside the loop of each ring oscillator stretches one phase of
+// *both* clocks while a handshake and data transfer take place. The scheme
+// is elegant and fail-safe but serializes communication — "stretching the
+// clock every cycle would lead to a situation where the effective clock
+// frequency is determined not by the clock generator but by the rate of
+// communication with other synchronous modules".
 //
 // The model: the link is a rendezvous of configurable width (the number of
 // items one stretched transaction can carry). Each transaction occupies the
@@ -26,20 +25,10 @@ import (
 // than by either clock. (The induced stall of the two synchronous blocks is
 // reflected in the transfer serialization rather than by actually modulating
 // the clock events, whose periods are closed-form; see DESIGN.md.)
-type StretchLink[T any] struct {
-	queue[T]
-	producer  *clock.Domain
-	consumer  *clock.Domain
-	handshake simtime.Duration
-	busyUntil simtime.Time
-	width     int
-	inFlight  int // items carried by the current (incomplete) transaction
-}
-
-// NewStretchLink builds a stretchable-clock channel. handshake is the
-// duration of one stretched transaction; width is the number of items it
-// can carry (its "bus width" in items).
-func NewStretchLink[T any](name string, producer, consumer *clock.Domain, handshake simtime.Duration, width int) *StretchLink[T] {
+//
+// handshake is the duration of one stretched transaction; width is the
+// number of items it can carry (its "bus width" in items).
+func NewStretchLink[T any](name string, producer, consumer *clock.Domain, handshake simtime.Duration, width int) *Link[T] {
 	if handshake <= 0 {
 		panic(fmt.Sprintf("fifo: stretch link %q handshake %v must be positive", name, handshake))
 	}
@@ -49,81 +38,21 @@ func NewStretchLink[T any](name string, producer, consumer *clock.Domain, handsh
 	if producer == nil || consumer == nil {
 		panic(fmt.Sprintf("fifo: stretch link %q requires both clock domains", name))
 	}
-	return &StretchLink[T]{
-		queue:     newQueue[T](name, width),
-		producer:  producer,
-		consumer:  consumer,
-		handshake: handshake,
-		width:     width,
-	}
+	l := newLink[T](name, ruleStretch, width, producer, consumer)
+	l.handshake = handshake
+	return l
 }
 
-// CanPut implements Link: a new item may join the current transaction if
-// the channel is idle or the in-progress transaction still has width left.
-func (s *StretchLink[T]) CanPut(now simtime.Time) bool {
-	if now < s.busyUntil {
-		return s.inFlight > 0 && s.inFlight < s.width
-	}
-	return s.n < s.cap
-}
-
-// Put implements Link. The first item of a transaction starts the
+// stretchVisibleAt accounts one Put on a stretch link and returns the time
+// its item becomes visible. The first item of a transaction starts the
 // handshake; all items of one transaction become visible together at the
 // first consumer edge at or after handshake completion.
-func (s *StretchLink[T]) Put(now simtime.Time, seq isa.Seq, item T) {
-	if !s.CanPut(now) {
-		panic(fmt.Sprintf("fifo: stretch link %q busy at %v", s.name, now))
-	}
-	if now >= s.busyUntil {
+func (l *Link[T]) stretchVisibleAt(now simtime.Time) simtime.Time {
+	if now >= l.busyUntil {
 		// Start a new transaction.
-		s.busyUntil = now + s.handshake
-		s.inFlight = 0
+		l.busyUntil = now + l.handshake
+		l.inFlight = 0
 	}
-	s.inFlight++
-	s.push(entry[T]{
-		item:      item,
-		seq:       seq,
-		enqueued:  now,
-		visibleAt: s.consumer.EdgeAtOrAfter(s.busyUntil),
-	})
+	l.inFlight++
+	return l.consumer.EdgeAtOrAfter(l.busyUntil)
 }
-
-// CanGet implements Link.
-func (s *StretchLink[T]) CanGet(now simtime.Time) bool { return s.headVisible(now) }
-
-// Peek implements Link.
-func (s *StretchLink[T]) Peek(now simtime.Time) (T, bool) {
-	var zero T
-	if !s.headVisible(now) {
-		return zero, false
-	}
-	return s.headEntry().item, true
-}
-
-// Get implements Link.
-func (s *StretchLink[T]) Get(now simtime.Time) (T, simtime.Duration, bool) {
-	return s.pop(now)
-}
-
-// FlushYoungerThan implements Link.
-func (s *StretchLink[T]) FlushYoungerThan(seq isa.Seq) int {
-	n := s.flushYoungerThan(seq)
-	s.resetIfEmpty()
-	return n
-}
-
-// FlushMatching implements Link.
-func (s *StretchLink[T]) FlushMatching(doomed func(T) bool) int {
-	n := s.flushMatching(doomed)
-	s.resetIfEmpty()
-	return n
-}
-
-func (s *StretchLink[T]) resetIfEmpty() {
-	if s.n == 0 {
-		s.busyUntil = 0
-		s.inFlight = 0
-	}
-}
-
-var _ Link[int] = (*StretchLink[int])(nil)

@@ -255,24 +255,28 @@ func (in *Instr) Generation() uint32 { return in.gen }
 // reset reinitializes every simulation field, preserving the arena
 // bookkeeping. It is the single definition of "blank instruction" shared by
 // NewInstr and Pool.Get.
+//
+// The record is cleared in place and the non-zero fields set one by one:
+// assigning a composite literal instead would build the whole record on the
+// stack and copy it.
 func (in *Instr) reset(seq Seq, pc uint64, class Class) {
-	*in = Instr{
-		Seq:          seq,
-		PC:           pc,
-		Class:        class,
-		PhysSrc:      [2]int{-1, -1},
-		PhysDest:     -1,
-		OldPhys:      -1,
-		ROBIndex:     -1,
-		FetchTime:    simtime.Never,
-		DecodeTime:   simtime.Never,
-		DispatchTime: simtime.Never,
-		IssueTime:    simtime.Never,
-		CompleteTime: simtime.Never,
-		CommitTime:   simtime.Never,
-		refs:         in.refs,
-		gen:          in.gen,
-	}
+	refs, gen := in.refs, in.gen
+	*in = Instr{}
+	in.Seq = seq
+	in.PC = pc
+	in.Class = class
+	in.PhysSrc = [2]int{-1, -1}
+	in.PhysDest = -1
+	in.OldPhys = -1
+	in.ROBIndex = -1
+	in.FetchTime = simtime.Never
+	in.DecodeTime = simtime.Never
+	in.DispatchTime = simtime.Never
+	in.IssueTime = simtime.Never
+	in.CompleteTime = simtime.Never
+	in.CommitTime = simtime.Never
+	in.refs = refs
+	in.gen = gen
 }
 
 // NewInstr returns a blank instruction with timestamps cleared.

@@ -70,14 +70,14 @@ type Core struct {
 
 	// Links. decodeToRename is always a same-domain pipe latch; the rest are
 	// latches in base and mixed-clock FIFOs in GALS.
-	fetchToDecode  fifo.Link[*isa.Instr]
-	decodeToRename fifo.Link[*isa.Instr]
-	dispatch       [NumDomains]fifo.Link[*isa.Instr] // int/fp/mem slots used
-	complete       [NumDomains]fifo.Link[*isa.Instr] // int/fp/mem slots used
-	wakeIntToMem   fifo.Link[wakeTag]
-	wakeFPToMem    fifo.Link[wakeTag]
-	wakeMemToInt   fifo.Link[wakeTag]
-	wakeMemToFP    fifo.Link[wakeTag]
+	fetchToDecode  *fifo.Link[*isa.Instr]
+	decodeToRename *fifo.Link[*isa.Instr]
+	dispatch       [NumDomains]*fifo.Link[*isa.Instr] // int/fp/mem slots used
+	complete       [NumDomains]*fifo.Link[*isa.Instr] // int/fp/mem slots used
+	wakeIntToMem   *fifo.Link[wakeTag]
+	wakeFPToMem    *fifo.Link[wakeTag]
+	wakeMemToInt   *fifo.Link[wakeTag]
+	wakeMemToFP    *fifo.Link[wakeTag]
 
 	// readyAt[d][p] is the local time at or after which execution domain d
 	// may issue a consumer of physical register p.
@@ -89,9 +89,9 @@ type Core struct {
 	// wakeIn[d] lists the wakeup links domain d drains; wakeOut[d] lists the
 	// links a result computed in d must traverse (for DomMem the destination
 	// register file picks between wakeOutMemFP and wakeOut[DomMem]).
-	wakeIn    [NumDomains][]fifo.Link[wakeTag]
-	wakeOut   [NumDomains][]fifo.Link[wakeTag]
-	wakeOutFP []fifo.Link[wakeTag] // DomMem results destined for the FP file
+	wakeIn    [NumDomains][]*fifo.Link[wakeTag]
+	wakeOut   [NumDomains][]*fifo.Link[wakeTag]
+	wakeOutFP []*fifo.Link[wakeTag] // DomMem results destined for the FP file
 
 	// Per-cycle scratch, reused so the steady-state hot path is
 	// allocation-free.
@@ -293,13 +293,13 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 // squash callbacks, and sizes the reusable selection buffers — everything
 // the steady-state loop would otherwise allocate.
 func (c *Core) buildScratch() {
-	c.wakeIn[DomInt] = []fifo.Link[wakeTag]{c.wakeMemToInt}
-	c.wakeIn[DomFP] = []fifo.Link[wakeTag]{c.wakeMemToFP}
-	c.wakeIn[DomMem] = []fifo.Link[wakeTag]{c.wakeIntToMem, c.wakeFPToMem}
-	c.wakeOut[DomInt] = []fifo.Link[wakeTag]{c.wakeIntToMem}
-	c.wakeOut[DomFP] = []fifo.Link[wakeTag]{c.wakeFPToMem}
-	c.wakeOut[DomMem] = []fifo.Link[wakeTag]{c.wakeMemToInt}
-	c.wakeOutFP = []fifo.Link[wakeTag]{c.wakeMemToFP}
+	c.wakeIn[DomInt] = []*fifo.Link[wakeTag]{c.wakeMemToInt}
+	c.wakeIn[DomFP] = []*fifo.Link[wakeTag]{c.wakeMemToFP}
+	c.wakeIn[DomMem] = []*fifo.Link[wakeTag]{c.wakeIntToMem, c.wakeFPToMem}
+	c.wakeOut[DomInt] = []*fifo.Link[wakeTag]{c.wakeIntToMem}
+	c.wakeOut[DomFP] = []*fifo.Link[wakeTag]{c.wakeFPToMem}
+	c.wakeOut[DomMem] = []*fifo.Link[wakeTag]{c.wakeMemToInt}
+	c.wakeOutFP = []*fifo.Link[wakeTag]{c.wakeMemToFP}
 
 	maxWidth := c.cfg.IntIssueWidth
 	if c.cfg.FPIssueWidth > maxWidth {
@@ -446,7 +446,7 @@ func (c *Core) buildLinks() {
 	if stretchWidth == 0 {
 		stretchWidth = 4
 	}
-	instrLink := func(name string, from, to DomainID, class LinkClass) fifo.Link[*isa.Instr] {
+	instrLink := func(name string, from, to DomainID, class LinkClass) *fifo.Link[*isa.Instr] {
 		switch {
 		case !c.cfg.Topology.Cross(from, to):
 			return fifo.NewSyncLatch[*isa.Instr](name, c.clocks[from], capOf(class, c.cfg.LatchCapacity))
@@ -458,7 +458,7 @@ func (c *Core) buildLinks() {
 				capOf(class, c.cfg.FIFOCapacity), edges(class))
 		}
 	}
-	wakeLink := func(name string, from, to DomainID) fifo.Link[wakeTag] {
+	wakeLink := func(name string, from, to DomainID) *fifo.Link[wakeTag] {
 		switch {
 		case !c.cfg.Topology.Cross(from, to):
 			return fifo.NewSyncLatch[wakeTag](name, c.clocks[from], capOf(LinkClassWakeup, 2*c.cfg.FIFOCapacity))

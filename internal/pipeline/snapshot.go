@@ -219,22 +219,12 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 	}
 
 	st.ROB = c.rob.CaptureState(index)
-	if st.FetchToDecode, err = fifo.CaptureLink(c.fetchToDecode, instrConv); err != nil {
-		return nil, err
-	}
-	if st.DecodeToRename, err = fifo.CaptureLink(c.decodeToRename, instrConv); err != nil {
-		return nil, err
-	}
+	st.FetchToDecode = fifo.CaptureLink(c.fetchToDecode, instrConv)
+	st.DecodeToRename = fifo.CaptureLink(c.decodeToRename, instrConv)
 	for _, d := range execDomains {
-		ds, err := fifo.CaptureLink(c.dispatch[d], instrConv)
-		if err != nil {
-			return nil, err
-		}
+		ds := fifo.CaptureLink(c.dispatch[d], instrConv)
 		st.Dispatch[d] = &ds
-		cs, err := fifo.CaptureLink(c.complete[d], instrConv)
-		if err != nil {
-			return nil, err
-		}
+		cs := fifo.CaptureLink(c.complete[d], instrConv)
 		st.Complete[d] = &cs
 		u := c.exec[d]
 		es := &ExecUnitState{
@@ -246,18 +236,10 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 		}
 		st.Exec[d] = es
 	}
-	if st.WakeIntToMem, err = fifo.CaptureLink(c.wakeIntToMem, tagConv); err != nil {
-		return nil, err
-	}
-	if st.WakeFPToMem, err = fifo.CaptureLink(c.wakeFPToMem, tagConv); err != nil {
-		return nil, err
-	}
-	if st.WakeMemToInt, err = fifo.CaptureLink(c.wakeMemToInt, tagConv); err != nil {
-		return nil, err
-	}
-	if st.WakeMemToFP, err = fifo.CaptureLink(c.wakeMemToFP, tagConv); err != nil {
-		return nil, err
-	}
+	st.WakeIntToMem = fifo.CaptureLink(c.wakeIntToMem, tagConv)
+	st.WakeFPToMem = fifo.CaptureLink(c.wakeFPToMem, tagConv)
+	st.WakeMemToInt = fifo.CaptureLink(c.wakeMemToInt, tagConv)
+	st.WakeMemToFP = fifo.CaptureLink(c.wakeMemToFP, tagConv)
 	for d := range c.readyAt {
 		st.ReadyAt[d] = append([]simtime.Time(nil), c.readyAt[d]...)
 	}

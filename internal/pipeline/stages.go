@@ -267,7 +267,7 @@ func (c *Core) stageDrainCompletions(now simtime.Time) {
 // reach its remote consumers (precomputed shared slices; callers must not
 // mutate). Same-domain consumers are woken directly at issue time
 // (back-to-back issue within a cluster, §4.1).
-func (c *Core) wakeLinksFor(d DomainID, in *isa.Instr) []fifo.Link[wakeTag] {
+func (c *Core) wakeLinksFor(d DomainID, in *isa.Instr) []*fifo.Link[wakeTag] {
 	if in.PhysDest < 0 {
 		return nil
 	}

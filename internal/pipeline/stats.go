@@ -185,35 +185,34 @@ func (c *Core) finalize() {
 	c.stats.L2 = c.mem.L2.Stats()
 
 	c.stats.Links = map[string]fifo.Stats{}
-	perAccess := c.cfg.Power.Blocks[power.BlockFIFOs].PerAccess
-	type namedLink interface {
-		Name() string
-		Stats() fifo.Stats
-	}
-	charge := func(l namedLink, from, to DomainID) {
-		st := l.Stats()
-		c.stats.Links[l.Name()] = st
-		if c.cfg.Topology.Cross(from, to) {
-			// Final voltages; exact for static scaling, a slight approximation
-			// when dynamic DVFS retuned voltages mid-run.
-			scale := (c.clocks[from].EnergyScale() + c.clocks[to].EnergyScale()) / 2
-			c.mtr.AddEnergy(power.BlockFIFOs, float64(st.Puts+st.Gets)*perAccess*scale)
-		}
-	}
-	charge(c.fetchToDecode, DomFetch, DomDecode)
+	chargeLink(c, c.fetchToDecode, DomFetch, DomDecode)
 	c.stats.Links[c.decodeToRename.Name()] = c.decodeToRename.Stats()
 	for _, d := range execDomains {
-		charge(c.dispatch[d], DomDecode, d)
-		charge(c.complete[d], d, DomDecode)
+		chargeLink(c, c.dispatch[d], DomDecode, d)
+		chargeLink(c, c.complete[d], d, DomDecode)
 	}
-	charge(c.wakeIntToMem, DomInt, DomMem)
-	charge(c.wakeFPToMem, DomFP, DomMem)
-	charge(c.wakeMemToInt, DomMem, DomInt)
-	charge(c.wakeMemToFP, DomMem, DomFP)
+	chargeLink(c, c.wakeIntToMem, DomInt, DomMem)
+	chargeLink(c, c.wakeFPToMem, DomFP, DomMem)
+	chargeLink(c, c.wakeMemToInt, DomMem, DomInt)
+	chargeLink(c, c.wakeMemToFP, DomMem, DomFP)
 
 	for d := DomainID(0); d < NumDomains; d++ {
 		c.stats.FinalSlowdowns[d] = c.clocks[d].Slowdown()
 	}
 	c.stats.EnergyPJ = c.mtr.TotalEnergy()
 	c.stats.EnergyBreakdown = c.mtr.Breakdown()
+}
+
+// chargeLink records a link's activity counters and, when the link crosses
+// clock domains, charges its accesses to the FIFO energy.
+func chargeLink[T any](c *Core, l *fifo.Link[T], from, to DomainID) {
+	st := l.Stats()
+	c.stats.Links[l.Name()] = st
+	if c.cfg.Topology.Cross(from, to) {
+		// Final voltages; exact for static scaling, a slight approximation
+		// when dynamic DVFS retuned voltages mid-run.
+		scale := (c.clocks[from].EnergyScale() + c.clocks[to].EnergyScale()) / 2
+		perAccess := c.cfg.Power.Blocks[power.BlockFIFOs].PerAccess
+		c.mtr.AddEnergy(power.BlockFIFOs, float64(st.Puts+st.Gets)*perAccess*scale)
+	}
 }

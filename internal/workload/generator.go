@@ -39,12 +39,24 @@ type staticInstr struct {
 	// Memory fields.
 	seqStream bool // streams sequentially vs. random within the working set
 
+	// made marks a materialized record; the table's other slots are zero.
+	made bool
+
 	// Dynamic ground-truth state of a static branch (advanced only by the
 	// correct-path walk). Folded into the static record so branch outcome
 	// tracking needs no separate map.
-	loopCount int
 	lastTaken bool
+	loopCount int
 }
+
+// A static-program page holds pageLen consecutive instructions.
+const (
+	pageBits = 9
+	pageLen  = 1 << pageBits
+)
+
+// programPage is one page of the static-program table.
+type programPage [pageLen]staticInstr
 
 // Generator produces the dynamic instruction stream of one benchmark run.
 // It is deterministic for a given (Profile, seed) pair.
@@ -59,9 +71,11 @@ type Generator struct {
 	rngSrc *countingSource
 	wpSrc  *countingSource
 
-	program   map[uint64]*staticInstr
-	siChunks  [][]staticInstr // slab storage behind program (stable pointers)
-	classTile []isa.Class     // class layout pattern, indexed by (pc/4) % len
+	// program is the static-program table, indexed by (pc−CodeBase)/4 and
+	// split into pages allocated on first touch, so a large code footprint
+	// costs only the page directory until its code is visited.
+	program   []*programPage
+	classTile []isa.Class // class layout pattern, indexed by (pc/4) % len
 
 	// Correct-path walk state.
 	pc uint64
@@ -101,15 +115,13 @@ func NewGenerator(p Profile, seed int64) *Generator {
 	rngSrc := newCountingSource(seed)
 	wpSrc := newCountingSource(seed ^ 0x5DEECE66D)
 	g := &Generator{
-		prof:   p,
-		seed:   seed,
-		rng:    rand.New(rngSrc),
-		wp:     rand.New(wpSrc),
-		rngSrc: rngSrc,
-		wpSrc:  wpSrc,
-		// Pre-size for the full static program so steady-state
-		// materialization does not grow the table.
-		program: make(map[uint64]*staticInstr, p.CodeFootprint/4),
+		prof:    p,
+		seed:    seed,
+		rng:     rand.New(rngSrc),
+		wp:      rand.New(wpSrc),
+		rngSrc:  rngSrc,
+		wpSrc:   wpSrc,
+		program: make([]*programPage, ((p.CodeFootprint+3)/4+pageLen-1)/pageLen),
 		pc:      CodeBase,
 	}
 	// Seed the recency rings so early instructions have producers to name.
@@ -243,14 +255,28 @@ func (g *Generator) staticRng(pc uint64) *staticRand {
 	return &g.srand
 }
 
+// slot returns the static-program table entry for pc, which must be a
+// 4-aligned address inside the code footprint, allocating its page on first
+// touch.
+func (g *Generator) slot(pc uint64) *staticInstr {
+	i := (pc - CodeBase) >> 2
+	page := g.program[i>>pageBits]
+	if page == nil {
+		page = new(programPage)
+		g.program[i>>pageBits] = page
+	}
+	return &page[i%pageLen]
+}
+
 // materialize returns the static instruction at pc, creating it on first
 // visit.
 func (g *Generator) materialize(pc uint64) *staticInstr {
-	if si, ok := g.program[pc]; ok {
+	si := g.slot(pc)
+	if si.made {
 		return si
 	}
 	rng := g.staticRng(pc)
-	si := g.newStatic()
+	si.made = true
 	si.class = g.classAt(pc)
 	switch si.class {
 	case isa.ClassBranch:
@@ -305,7 +331,6 @@ func (g *Generator) materialize(pc uint64) *staticInstr {
 		si.dest = g.nextIntDest()
 		g.pushRecent(si.dest)
 	}
-	g.program[pc] = si
 	return si
 }
 
@@ -593,20 +618,4 @@ func (r *regRing) push(reg isa.Reg) {
 	if r.head == len(r.buf) {
 		r.head = 0
 	}
-}
-
-// siChunkLen is the slab growth quantum for static-instruction storage.
-const siChunkLen = 256
-
-// newStatic hands out one zeroed static-instruction record from the slab.
-// Records are stored in fixed-size chunks (never reallocated), so pointers
-// held by the program map stay stable while amortizing allocation to one
-// per siChunkLen materializations.
-func (g *Generator) newStatic() *staticInstr {
-	if n := len(g.siChunks); n == 0 || len(g.siChunks[n-1]) == cap(g.siChunks[n-1]) {
-		g.siChunks = append(g.siChunks, make([]staticInstr, 0, siChunkLen))
-	}
-	c := &g.siChunks[len(g.siChunks)-1]
-	*c = append(*c, staticInstr{})
-	return &(*c)[len(*c)-1]
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"galsim/internal/isa"
 )
@@ -123,18 +122,22 @@ func (g *Generator) CaptureState() GeneratorState {
 	for i := 0; i < g.recentFP.len(); i++ {
 		st.RecentFP = append(st.RecentFP, g.recentFP.at(i))
 	}
-	pcs := make([]uint64, 0, len(g.program))
-	for pc := range g.program {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	for _, pc := range pcs {
-		si := g.program[pc]
-		st.Program = append(st.Program, StaticInstrState{
-			PC: pc, Class: si.class, Dest: si.dest, Src: si.src,
-			Pattern: uint8(si.pattern), Target: si.target, BiasedTaken: si.biasedTaken,
-			SeqStream: si.seqStream, LoopCount: si.loopCount, LastTaken: si.lastTaken,
-		})
+	// The table is in PC order, so the program comes out sorted.
+	for p, page := range g.program {
+		if page == nil {
+			continue
+		}
+		for i := range page {
+			si := &page[i]
+			if !si.made {
+				continue
+			}
+			st.Program = append(st.Program, StaticInstrState{
+				PC: CodeBase + uint64(p*pageLen+i)*4, Class: si.class, Dest: si.dest, Src: si.src,
+				Pattern: uint8(si.pattern), Target: si.target, BiasedTaken: si.biasedTaken,
+				SeqStream: si.seqStream, LoopCount: si.loopCount, LastTaken: si.lastTaken,
+			})
+		}
 	}
 	return st
 }
@@ -142,8 +145,13 @@ func (g *Generator) CaptureState() GeneratorState {
 // RestoreState reinstates a captured state into this generator, which must
 // be freshly constructed with the same (Profile, seed) pair.
 func (g *Generator) RestoreState(st GeneratorState) error {
-	if g.generated != 0 || g.wrongGen != 0 || len(g.program) != 0 {
+	if g.generated != 0 || g.wrongGen != 0 {
 		return fmt.Errorf("workload: restore into generator that has already produced instructions")
+	}
+	for _, page := range g.program {
+		if page != nil {
+			return fmt.Errorf("workload: restore into generator that has already produced instructions")
+		}
 	}
 	if len(st.RecentInt) > recentWindow || len(st.RecentFP) > recentWindow {
 		return fmt.Errorf("workload: restored recency rings (%d int, %d fp) exceed window %d",
@@ -156,7 +164,15 @@ func (g *Generator) RestoreState(st GeneratorState) error {
 		return err
 	}
 	for _, ss := range st.Program {
-		si := g.newStatic()
+		if ss.PC < CodeBase || ss.PC >= g.codeEnd() || ss.PC%4 != 0 {
+			return fmt.Errorf("workload: restored static instruction at pc %#x outside the code [%#x, %#x) or not 4-aligned",
+				ss.PC, CodeBase, g.codeEnd())
+		}
+		si := g.slot(ss.PC)
+		if si.made {
+			return fmt.Errorf("workload: restored static instruction at pc %#x repeated", ss.PC)
+		}
+		si.made = true
 		si.class = ss.Class
 		si.dest = ss.Dest
 		si.src = ss.Src
@@ -166,7 +182,6 @@ func (g *Generator) RestoreState(st GeneratorState) error {
 		si.seqStream = ss.SeqStream
 		si.loopCount = ss.LoopCount
 		si.lastTaken = ss.LastTaken
-		g.program[ss.PC] = si
 	}
 	g.recentInt = regRing{}
 	for _, r := range st.RecentInt {
