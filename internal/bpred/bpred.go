@@ -10,7 +10,10 @@
 // traces in the paper.
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kind selects the direction-prediction scheme.
 type Kind uint8
@@ -89,15 +92,44 @@ func New(cfg Config) *Predictor {
 	}
 	p := &Predictor{
 		cfg:    cfg,
-		table:  make([]uint8, 1<<cfg.TableBits),
-		btbTag: make([]uint64, 1<<cfg.BTBBits),
-		btbTgt: make([]uint64, 1<<cfg.BTBBits),
+		table:  reuse[uint8](&tablePools[cfg.TableBits], 1<<cfg.TableBits),
+		btbTag: reuse[uint64](&btbPools[cfg.BTBBits], 1<<cfg.BTBBits),
+		btbTgt: reuse[uint64](&btbPools[cfg.BTBBits], 1<<cfg.BTBBits),
 		ras:    make([]uint64, cfg.RASEntries),
 	}
 	for i := range p.table {
 		p.table[i] = 1 // weakly not-taken
 	}
+	clear(p.btbTag)
+	clear(p.btbTgt)
 	return p
+}
+
+// Tables of released predictors, by log2 of their entry count: direction
+// tables in tablePools, BTB tag and target arrays alike in btbPools.
+var tablePools, btbPools [25]sync.Pool
+
+// reuse returns a released table of length n from pool, or a new one. The
+// caller resets it.
+func reuse[T uint8 | uint64](pool *sync.Pool, n int) []T {
+	if t, ok := pool.Get().(*[]T); ok {
+		return *t
+	}
+	return make([]T, n)
+}
+
+// Release hands the predictor's direction table and BTB on to later
+// predictors. The predictor must not be used afterwards; releasing twice is
+// a no-op.
+func (p *Predictor) Release() {
+	if p.table == nil {
+		return
+	}
+	table, tag, tgt := p.table, p.btbTag, p.btbTgt
+	tablePools[p.cfg.TableBits].Put(&table)
+	btbPools[p.cfg.BTBBits].Put(&tag)
+	btbPools[p.cfg.BTBBits].Put(&tgt)
+	p.table, p.btbTag, p.btbTgt = nil, nil, nil
 }
 
 // Config returns the predictor's configuration.

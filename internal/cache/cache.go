@@ -16,6 +16,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Level is anything that can serve a memory access: a Cache or main Memory.
@@ -114,7 +115,7 @@ func New(cfg Config, lower Level) *Cache {
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
 	c := &Cache{
 		cfg:     cfg,
-		ways:    make([]way, nsets*cfg.Assoc),
+		ways:    newWays(nsets * cfg.Assoc),
 		assoc:   cfg.Assoc,
 		lower:   lower,
 		setMask: uint64(nsets - 1),
@@ -124,6 +125,31 @@ func New(cfg Config, lower Level) *Cache {
 		c.lineBits++
 	}
 	return c
+}
+
+// wayPools holds the tag stores of released caches, by capacity class: the
+// stores in wayPools[k] have capacity 1<<k.
+var wayPools [64]sync.Pool
+
+// newWays returns a zeroed tag store of n ways, recycled from a released
+// cache of the same capacity class when one is at hand.
+func newWays(n int) []way {
+	k := bits.Len(uint(n - 1))
+	if ws, ok := wayPools[k].Get().(*[]way); ok {
+		w := (*ws)[:n]
+		clear(w)
+		return w
+	}
+	return make([]way, n, 1<<k)
+}
+
+// Release hands the cache's tag store on to later caches. The cache must
+// not be used afterwards; releasing twice is a no-op.
+func (c *Cache) Release() {
+	if ws := c.ways; ws != nil {
+		wayPools[bits.Len(uint(cap(ws)))-1].Put(&ws)
+		c.ways = nil
+	}
 }
 
 // Name implements Level.
@@ -282,6 +308,14 @@ func DefaultHierarchyConfig() HierarchyConfig {
 		L2:         Config{Name: "l2", SizeBytes: 256 << 10, LineBytes: 64, Assoc: 4, HitLatency: 5},
 		MemLatency: 60,
 	}
+}
+
+// Release hands every cache's tag store on to later caches. The hierarchy
+// must not be used afterwards.
+func (h *Hierarchy) Release() {
+	h.L1I.Release()
+	h.L1D.Release()
+	h.L2.Release()
 }
 
 // NewHierarchy builds the L1I/L1D → shared L2 → memory structure.

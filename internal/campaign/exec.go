@@ -143,6 +143,9 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 		core.AttachTimeline(opts.Tap.Recorder, opts.Tap.Detail, opts.Tap.StallThreshold)
 	}
 	st = core.Run(spec.Instructions)
+	// Deferred past the snapshot and trace sinks below; a run that panicked
+	// never gets here, so its tables are left to the garbage collector.
+	defer core.Release()
 	if snapErr != nil {
 		return pipeline.Stats{}, fmt.Errorf("campaign: writing snapshot: %w", snapErr)
 	}

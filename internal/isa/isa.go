@@ -33,7 +33,9 @@
 //     stale *Instr can never be observed through a FIFO, issue queue or ROB.
 //
 // A generation counter increments on every recycle; Instr.Generation lets
-// tests (and debug assertions) detect a pointer held across a free. Callers
+// tests (and debug assertions) detect a pointer held across a free. Once a
+// run is over, Pool.Recycle hands the arena's chunks to later arenas, which
+// zero them, generations included, before use. Callers
 // that intentionally retain records past commit — an OnCommit hook that
 // stores *Instr, for example — must opt out of pooling entirely (the
 // pipeline's RetainInstrs), falling back to NewInstr's ordinary heap

@@ -1,11 +1,31 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // poolChunk is the number of instruction records allocated per arena growth.
-// One chunk is ~a quarter megabyte — large enough that chunk allocation is
-// invisible in steady state, small enough that a short run stays cheap.
+// One chunk is ~a quarter megabyte, large enough that chunk allocation is
+// invisible in steady state. A short run touches little more than its first
+// chunk, yet that chunk would dominate its allocation, so Recycle hands the
+// chunks to chunkPool and a later arena's growth takes one from there,
+// zeroed, before it allocates a new one.
 const poolChunk = 1024
+
+// chunkPool holds the chunks of recycled arenas.
+var chunkPool sync.Pool
+
+// newChunk returns a zeroed chunk, taken from chunkPool when one is there.
+// Zeroing resets every record's generation too, so a recycled chunk cannot
+// be told apart from a new one.
+func newChunk() *[poolChunk]Instr {
+	if ch, ok := chunkPool.Get().(*[poolChunk]Instr); ok {
+		clear(ch[:])
+		return ch
+	}
+	return new([poolChunk]Instr)
+}
 
 // Pool is an instruction arena: a chunked backing store plus a free list of
 // recycled records. See the package comment for the lifecycle. A Pool is not
@@ -35,7 +55,7 @@ func (p *Pool) Get(seq Seq, pc uint64, class Class) *Instr {
 		p.reuses++
 	} else {
 		if len(p.chunks) == 0 || p.used == poolChunk {
-			p.chunks = append(p.chunks, new([poolChunk]Instr))
+			p.chunks = append(p.chunks, newChunk())
 			p.used = 0
 		}
 		in = &p.chunks[len(p.chunks)-1][p.used]
@@ -65,6 +85,16 @@ func (p *Pool) Release(in *Instr) {
 	in.gen++
 	p.releases++
 	p.free = append(p.free, in)
+}
+
+// Recycle hands the arena's chunks on to later arenas. Neither the arena nor
+// any record it handed out may be used afterwards; recycling twice is a
+// no-op.
+func (p *Pool) Recycle() {
+	for _, ch := range p.chunks {
+		chunkPool.Put(ch)
+	}
+	p.chunks, p.free, p.used = nil, nil, 0
 }
 
 // PoolStats snapshots the arena's counters.

@@ -226,8 +226,9 @@ type Config struct {
 	// WorkloadSeed seeds the synthetic benchmark generator.
 	WorkloadSeed int64
 
-	// MaxCycles aborts a run that fails to commit (deadlock guard): the run
-	// panics if this many decode-domain cycles pass without a commit.
+	// MaxStallCycles aborts a run that fails to commit (deadlock guard): the
+	// run panics if this many cycles of its slowest clock domain pass
+	// without a commit.
 	MaxStallCycles int
 
 	// SampleInterval, when non-zero, snapshots the machine's internal state

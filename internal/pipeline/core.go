@@ -120,10 +120,12 @@ type Core struct {
 	histSnapshot  uint64 // gshare history at wrong-path entry, restored at redirect
 
 	// Squash state: at most one unresolved misprediction exists at a time.
+	// A newer one supersedes it (see postSquash), so time is per domain:
+	// the resolve time of the squash domain d is waiting to observe.
 	sq struct {
 		active   bool
 		seq      isa.Seq
-		time     simtime.Time
+		time     [NumDomains]simtime.Time
 		observed [NumDomains]bool
 	}
 	resolvedWPID uint64
@@ -203,6 +205,23 @@ func (c *Core) PoolStats() isa.PoolStats {
 		return isa.PoolStats{}
 	}
 	return c.pool.Stats()
+}
+
+// Release hands the core's large tables — the instruction arena's chunks,
+// the cache tag stores, the predictor tables and the source's program pages
+// — on to later cores, which reset them in place instead of allocating.
+// Neither the core, nor its source, nor any *Instr it produced may be used
+// afterwards. A core that is never released leaves its tables to the
+// garbage collector; results are identical either way.
+func (c *Core) Release() {
+	if c.pool != nil {
+		c.pool.Recycle()
+	}
+	c.pred.Release()
+	c.mem.Release()
+	if r, ok := c.gen.(workload.Releaser); ok {
+		r.Release()
+	}
 }
 
 // retainInstr adds an arena reference: the record is entering a second
@@ -559,14 +578,26 @@ func activityBlocks(d DomainID) []power.Block {
 // postSquash is called by the integer domain when a mispredicted
 // correct-path branch resolves: it broadcasts the squash and flushes the
 // resolving domain's own structures immediately.
+//
+// A squash still in flight is superseded: a slow domain may not yet have
+// observed it when fetch, already redirected, delivers a newer correct-path
+// misprediction. The newer squash dooms a superset of the older one (doomed
+// compares WPIDs with <=), so domains that already observed the older squash
+// wait for the newer one from now, while the rest keep the older squash's
+// earlier deadline — a slow domain is never starved by a stream of
+// squashes — and act on the newer one when they observe.
 func (c *Core) postSquash(br *isa.Instr, now simtime.Time) {
-	if c.sq.active {
-		panic(fmt.Sprintf("pipeline: overlapping squash at %v (branch %d over %d)", now, br.Seq, c.sq.seq))
+	if c.sq.active && c.tl != nil {
+		c.tl.squashEnd(now)
+	}
+	for d := range c.sq.observed {
+		if !c.sq.active || c.sq.observed[d] {
+			c.sq.time[d] = now
+			c.sq.observed[d] = false
+		}
 	}
 	c.sq.active = true
 	c.sq.seq = br.Seq
-	c.sq.time = now
-	c.sq.observed = [NumDomains]bool{}
 	c.resolvedWPID = br.WPID
 	c.stats.Recoveries++
 	if c.tl != nil {
@@ -589,7 +620,7 @@ func (c *Core) observeSquash(d DomainID, now simtime.Time) {
 	if c.cfg.Topology.Cross(d, DomInt) {
 		edges = int64(c.cfg.FIFOSyncEdges)
 	}
-	if now < c.clocks[d].NthEdgeAfter(c.sq.time, edges) {
+	if now < c.clocks[d].NthEdgeAfter(c.sq.time[d], edges) {
 		return
 	}
 	c.doObserve(d, now)
@@ -784,7 +815,7 @@ func (c *Core) watchdogAndSamples() {
 	if c.tl != nil {
 		c.tl.checkStallTrigger(c)
 	}
-	if c.decodeCycles-c.lastProgress > uint64(c.cfg.MaxStallCycles) {
+	if stalled := c.decodeCycles - c.lastProgress; stalled > uint64(c.cfg.MaxStallCycles) && stalled > c.stallLimit() {
 		panic(fmt.Sprintf(
 			"pipeline: no commit in %d cycles (%s/%s): committed=%d rob=%d/%d head=%v iqs=%d/%d/%d sqActive=%v",
 			c.cfg.MaxStallCycles, c.stats.Kind, c.stats.Benchmark,
@@ -792,4 +823,17 @@ func (c *Core) watchdogAndSamples() {
 			c.exec[DomInt].queue.Len(), c.exec[DomFP].queue.Len(), c.exec[DomMem].queue.Len(),
 			c.sq.active))
 	}
+}
+
+// stallLimit is the watchdog's limit in decode cycles: MaxStallCycles
+// cycles of the slowest clock domain, so a validly slowed domain — whose
+// every operation spans many decode cycles — is not mistaken for a
+// deadlock.
+func (c *Core) stallLimit() uint64 {
+	dec := c.clocks[DomDecode].Period()
+	slowest := dec
+	for _, d := range c.domClocks {
+		slowest = max(slowest, d.Period())
+	}
+	return uint64(c.cfg.MaxStallCycles) * uint64((slowest+dec-1)/dec)
 }

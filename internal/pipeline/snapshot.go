@@ -67,10 +67,13 @@ type FetchState struct {
 }
 
 // SquashState is the (at most one) unresolved misprediction's snapshot form.
+// Time is the newest squash's resolve time; Since, present only after a
+// squash superseded another still in flight, holds each domain's own.
 type SquashState struct {
 	Active   bool             `json:"active,omitempty"`
 	Seq      isa.Seq          `json:"seq,omitempty"`
 	Time     simtime.Time     `json:"time,omitempty"`
+	Since    []simtime.Time   `json:"since,omitempty"`
 	Observed [NumDomains]bool `json:"observed"`
 }
 
@@ -265,7 +268,13 @@ func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
 		LastFetchLine: c.lastFetchLine,
 		HistSnapshot:  c.histSnapshot,
 	}
-	st.Squash = SquashState{Active: c.sq.active, Seq: c.sq.seq, Time: c.sq.time, Observed: c.sq.observed}
+	st.Squash = SquashState{Active: c.sq.active, Seq: c.sq.seq, Time: c.sq.time[DomInt], Observed: c.sq.observed}
+	for _, t := range c.sq.time {
+		if t != st.Squash.Time {
+			st.Squash.Since = append([]simtime.Time(nil), c.sq.time[:]...)
+			break
+		}
+	}
 	st.ResolvedWPID = c.resolvedWPID
 	st.DecodeCycles = c.decodeCycles
 	st.LastProgress = c.lastProgress
@@ -466,7 +475,16 @@ func RestoreCore(cfg Config, name string, src workload.InstrSource, st *CoreStat
 	c.histSnapshot = st.Fetch.HistSnapshot
 	c.sq.active = st.Squash.Active
 	c.sq.seq = st.Squash.Seq
-	c.sq.time = st.Squash.Time
+	switch len(st.Squash.Since) {
+	case 0:
+		for d := range c.sq.time {
+			c.sq.time[d] = st.Squash.Time
+		}
+	case len(c.sq.time):
+		copy(c.sq.time[:], st.Squash.Since)
+	default:
+		return nil, fmt.Errorf("pipeline: snapshot squash holds %d per-domain times, want %d", len(st.Squash.Since), NumDomains)
+	}
 	c.sq.observed = st.Squash.Observed
 	c.resolvedWPID = st.ResolvedWPID
 	c.decodeCycles = st.DecodeCycles

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"galsim/internal/simtime"
 	"galsim/internal/workload"
 )
 
@@ -180,8 +181,9 @@ func TestSnapshotRejectsNonSnapshottableSource(t *testing.T) {
 
 // TestRestoreRejectsBadSchedule pins RestoreCore's checks on the captured
 // clock-edge calendar (one edge time and one positive period per clock
-// domain, and no edge before time zero) and on the DVFS probe domain, which
-// the controller indexes per-domain state with.
+// domain, and no edge before time zero), on the DVFS probe domain, which
+// the controller indexes per-domain state with, and on the squash's
+// per-domain times.
 func TestRestoreRejectsBadSchedule(t *testing.T) {
 	prof, err := workload.ByName("gcc")
 	if err != nil {
@@ -207,6 +209,7 @@ func TestRestoreRejectsBadSchedule(t *testing.T) {
 		{"negative_time", func(st *CoreState) { st.TickWhen[2] = -1 }, "negative"},
 		{"probe_domain", func(st *CoreState) { st.DVFS.ProbeActive, st.DVFS.ProbeDomain = true, 7 }, "probe domain"},
 		{"negative_probe_domain", func(st *CoreState) { st.DVFS.ProbeActive, st.DVFS.ProbeDomain = true, -1 }, "probe domain"},
+		{"squash_since_length", func(st *CoreState) { st.Squash.Since = []simtime.Time{1, 2} }, "per-domain times"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var st CoreState

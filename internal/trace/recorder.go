@@ -18,7 +18,16 @@ type Recorder struct {
 var (
 	_ workload.InstrSource = (*Recorder)(nil)
 	_ workload.PoolUser    = (*Recorder)(nil)
+	_ workload.Releaser    = (*Recorder)(nil)
 )
+
+// Release implements workload.Releaser by forwarding to the wrapped source
+// when it holds recyclable tables.
+func (r *Recorder) Release() {
+	if rl, ok := r.src.(workload.Releaser); ok {
+		rl.Release()
+	}
+}
 
 // UsePool implements workload.PoolUser by forwarding the arena to the
 // wrapped source when it supports pooling, reporting false — pooling off —

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"galsim/internal/isa"
 )
@@ -57,6 +58,18 @@ const (
 
 // programPage is one page of the static-program table.
 type programPage [pageLen]staticInstr
+
+// pagePool holds the program pages of released generators.
+var pagePool sync.Pool
+
+// newPage returns a zeroed page, recycled when a released one is at hand.
+func newPage() *programPage {
+	if pg, ok := pagePool.Get().(*programPage); ok {
+		clear(pg[:])
+		return pg
+	}
+	return new(programPage)
+}
 
 // Generator produces the dynamic instruction stream of one benchmark run.
 // It is deterministic for a given (Profile, seed) pair.
@@ -262,7 +275,7 @@ func (g *Generator) slot(pc uint64) *staticInstr {
 	i := (pc - CodeBase) >> 2
 	page := g.program[i>>pageBits]
 	if page == nil {
-		page = new(programPage)
+		page = newPage()
 		g.program[i>>pageBits] = page
 	}
 	return &page[i%pageLen]
@@ -567,6 +580,16 @@ func (g *Generator) String() string {
 func (g *Generator) UsePool(p *isa.Pool) bool {
 	g.pool = p
 	return true
+}
+
+// Release implements Releaser: the program pages go to later generators.
+func (g *Generator) Release() {
+	for _, pg := range g.program {
+		if pg != nil {
+			pagePool.Put(pg)
+		}
+	}
+	g.program = nil
 }
 
 // newInstr allocates one blank instruction record, from the arena when one

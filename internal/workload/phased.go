@@ -46,6 +46,15 @@ func (p *PhasedGenerator) UsePool(pool *isa.Pool) bool {
 	return true
 }
 
+// Release implements Releaser, releasing every constructed phase generator.
+func (p *PhasedGenerator) Release() {
+	for _, g := range p.gens {
+		if g != nil {
+			g.Release()
+		}
+	}
+}
+
 // NewPhasedGenerator builds a phased source. The profiles must already be
 // validated (NewSpecSource does); quotas must be positive and the two
 // slices equal-length, or the constructor panics.

@@ -48,10 +48,20 @@ type PoolUser interface {
 	UsePool(*isa.Pool) bool
 }
 
+// Releaser is implemented by sources holding large tables — the
+// generator's static-program pages — that later sources can reuse. The
+// pipeline's Core.Release calls Release once a run is over; the source must
+// not be used afterwards, and releasing twice is a no-op.
+type Releaser interface {
+	Release()
+}
+
 // Compile-time checks that the package's sources satisfy the interfaces.
 var (
 	_ InstrSource = (*Generator)(nil)
 	_ InstrSource = (*PhasedGenerator)(nil)
 	_ PoolUser    = (*Generator)(nil)
 	_ PoolUser    = (*PhasedGenerator)(nil)
+	_ Releaser    = (*Generator)(nil)
+	_ Releaser    = (*PhasedGenerator)(nil)
 )
