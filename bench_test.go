@@ -19,6 +19,7 @@ import (
 
 	"galsim/internal/clocktree"
 	"galsim/internal/experiments"
+	"galsim/internal/machine"
 	"galsim/internal/pipeline"
 	"galsim/internal/workload"
 )
@@ -192,10 +193,10 @@ func BenchmarkDynamicDVFS(b *testing.B) {
 	}
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		base := pipeline.NewCore(pipeline.DefaultConfig(pipeline.BaseTopology()), prof).Run(30_000)
-		cfg := pipeline.DefaultConfig(pipeline.GALSTopology())
+		base := newCore(pipeline.DefaultConfig(topology(b, machine.Base())), prof).Run(30_000)
+		cfg := pipeline.DefaultConfig(topology(b, machine.GALS()))
 		cfg.DynamicDVFS = pipeline.DefaultDynamicDVFS()
-		dyn := pipeline.NewCore(cfg, prof).Run(30_000)
+		dyn := newCore(cfg, prof).Run(30_000)
 		rel = dyn.EnergyPJ / base.EnergyPJ
 	}
 	b.ReportMetric(rel, "rel-energy")
@@ -212,8 +213,23 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	const n = 20_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := pipeline.DefaultConfig(pipeline.GALSTopology())
-		pipeline.NewCore(cfg, prof).Run(n)
+		cfg := pipeline.DefaultConfig(topology(b, machine.GALS()))
+		newCore(cfg, prof).Run(n)
 	}
 	b.ReportMetric(float64(n*uint64(b.N))/b.Elapsed().Seconds(), "sim-instrs/s")
+}
+
+// topology returns a machine's clock topology.
+func topology(b *testing.B, m machine.Spec) pipeline.Topology {
+	t, err := m.Topology()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return t
+}
+
+// newCore builds a core running prof's synthetic generator, bypassing the
+// campaign engine.
+func newCore(cfg pipeline.Config, prof workload.Profile) *pipeline.Core {
+	return pipeline.NewCoreWithSource(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed))
 }

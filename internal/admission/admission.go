@@ -334,8 +334,3 @@ func (c *Controller) stateByNameLocked(tenant string) *tenantState {
 func writeRetryAfter(w http.ResponseWriter, seconds int) {
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", seconds))
 }
-
-// RetryAfterBusy stamps a Retry-After hint on a 429 caused by backend
-// backpressure (campaign.ErrBackendBusy): queue depth drains on job
-// completion, so like quota there is no closed-form ETA.
-func RetryAfterBusy(w http.ResponseWriter) { writeRetryAfter(w, quotaRetryAfterSeconds) }

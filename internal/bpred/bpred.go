@@ -1,8 +1,7 @@
 // Package bpred implements the branch prediction hardware of the simulated
 // front end: a gshare direction predictor (global history XOR PC indexing a
-// table of 2-bit saturating counters), a branch target buffer, and a return
-// address stack. A bimodal predictor (no history) is available for
-// comparison and ablation.
+// table of 2-bit saturating counters) and a branch target buffer. A bimodal
+// predictor (no history) is available for comparison and ablation.
 //
 // The predictor is real, not a stand-in: misprediction rates in the
 // experiments emerge from running these tables over the synthetic
@@ -48,25 +47,22 @@ type Config struct {
 	TableBits   int // log2 of the direction table size
 	HistoryBits int // global history length (gshare only)
 	BTBBits     int // log2 of BTB entries
-	RASEntries  int // return address stack depth
 }
 
-// DefaultConfig matches a 4K-entry gshare with 8 bits of history, a 2K-entry
-// BTB and an 8-deep RAS: typical for the paper's era and the scale of its
-// 16 KB front end.
+// DefaultConfig matches a 4K-entry gshare with 8 bits of history and a
+// 2K-entry BTB: typical for the paper's era and the scale of its 16 KB front
+// end.
 func DefaultConfig() Config {
-	return Config{Kind: GShare, TableBits: 12, HistoryBits: 8, BTBBits: 11, RASEntries: 8}
+	return Config{Kind: GShare, TableBits: 12, HistoryBits: 8, BTBBits: 11}
 }
 
-// Predictor is the combined direction predictor, BTB and RAS.
+// Predictor is the combined direction predictor and BTB.
 type Predictor struct {
 	cfg     Config
 	table   []uint8 // 2-bit saturating counters
 	history uint64  // global history register (speculatively updated)
 	btbTag  []uint64
 	btbTgt  []uint64
-	ras     []uint64
-	rasTop  int
 
 	// Statistics.
 	lookups     uint64
@@ -87,15 +83,11 @@ func New(cfg Config) *Predictor {
 	if cfg.HistoryBits < 0 || cfg.HistoryBits > 32 {
 		panic(fmt.Sprintf("bpred: HistoryBits %d outside [0,32]", cfg.HistoryBits))
 	}
-	if cfg.RASEntries < 0 {
-		panic(fmt.Sprintf("bpred: RASEntries %d negative", cfg.RASEntries))
-	}
 	p := &Predictor{
 		cfg:    cfg,
 		table:  reuse[uint8](&tablePools[cfg.TableBits], 1<<cfg.TableBits),
 		btbTag: reuse[uint64](&btbPools[cfg.BTBBits], 1<<cfg.BTBBits),
 		btbTgt: reuse[uint64](&btbPools[cfg.BTBBits], 1<<cfg.BTBBits),
-		ras:    make([]uint64, cfg.RASEntries),
 	}
 	for i := range p.table {
 		p.table[i] = 1 // weakly not-taken
@@ -230,24 +222,6 @@ func (p *Predictor) HistorySnapshot() uint64 { return p.history }
 // HistorySnapshot, discarding the bits inserted by wrong-path lookups.
 func (p *Predictor) RestoreHistory(h uint64) { p.history = h }
 
-// PushRAS records a call's return address.
-func (p *Predictor) PushRAS(retAddr uint64) {
-	if len(p.ras) == 0 {
-		return
-	}
-	p.ras[p.rasTop%len(p.ras)] = retAddr
-	p.rasTop++
-}
-
-// PopRAS predicts a return's target; ok is false when the stack is empty.
-func (p *Predictor) PopRAS() (addr uint64, ok bool) {
-	if len(p.ras) == 0 || p.rasTop == 0 {
-		return 0, false
-	}
-	p.rasTop--
-	return p.ras[p.rasTop%len(p.ras)], true
-}
-
 // Stats reports accuracy counters.
 type Stats struct {
 	Lookups     uint64
@@ -264,15 +238,6 @@ func (p *Predictor) Stats() Stats {
 		BTBHits:     p.btbHits,
 		BTBMisses:   p.btbMisses,
 	}
-}
-
-// Accuracy returns the fraction of lookups whose direction was later
-// resolved as correctly predicted; 1.0 when no branches have resolved.
-func (p *Predictor) Accuracy() float64 {
-	if p.lookups == 0 {
-		return 1
-	}
-	return 1 - float64(p.mispredicts)/float64(p.lookups)
 }
 
 func boolBit(b bool) uint64 {

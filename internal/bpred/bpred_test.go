@@ -103,43 +103,10 @@ func TestBTBNotUpdatedOnNotTaken(t *testing.T) {
 	}
 }
 
-func TestRAS(t *testing.T) {
-	p := New(DefaultConfig())
-	if _, ok := p.PopRAS(); ok {
-		t.Error("empty RAS popped a value")
-	}
-	p.PushRAS(0x100)
-	p.PushRAS(0x200)
-	if a, ok := p.PopRAS(); !ok || a != 0x200 {
-		t.Errorf("PopRAS = %#x,%v want 0x200", a, ok)
-	}
-	if a, ok := p.PopRAS(); !ok || a != 0x100 {
-		t.Errorf("PopRAS = %#x,%v want 0x100", a, ok)
-	}
-	if _, ok := p.PopRAS(); ok {
-		t.Error("drained RAS popped a value")
-	}
-}
-
-func TestRASOverflowWraps(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RASEntries = 2
-	p := New(cfg)
-	p.PushRAS(1)
-	p.PushRAS(2)
-	p.PushRAS(3) // overwrites 1
-	if a, _ := p.PopRAS(); a != 3 {
-		t.Errorf("got %d, want 3", a)
-	}
-	if a, _ := p.PopRAS(); a != 2 {
-		t.Errorf("got %d, want 2", a)
-	}
-}
-
 func TestStatsAndAccuracy(t *testing.T) {
 	p := New(DefaultConfig())
-	if p.Accuracy() != 1 {
-		t.Error("cold accuracy should be 1")
+	if st := p.Stats(); st != (Stats{}) {
+		t.Errorf("cold stats = %+v, want zero", st)
 	}
 	pc := uint64(0x4000)
 	for i := 0; i < 50; i++ {
@@ -153,7 +120,7 @@ func TestStatsAndAccuracy(t *testing.T) {
 	if st.Mispredicts == 0 || st.Mispredicts > 12 {
 		t.Errorf("mispredicts = %d, want small nonzero (cold start)", st.Mispredicts)
 	}
-	if acc := p.Accuracy(); acc <= 0.75 || acc >= 1 {
+	if acc := 1 - float64(st.Mispredicts)/float64(st.Lookups); acc <= 0.75 || acc >= 1 {
 		t.Errorf("accuracy = %v", acc)
 	}
 }
@@ -211,7 +178,6 @@ func TestConfigValidation(t *testing.T) {
 		"tableBig": {Kind: GShare, TableBits: 30, HistoryBits: 8, BTBBits: 9},
 		"btb0":     {Kind: GShare, TableBits: 11, HistoryBits: 8, BTBBits: 0},
 		"histNeg":  {Kind: GShare, TableBits: 11, HistoryBits: -1, BTBBits: 9},
-		"rasNeg":   {Kind: GShare, TableBits: 11, HistoryBits: 8, BTBBits: 9, RASEntries: -1},
 	} {
 		func() {
 			defer func() {

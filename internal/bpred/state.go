@@ -3,14 +3,12 @@ package bpred
 import "fmt"
 
 // State is the predictor's snapshot form: every table, the speculative
-// global history, the return-address stack, and the accuracy counters.
+// global history, and the accuracy counters.
 type State struct {
 	Table       []uint8  `json:"table"`
 	History     uint64   `json:"history"`
 	BTBTag      []uint64 `json:"btb_tag"`
 	BTBTgt      []uint64 `json:"btb_tgt"`
-	RAS         []uint64 `json:"ras,omitempty"`
-	RASTop      int      `json:"ras_top"`
 	Lookups     uint64   `json:"lookups"`
 	Mispredicts uint64   `json:"mispredicts"`
 	BTBHits     uint64   `json:"btb_hits"`
@@ -24,8 +22,6 @@ func (p *Predictor) CaptureState() State {
 		History:     p.history,
 		BTBTag:      append([]uint64(nil), p.btbTag...),
 		BTBTgt:      append([]uint64(nil), p.btbTgt...),
-		RAS:         append([]uint64(nil), p.ras...),
-		RASTop:      p.rasTop,
 		Lookups:     p.lookups,
 		Mispredicts: p.mispredicts,
 		BTBHits:     p.btbHits,
@@ -37,17 +33,15 @@ func (p *Predictor) CaptureState() State {
 // same configuration (table geometries must match).
 func (p *Predictor) RestoreState(st State) error {
 	if len(st.Table) != len(p.table) || len(st.BTBTag) != len(p.btbTag) ||
-		len(st.BTBTgt) != len(p.btbTgt) || len(st.RAS) != len(p.ras) {
-		return fmt.Errorf("bpred: restored table sizes (%d/%d/%d/%d) do not match this predictor's configuration (%d/%d/%d/%d)",
-			len(st.Table), len(st.BTBTag), len(st.BTBTgt), len(st.RAS),
-			len(p.table), len(p.btbTag), len(p.btbTgt), len(p.ras))
+		len(st.BTBTgt) != len(p.btbTgt) {
+		return fmt.Errorf("bpred: restored table sizes (%d/%d/%d) do not match this predictor's configuration (%d/%d/%d)",
+			len(st.Table), len(st.BTBTag), len(st.BTBTgt),
+			len(p.table), len(p.btbTag), len(p.btbTgt))
 	}
 	copy(p.table, st.Table)
 	p.history = st.History
 	copy(p.btbTag, st.BTBTag)
 	copy(p.btbTgt, st.BTBTgt)
-	copy(p.ras, st.RAS)
-	p.rasTop = st.RASTop
 	p.lookups = st.Lookups
 	p.mispredicts = st.Mispredicts
 	p.btbHits = st.BTBHits

@@ -244,19 +244,6 @@ func (c *Cache) install(set []way, line way) {
 	set[victim] = line
 }
 
-// Probe reports whether the line containing addr is present, without
-// touching LRU state or statistics. Used by tests and by the fetch stage's
-// next-line prefetch heuristic check.
-func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.lookup(addr)
-	for _, w := range set {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Memory is the bottom of the hierarchy: a fixed-latency DRAM model.
 type Memory struct {
 	Latency  int // cycles

@@ -105,7 +105,7 @@ func BenchmarkWarmSharing(b *testing.B) {
 		for k := range sweeps {
 			v := (i + k) % len(sweeps)
 			start := time.Now()
-			if _, err := NewEngine(1).RunSweep(context.Background(), sweeps[v]); err != nil {
+			if _, err := RunSweepOn(context.Background(), NewEngine(1), sweeps[v]); err != nil {
 				b.Fatal(err)
 			}
 			took[v] = time.Since(start).Seconds()

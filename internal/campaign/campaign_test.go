@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"galsim/internal/machine"
 	"galsim/internal/pipeline"
 	"galsim/internal/workload"
 )
@@ -175,7 +176,11 @@ func TestExecuteMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.DefaultConfig(pipeline.GALSTopology())
+	topo, err := machine.GALS().Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipeline.DefaultConfig(topo)
 	cfg.WorkloadSeed = 42
 	cfg.PhaseSeed = 1
 	cfg.Slowdowns[pipeline.DomFP] = 3
@@ -183,7 +188,7 @@ func TestExecuteMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := pipeline.NewCore(cfg, prof).Run(10_000)
+	want := pipeline.NewCoreWithSource(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed)).Run(10_000)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("campaign run diverged from direct pipeline run:\ncampaign: %+v\ndirect:   %+v", got, want)
 	}
@@ -205,7 +210,7 @@ func testSweep() Sweep {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	var ref []byte
 	for _, workers := range []int{1, 4, 16} {
-		results, err := NewEngine(workers).RunSweep(context.Background(), testSweep())
+		results, err := RunSweepOn(context.Background(), NewEngine(workers), testSweep())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -283,12 +283,6 @@ type UnitResult struct {
 	Summary Summary `json:"summary"`
 }
 
-// RunSweep expands the sweep, executes every unit on the engine, and
-// returns the aggregated results in expansion order.
-func (e *Engine) RunSweep(ctx context.Context, s Sweep) ([]UnitResult, error) {
-	return RunSweepOn(ctx, e, s)
-}
-
 // RunSweepOn expands the sweep, executes every unit on the given backend —
 // the local engine or a distributed cluster coordinator — and returns the
 // aggregated results in expansion order. Results are merged by unit index,

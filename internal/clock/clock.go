@@ -94,9 +94,6 @@ func (d *Domain) FrequencyGHz() float64 {
 // Voltage returns the current supply voltage.
 func (d *Domain) Voltage() float64 { return d.voltage }
 
-// NominalVoltage returns the supply voltage at slowdown 1.0.
-func (d *Domain) NominalVoltage() float64 { return d.vnom }
-
 // Slowdown returns period/nominalPeriod (1.0 = full speed).
 func (d *Domain) Slowdown() float64 { return d.slow }
 
@@ -186,24 +183,6 @@ func (d *Domain) Retune(at simtime.Time, slowdown, voltage float64) {
 		}
 		d.setVoltage(voltage)
 	}
-}
-
-// EdgeTime returns the time of edge index k (k >= 0).
-func (d *Domain) EdgeTime(k int64) simtime.Time {
-	if k < 0 {
-		panic(fmt.Sprintf("clock: domain %q: negative edge index %d", d.name, k))
-	}
-	return d.phase + simtime.Time(k)*d.period
-}
-
-// CycleIndex returns the index of the most recent edge at or before t, or -1
-// if t precedes the first edge. An instant exactly on an edge belongs to
-// that edge's cycle.
-func (d *Domain) CycleIndex(t simtime.Time) int64 {
-	if t < d.phase {
-		return -1
-	}
-	return int64((t - d.phase) / d.period)
 }
 
 // EdgeAtOrAfter returns the time of the first edge at or after t.

@@ -240,7 +240,7 @@ func TestSteppedEdgesMatchClosedForm(t *testing.T) {
 			if got, want := d.NthEdgeAfter(now, n), want+simtime.Time(n-1)*d.Period(); got != want {
 				t.Fatalf("trial %d op %d: NthEdgeAfter(%v, %d) = %v, want %v (%v)", trial, op, now, n, got, want, d)
 			}
-			r := d.Voltage() / d.NominalVoltage()
+			r := d.Voltage() / d.vnom
 			if got := d.EnergyScale(); got != r*r {
 				t.Fatalf("trial %d op %d: EnergyScale = %v, want %v", trial, op, got, r*r)
 			}

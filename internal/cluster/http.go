@@ -128,9 +128,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, res := range req.Results {
-		if res.Stats != nil && res.Error != "" {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("job result %d carries both stats and an error", res.JobID))
+		if err := res.validate(); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 	}

@@ -18,8 +18,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"galsim/internal/campaign"
@@ -63,59 +61,11 @@ type JobResult struct {
 	Error string          `json:"error,omitempty"`
 }
 
-// EncodeJob serializes a job for the lease response.
-func EncodeJob(j Job) []byte {
-	return mustMarshal(j)
-}
-
-// DecodeJob parses a job, rejecting unknown fields so schema drift between
-// coordinator and worker versions fails loudly instead of silently
-// dropping settings (a dropped slowdown would change simulation results).
-func DecodeJob(data []byte) (Job, error) {
-	var j Job
-	if err := decodeStrict(data, &j); err != nil {
-		return Job{}, fmt.Errorf("cluster: decoding job: %w", err)
-	}
-	return j, nil
-}
-
-// EncodeJobResult serializes a completion for the complete request.
-func EncodeJobResult(r JobResult) []byte {
-	return mustMarshal(r)
-}
-
-// DecodeJobResult parses a completion with the same strictness as
-// DecodeJob.
-func DecodeJobResult(data []byte) (JobResult, error) {
-	var r JobResult
-	if err := decodeStrict(data, &r); err != nil {
-		return JobResult{}, fmt.Errorf("cluster: decoding job result: %w", err)
-	}
+// validate rejects a result that carries both stats and an error. The
+// coordinator applies it to every completion it receives.
+func (r JobResult) validate() error {
 	if r.Stats != nil && r.Error != "" {
-		return JobResult{}, fmt.Errorf("cluster: job result %d carries both stats and an error", r.JobID)
-	}
-	return r, nil
-}
-
-func mustMarshal(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// Job and JobResult contain only marshalable fields; JSON-decoded
-		// values can never hold NaN/Inf, the one way a float fails to encode.
-		panic(fmt.Sprintf("cluster: marshaling wire message: %v", err))
-	}
-	return b
-}
-
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	// Trailing garbage after the message is a framing bug, not a message.
-	if dec.More() {
-		return fmt.Errorf("trailing data after message")
+		return fmt.Errorf("job result %d carries both stats and an error", r.JobID)
 	}
 	return nil
 }

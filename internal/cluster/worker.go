@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"galsim/internal/campaign"
+	"galsim/internal/httpjson"
 	"galsim/internal/snapshot"
 	"galsim/internal/telemetry"
 	"galsim/internal/timeline"
@@ -481,7 +482,7 @@ func (w *Worker) postTrace(ctx context.Context, path, traceparent string, in, ou
 	// Strict decoding end to end: a coordinator speaking a newer schema
 	// (say, a job field this worker would silently drop) must fail loudly
 	// here, not simulate the wrong configuration.
-	if err := decodeStrict(data, out); err != nil {
+	if err := httpjson.DecodeStrict(bytes.NewReader(data), out); err != nil {
 		return fmt.Errorf("%s: decoding response: %w", path, err)
 	}
 	return nil

@@ -21,10 +21,10 @@ package explore
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 
+	"galsim/internal/httpjson"
 	"galsim/internal/workload"
 )
 
@@ -186,15 +186,9 @@ type SearchSpec struct {
 // Parse decodes a SearchSpec from JSON, rejecting unknown fields — a
 // typo'd axis name must not silently search a smaller space.
 func Parse(data []byte) (SearchSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s SearchSpec
-	if err := dec.Decode(&s); err != nil {
+	if err := httpjson.DecodeStrict(bytes.NewReader(data), &s); err != nil {
 		return SearchSpec{}, fmt.Errorf("explore: parse search spec: %w", err)
-	}
-	var extra any
-	if err := dec.Decode(&extra); err == nil {
-		return SearchSpec{}, fmt.Errorf("explore: parse search spec: trailing data after spec")
 	}
 	return s, nil
 }

@@ -106,14 +106,6 @@ type Stats struct {
 	OccupancySum uint64
 }
 
-// AvgWait returns the mean residency of dequeued items.
-func (s Stats) AvgWait() simtime.Duration {
-	if s.Gets == 0 {
-		return 0
-	}
-	return s.TotalWait / simtime.Duration(s.Gets)
-}
-
 type entry[T any] struct {
 	item      T
 	seq       isa.Seq
@@ -239,12 +231,6 @@ func (l *Link[T]) Get(now simtime.Time) (item T, wait simtime.Duration, ok bool)
 		l.freeAt = append(l.freeAt, l.producer.NthEdgeAfter(now, l.syncEdges))
 	}
 	return item, wait, true
-}
-
-// FlushYoungerThan discards every entry with sequence number > seq and
-// returns the number discarded.
-func (l *Link[T]) FlushYoungerThan(seq isa.Seq) int {
-	return l.flush(func(e *entry[T]) bool { return e.seq > seq })
 }
 
 // FlushMatching discards every entry whose payload matches the predicate and

@@ -196,9 +196,6 @@ func TestStatsAccounting(t *testing.T) {
 	if st.TotalWait != ns+2*ns {
 		t.Errorf("TotalWait = %v, want 3ns", st.TotalWait)
 	}
-	if st.AvgWait() != 3*ns/2 {
-		t.Errorf("AvgWait = %v", st.AvgWait())
-	}
 }
 
 func TestOverflowPanics(t *testing.T) {

@@ -1,13 +1,16 @@
 // Package httpjson holds the JSON-over-HTTP plumbing shared by the galsimd
 // service handlers and the cluster fleet endpoints: one implementation of
 // response encoding, error bodies, and strict request decoding, so a fix
-// to any of them cannot silently miss a package.
+// to any of them cannot silently miss a package. Its strict decoder,
+// DecodeStrict, also parses the hand-written JSON documents galsim reads from
+// files: machine specs, workload profiles and search specs.
 package httpjson
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -35,14 +38,12 @@ func ErrorCode(w http.ResponseWriter, status int, code string, err error) {
 // CodeBodyTooLarge is the ErrorCode value for oversized request bodies.
 const CodeBodyTooLarge = "body_too_large"
 
-// Decode strictly parses a request body of at most maxBytes into v,
-// rejecting unknown fields. An oversized body is answered with 413 and a
-// typed code (the client must shrink the request, not fix its syntax); any
-// other failure writes a 400. Returns false when a response was written.
+// Decode strictly parses a request body of at most maxBytes into v with
+// DecodeStrict. An oversized body is answered with 413 and a typed code (the
+// client must shrink the request, not fix its syntax); any other failure
+// writes a 400. Returns false when a response was written.
 func Decode(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, maxBytes), v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			ErrorCode(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
@@ -53,4 +54,25 @@ func Decode(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) bool 
 		return false
 	}
 	return true
+}
+
+// DecodeStrict parses r, which must hold exactly one JSON value, into v. It
+// rejects object fields that v does not declare, so a typo or a newer
+// peer's setting fails loudly instead of being dropped, and anything but
+// white space after the value. A failure to read r is returned as is.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	var syntax *json.SyntaxError
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil || errors.As(err, &syntax):
+		return errors.New("trailing data after the JSON value")
+	default:
+		return err
+	}
 }

@@ -35,11 +35,10 @@
 // A generation counter increments on every recycle; Instr.Generation lets
 // tests (and debug assertions) detect a pointer held across a free. Once a
 // run is over, Pool.Recycle hands the arena's chunks to later arenas, which
-// zero them, generations included, before use. Callers
-// that intentionally retain records past commit — an OnCommit hook that
-// stores *Instr, for example — must opt out of pooling entirely (the
-// pipeline's RetainInstrs), falling back to NewInstr's ordinary heap
-// allocations; the two allocation paths produce identical records.
+// zero them, generations included, before use. A source handed no pool
+// falls back to NewInstr's ordinary heap allocations, never recycled; the
+// two allocation paths produce identical records, and the pipeline's tests
+// hold the arena to the heap path as their reference.
 package isa
 
 import (
@@ -101,12 +100,6 @@ func (c Class) IsFP() bool { return c == ClassFPAdd || c == ClassFPMul || c == C
 
 // IsMem reports whether the class executes on the memory cluster.
 func (c Class) IsMem() bool { return c == ClassLoad || c == ClassStore }
-
-// IsInt reports whether the class executes on the integer cluster (branches
-// resolve on the integer ALUs, as in the 21264).
-func (c Class) IsInt() bool {
-	return c == ClassNop || c == ClassIntALU || c == ClassIntMul || c == ClassBranch
-}
 
 // ExecLatency returns the occupancy of the functional unit in cycles of its
 // own clock domain, excluding cache misses (the memory system adds those
@@ -239,9 +232,8 @@ type Instr struct {
 	// the ROB; commit waits for it.
 	Done bool
 
-	// DCacheHit / L2Hit record the memory system's verdict for loads.
+	// DCacheHit records the L1 data cache's verdict for loads.
 	DCacheHit bool
-	L2Hit     bool
 
 	// Arena bookkeeping (see the package comment): the number of pipeline
 	// structures referencing this record, and the recycle generation.

@@ -106,9 +106,6 @@ type PoolStats struct {
 	FreeLen  int    // records currently on the free list
 }
 
-// Live returns the number of records currently held by callers.
-func (s PoolStats) Live() uint64 { return s.Gets - s.Releases }
-
 // Stats returns a snapshot of the arena's counters.
 func (p *Pool) Stats() PoolStats {
 	return PoolStats{

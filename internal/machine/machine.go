@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"galsim/internal/dvfs"
+	"galsim/internal/httpjson"
 	"galsim/internal/pipeline"
 	"galsim/internal/simtime"
 )
@@ -395,9 +396,7 @@ func (s Spec) Digest() string {
 // so typos in hand-written machines fail loudly.
 func Parse(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := httpjson.DecodeStrict(bytes.NewReader(data), &s); err != nil {
 		return Spec{}, fmt.Errorf("machine: decoding spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

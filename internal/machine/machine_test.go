@@ -183,6 +183,9 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse(data); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
+	if _, err := Parse(append(data, " trailing"...)); err == nil {
+		t.Error("spec followed by trailing data accepted")
+	}
 }
 
 func TestDomainNamesFresh(t *testing.T) {

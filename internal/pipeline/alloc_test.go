@@ -76,7 +76,7 @@ func TestArenaLifecycle(t *testing.T) {
 		t.Error("free list never recycled a record")
 	}
 	// Everything not still queued in a link/IQ/ROB at stop time was released.
-	if live := ps.Live(); live > 2_000 {
+	if live := ps.Gets - ps.Releases; live > 2_000 {
 		t.Errorf("%d records live at end of run; leak in a release path", live)
 	}
 	// Chunks bound the arena's footprint: must track in-flight capacity

@@ -12,10 +12,11 @@
 // grid, its own (possibly scaled) frequency and its own supply voltage.
 //
 // The paper's two machines are two topologies over identical structural
-// parameters: BaseTopology, one clock driving everything through a global
-// grid plus five local grids (21264-style hierarchy), and GALSTopology, one
-// domain per structure and no global grid. Any other partitioning — a
-// merged front end, a unified execution cluster — is just another Topology.
+// parameters (package machine builds them): the base machine, one clock
+// driving everything through a global grid plus five local grids
+// (21264-style hierarchy), and the GALS machine, one domain per structure
+// and no global grid. Any other partitioning — a merged front end, a
+// unified execution cluster — is just another Topology.
 package pipeline
 
 import (
@@ -26,7 +27,6 @@ import (
 	"galsim/internal/dvfs"
 	"galsim/internal/power"
 	"galsim/internal/simtime"
-	"galsim/internal/workload"
 )
 
 // LinkStyle selects the inter-domain communication mechanism of the GALS
@@ -375,7 +375,3 @@ func (c *Config) SetUniformSlowdown(s float64) {
 		c.Slowdowns[i] = s
 	}
 }
-
-// BenchmarkProfile is re-exported for convenience of callers configuring a
-// run.
-type BenchmarkProfile = workload.Profile

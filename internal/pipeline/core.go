@@ -58,8 +58,8 @@ type Core struct {
 
 	// pool is the instruction arena (see the isa package comment): records
 	// are allocated at fetch and recycled when the last pipeline structure
-	// releases them. nil when the source cannot pool or RetainInstrs opted
-	// out, in which case records come from the heap and are never recycled.
+	// releases them. nil when the source cannot pool or was handed no pool,
+	// in which case records come from the heap and are never recycled.
 	pool *isa.Pool
 
 	// domClocks holds one physical clock per topology domain; clocks aliases
@@ -174,8 +174,8 @@ type Core struct {
 // be set before Run.
 //
 // The *Instr is recycled into the core's arena after the hook returns: the
-// hook may read every field but must not retain the pointer past the call.
-// A hook that stores *Instr values must call RetainInstrs first.
+// hook may read every field but must not retain the pointer past the call;
+// a hook that needs a record later copies the fields it needs.
 func (c *Core) OnCommit(fn func(*isa.Instr)) {
 	if c.started {
 		panic("pipeline: OnCommit after Run")
@@ -183,23 +183,8 @@ func (c *Core) OnCommit(fn func(*isa.Instr)) {
 	c.commitHook = fn
 }
 
-// RetainInstrs disables arena recycling for this core: every instruction
-// record is heap-allocated and never reused, so an OnCommit hook may keep
-// *Instr values alive after the hook returns. The trade-off is the garbage-
-// collector traffic the arena exists to remove; results are identical either
-// way. Must be called before Run.
-func (c *Core) RetainInstrs() {
-	if c.started {
-		panic("pipeline: RetainInstrs after Run")
-	}
-	c.pool = nil
-	if pu, ok := c.gen.(workload.PoolUser); ok {
-		pu.UsePool(nil)
-	}
-}
-
-// PoolStats reports the instruction arena's counters (zero after
-// RetainInstrs or with a non-pooling source).
+// PoolStats reports the instruction arena's counters (zero with a
+// non-pooling source).
 func (c *Core) PoolStats() isa.PoolStats {
 	if c.pool == nil {
 		return isa.PoolStats{}
@@ -238,12 +223,6 @@ func (c *Core) releaseInstr(in *isa.Instr) {
 	if c.pool != nil {
 		c.pool.Release(in)
 	}
-}
-
-// NewCore builds a machine for the given configuration and benchmark,
-// driven by the built-in synthetic generator.
-func NewCore(cfg Config, prof workload.Profile) *Core {
-	return NewCoreWithSource(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed))
 }
 
 // NewCoreWithSource builds a machine fed by an arbitrary instruction source

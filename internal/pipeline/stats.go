@@ -150,17 +150,6 @@ func (s Stats) AvgPowerWatts() float64 {
 	return s.EnergyJoules() / sec
 }
 
-// ClockEnergyPJ is the energy of all clock grids.
-func (s Stats) ClockEnergyPJ() float64 {
-	var t float64
-	for _, b := range power.Blocks() {
-		if b.IsClock() {
-			t += s.EnergyBreakdown[b]
-		}
-	}
-	return t
-}
-
 // String summarizes the run for logs.
 func (s Stats) String() string {
 	return fmt.Sprintf(

@@ -102,33 +102,6 @@ type Topology struct {
 	Links [NumLinkClasses]LinkParams
 }
 
-// BaseTopology is the fully synchronous machine: every structure in one
-// "core" domain, clocked through a global grid plus the five local grids.
-func BaseTopology() Topology {
-	return Topology{
-		Domains:    []TopoDomain{{Name: "core"}},
-		GlobalGrid: true,
-	}
-}
-
-// GALSTopology is the paper's Figure 3(b) machine: one clock domain per
-// structure, execution domains scalable by the dynamic DVFS controller.
-func GALSTopology() Topology {
-	t := Topology{
-		Domains: []TopoDomain{
-			{Name: DomFetch.String()},
-			{Name: DomDecode.String()},
-			{Name: DomInt.String(), Scalable: true},
-			{Name: DomFP.String(), Scalable: true},
-			{Name: DomMem.String(), Scalable: true},
-		},
-	}
-	for d := range t.Of {
-		t.Of[d] = d
-	}
-	return t
-}
-
 // kind labels the topology for statistics: a single clock domain is a
 // synchronous ("base"-kind) machine, anything partitioned is GALS-kind.
 func (t Topology) kind() Kind {
@@ -181,7 +154,7 @@ func (t Topology) firingOrder() []int {
 // ceilings are checked by Config.Validate, which knows the DVFS model.
 func (t Topology) Validate() error {
 	if len(t.Domains) == 0 {
-		return fmt.Errorf("pipeline: topology has no clock domains (the zero Topology is not a machine; start from BaseTopology, GALSTopology or a machine spec's topology)")
+		return fmt.Errorf("pipeline: topology has no clock domains (the zero Topology is not a machine; start from a machine spec's topology)")
 	}
 	if len(t.Domains) > int(NumDomains) {
 		return fmt.Errorf("pipeline: topology has %d clock domains for %d structures; every domain must own at least one structure",

@@ -182,15 +182,6 @@ func (m *Meter) Access(b Block, n int) {
 	m.pending[b] += float64(n)
 }
 
-// AccessWeighted records a fractional access (used for FP operations, which
-// switch more capacitance than the blended ALU per-access constant).
-func (m *Meter) AccessWeighted(b Block, weight float64) {
-	if weight < 0 {
-		panic(fmt.Sprintf("power: negative access weight for %v", b))
-	}
-	m.pending[b] += weight
-}
-
 // EndCycle closes one clock cycle for the given blocks at the given voltage
 // scale factor ((V/Vnom)², see clock.Domain.EnergyScale): active blocks
 // charge their recorded accesses, idle blocks charge the idle fraction of a
@@ -234,9 +225,6 @@ func (m *Meter) AddEnergy(b Block, pj float64) {
 	m.energy[b] += pj
 }
 
-// BlockEnergy returns a block's accumulated energy in picojoules.
-func (m *Meter) BlockEnergy(b Block) float64 { return m.energy[b] }
-
 // TotalEnergy returns the machine's accumulated energy in picojoules.
 func (m *Meter) TotalEnergy() float64 {
 	var t float64
@@ -249,19 +237,5 @@ func (m *Meter) TotalEnergy() float64 {
 // Breakdown returns a copy of the per-block energies, indexed by Block.
 func (m *Meter) Breakdown() [NumBlocks]float64 { return m.energy }
 
-// ClockEnergy returns the energy of all clock grids combined.
-func (m *Meter) ClockEnergy() float64 {
-	var t float64
-	for b := Block(0); b < Block(NumBlocks); b++ {
-		if b.IsClock() {
-			t += m.energy[b]
-		}
-	}
-	return t
-}
-
 // Cycles returns how many cycles a block has been accounted.
 func (m *Meter) Cycles(b Block) uint64 { return m.cycles[b] }
-
-// IdleCycles returns how many accounted cycles found the block unused.
-func (m *Meter) IdleCycles(b Block) uint64 { return m.idle[b] }

@@ -42,7 +42,7 @@ func TestActiveCycleCharging(t *testing.T) {
 	m.Access(BlockICache, 2)
 	m.EndCycle([]Block{BlockICache}, 1.0)
 	want := 2 * DefaultParams().Blocks[BlockICache].PerAccess
-	if got := m.BlockEnergy(BlockICache); got != want {
+	if got := m.energy[BlockICache]; got != want {
 		t.Errorf("energy = %v, want %v", got, want)
 	}
 }
@@ -53,10 +53,10 @@ func TestIdleCycleChargesTenPercent(t *testing.T) {
 	m.EndCycle([]Block{BlockALUs}, 1.0)
 	bp := p.Blocks[BlockALUs]
 	want := 0.10 * bp.FullAccesses * bp.PerAccess
-	if got := m.BlockEnergy(BlockALUs); math.Abs(got-want) > 1e-9 {
+	if got := m.energy[BlockALUs]; math.Abs(got-want) > 1e-9 {
 		t.Errorf("idle energy = %v, want %v", got, want)
 	}
-	if m.IdleCycles(BlockALUs) != 1 {
+	if m.idle[BlockALUs] != 1 {
 		t.Error("idle cycle not counted")
 	}
 }
@@ -65,7 +65,7 @@ func TestClockGridNeverIdle(t *testing.T) {
 	p := DefaultParams()
 	m := NewMeter(p)
 	m.EndCycle([]Block{BlockFetchClock}, 1.0)
-	if got := m.BlockEnergy(BlockFetchClock); got != p.Blocks[BlockFetchClock].PerAccess {
+	if got := m.energy[BlockFetchClock]; got != p.Blocks[BlockFetchClock].PerAccess {
 		t.Errorf("grid idle cycle charged %v, want full %v", got, p.Blocks[BlockFetchClock].PerAccess)
 	}
 }
@@ -76,7 +76,7 @@ func TestEndClockCycle(t *testing.T) {
 	m.EndClockCycle(BlockGlobalClock, 1.0)
 	m.EndClockCycle(BlockGlobalClock, 0.25)
 	want := p.Blocks[BlockGlobalClock].PerAccess * 1.25
-	if got := m.BlockEnergy(BlockGlobalClock); math.Abs(got-want) > 1e-9 {
+	if got := m.energy[BlockGlobalClock]; math.Abs(got-want) > 1e-9 {
 		t.Errorf("grid energy = %v, want %v", got, want)
 	}
 	if m.Cycles(BlockGlobalClock) != 2 {
@@ -99,7 +99,7 @@ func TestVoltageScaling(t *testing.T) {
 	m.Access(BlockDCache, 1)
 	m.EndCycle([]Block{BlockDCache}, 0.5) // e.g. V = Vnom/sqrt(2)
 	want := 0.5 * DefaultParams().Blocks[BlockDCache].PerAccess
-	if got := m.BlockEnergy(BlockDCache); math.Abs(got-want) > 1e-9 {
+	if got := m.energy[BlockDCache]; math.Abs(got-want) > 1e-9 {
 		t.Errorf("scaled energy = %v, want %v", got, want)
 	}
 }
@@ -108,9 +108,9 @@ func TestPendingResetsBetweenCycles(t *testing.T) {
 	m := NewMeter(DefaultParams())
 	m.Access(BlockRename, 4)
 	m.EndCycle([]Block{BlockRename}, 1.0)
-	first := m.BlockEnergy(BlockRename)
+	first := m.energy[BlockRename]
 	m.EndCycle([]Block{BlockRename}, 1.0) // idle cycle
-	second := m.BlockEnergy(BlockRename) - first
+	second := m.energy[BlockRename] - first
 	idle := 0.10 * DefaultParams().Blocks[BlockRename].FullAccesses * DefaultParams().Blocks[BlockRename].PerAccess
 	if math.Abs(second-idle) > 1e-9 {
 		t.Errorf("second cycle charged %v, want idle %v", second, idle)
@@ -130,8 +130,8 @@ func TestTotalsAndBreakdown(t *testing.T) {
 	if math.Abs(sum-m.TotalEnergy()) > 1e-9 {
 		t.Error("breakdown does not sum to total")
 	}
-	if m.ClockEnergy() != m.BlockEnergy(BlockGlobalClock) {
-		t.Error("clock energy wrong")
+	if got := m.Breakdown()[BlockFIFOs]; got != 123 {
+		t.Errorf("breakdown FIFO energy = %v, want 123", got)
 	}
 }
 
@@ -154,9 +154,8 @@ func TestGlobalGridShareOfClockPower(t *testing.T) {
 func TestNegativeGuards(t *testing.T) {
 	m := NewMeter(DefaultParams())
 	for name, fn := range map[string]func(){
-		"Access":         func() { m.Access(BlockALUs, -1) },
-		"AccessWeighted": func() { m.AccessWeighted(BlockALUs, -0.5) },
-		"AddEnergy":      func() { m.AddEnergy(BlockFIFOs, -1) },
+		"Access":    func() { m.Access(BlockALUs, -1) },
+		"AddEnergy": func() { m.AddEnergy(BlockFIFOs, -1) },
 	} {
 		func() {
 			defer func() {

@@ -37,13 +37,6 @@ func (t *Table) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// WriteJSON writes the table as indented JSON.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
 // WriteCSV writes the table as RFC-4180 CSV: one header record followed by
 // the data rows. ID, title and note are not part of the CSV payload (they
 // travel in filenames or HTTP headers).

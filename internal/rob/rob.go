@@ -124,13 +124,6 @@ func (r *ROB) SquashTail(doomed func(*isa.Instr) bool, undo func(*isa.Instr)) in
 	return n
 }
 
-// Walk calls fn on every in-flight instruction from oldest to youngest.
-func (r *ROB) Walk(fn func(*isa.Instr)) {
-	for i := 0; i < r.n; i++ {
-		fn(r.buf[r.slot(i)])
-	}
-}
-
 // Tick records an occupancy sample; call once per cycle of the owning
 // domain.
 func (r *ROB) Tick() {

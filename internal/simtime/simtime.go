@@ -21,7 +21,6 @@ type Duration = Time
 
 // Convenient duration units.
 const (
-	Femtosecond Duration = 1
 	Picosecond  Duration = 1e3
 	Nanosecond  Duration = 1e6
 	Microsecond Duration = 1e9
@@ -38,17 +37,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Nanoseconds converts t to floating-point nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// Picoseconds converts t to floating-point picoseconds.
-func (t Time) Picoseconds() float64 { return float64(t) / float64(Picosecond) }
-
-// FromSeconds converts floating-point seconds to a Time, rounding to the
-// nearest femtosecond.
-func FromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
-
-// FromNanoseconds converts floating-point nanoseconds to a Time, rounding to
-// the nearest femtosecond.
-func FromNanoseconds(ns float64) Time { return Time(math.Round(ns * float64(Nanosecond))) }
 
 // String renders the time with an adaptive unit, e.g. "1.25ns" or "800ps".
 func (t Time) String() string {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestUnits(t *testing.T) {
-	if Picosecond != 1000*Femtosecond {
+	if Picosecond != 1000 {
 		t.Errorf("Picosecond = %d fs, want 1000", int64(Picosecond))
 	}
 	if Nanosecond != 1000*Picosecond {

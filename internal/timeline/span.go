@@ -142,13 +142,6 @@ func (c *SpanCollector) Len() int {
 	return len(c.spans)
 }
 
-// Dropped is the number of spans lost to the cap.
-func (c *SpanCollector) Dropped() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
-
 // WriteSpansTrace renders spans as Chrome trace-event JSON: one Perfetto
 // process per Service, X (complete) events laid out in non-overlapping
 // lanes, timestamps rebased to the earliest span start. Output is

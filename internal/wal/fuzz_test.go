@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzWALRecord fuzzes the record framing both ways: any payload must
-// encode→decode to identical bytes, and decoding arbitrary bytes must never
-// panic — corrupt headers, lying length fields and flipped checksum bits
-// all have to surface as errors, because this is exactly what the torn tail
-// of a crashed coordinator's journal looks like.
+// FuzzWALRecord fuzzes the record framing both ways, through the frame
+// reader replay uses: any payload must encode→read to identical bytes, and
+// reading arbitrary bytes must never panic — corrupt headers, lying length
+// fields and flipped checksum bits all have to end the read, because this
+// is exactly what the torn tail of a crashed coordinator's journal looks
+// like.
 func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello"))
@@ -21,25 +22,27 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, headerSize))           // zero-length, zero-CRC
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Round-trip: data as a payload.
+		// Round-trip: data as a payload, read back the way replay reads a
+		// segment, with nothing left over.
 		if len(data) <= MaxRecordBytes {
-			frame := EncodeRecord(data)
-			payload, n, err := DecodeRecord(frame)
-			if err != nil {
-				t.Fatalf("decode of freshly encoded record failed: %v", err)
-			}
-			if n != len(frame) {
-				t.Fatalf("decode consumed %d of %d frame bytes", n, len(frame))
+			r := bytes.NewReader(EncodeRecord(data))
+			payload, ok := readRecord(r)
+			if !ok {
+				t.Fatal("read of a freshly encoded record failed")
 			}
 			if !bytes.Equal(payload, data) {
 				t.Fatalf("round-trip changed payload: %q -> %q", data, payload)
 			}
+			if r.Len() != 0 {
+				t.Fatalf("read left %d frame bytes unread", r.Len())
+			}
 		}
-		// Adversarial: data as a (possibly corrupt) frame. Must not panic;
-		// a successful decode must re-encode to a prefix-stable frame.
-		if payload, n, err := DecodeRecord(data); err == nil {
-			again := EncodeRecord(payload)
-			if !bytes.Equal(again, data[:n]) {
+		// Adversarial: data as a (possibly corrupt) segment. Must not panic;
+		// a successful read must re-encode to the bytes it consumed.
+		r := bytes.NewReader(data)
+		if payload, ok := readRecord(r); ok {
+			n := len(data) - r.Len()
+			if again := EncodeRecord(payload); !bytes.Equal(again, data[:n]) {
 				t.Fatalf("valid frame did not re-encode identically")
 			}
 		}

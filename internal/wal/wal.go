@@ -196,25 +196,27 @@ func EncodeRecord(payload []byte) []byte {
 	return buf
 }
 
-// DecodeRecord parses one frame from the front of buf, returning the
-// payload and the total frame length consumed. It never panics: torn,
-// truncated, oversized and checksum-corrupt frames all return an error.
-func DecodeRecord(buf []byte) (payload []byte, n int, err error) {
-	if len(buf) < headerSize {
-		return nil, 0, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(buf))
+// readRecord reads one frame from r and returns its payload. ok is false at
+// a clean end of input and at a torn header or payload, a length over
+// MaxRecordBytes or a checksum mismatch: the shapes the tail of a crashed
+// writer's segment takes.
+func readRecord(r io.Reader) (payload []byte, ok bool) {
+	var header [headerSize]byte
+	if _, err := io.ReadFull(r, header[:]); err != nil {
+		return nil, false
 	}
-	length := binary.LittleEndian.Uint32(buf[0:4])
+	length := binary.LittleEndian.Uint32(header[0:4])
 	if length > MaxRecordBytes {
-		return nil, 0, fmt.Errorf("%w: length %d exceeds limit", ErrCorrupt, length)
+		return nil, false
 	}
-	if uint32(len(buf)-headerSize) < length {
-		return nil, 0, fmt.Errorf("%w: short payload (%d of %d bytes)", ErrCorrupt, len(buf)-headerSize, length)
+	payload = make([]byte, length)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, false
 	}
-	payload = buf[headerSize : headerSize+int(length)]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(header[4:8]) {
+		return nil, false
 	}
-	return payload, headerSize + int(length), nil
+	return payload, true
 }
 
 // Append durably adds one record, rotating to a new segment when the
@@ -307,28 +309,17 @@ func scanSegment(path string, fn func([]byte) error) (valid int64, records uint6
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	var header [headerSize]byte
 	for {
-		if _, err := io.ReadFull(br, header[:]); err != nil {
-			return valid, records, nil // clean EOF or torn header: stop here
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		if length > MaxRecordBytes {
-			return valid, records, nil // corrupt length: treat as tail
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return valid, records, nil // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(header[4:8]) {
-			return valid, records, nil // checksum mismatch: tail is suspect
+		payload, ok := readRecord(br)
+		if !ok {
+			return valid, records, nil // clean EOF, or a torn or corrupt tail
 		}
 		if fn != nil {
 			if err := fn(payload); err != nil {
 				return valid, records, err
 			}
 		}
-		valid += headerSize + int64(length)
+		valid += headerSize + int64(len(payload))
 		records++
 	}
 }
@@ -417,9 +408,6 @@ func (l *Log) Stats() Stats {
 	s.Segments = uint64(len(l.segments))
 	return s
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Close flushes and closes the active segment. Further operations return
 // ErrClosed.

@@ -193,9 +193,6 @@ func (g *Generator) Profile() Profile { return g.prof }
 // Generated returns the number of correct-path instructions produced.
 func (g *Generator) Generated() uint64 { return g.generated }
 
-// WrongPathGenerated returns the number of wrong-path instructions produced.
-func (g *Generator) WrongPathGenerated() uint64 { return g.wrongGen }
-
 // codeEnd returns the first address past the code footprint.
 func (g *Generator) codeEnd() uint64 { return CodeBase + uint64(g.prof.CodeFootprint) }
 

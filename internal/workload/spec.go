@@ -2,8 +2,9 @@ package workload
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+
+	"galsim/internal/httpjson"
 )
 
 // PhaseSpec is one phase of a user-defined workload: a statistical profile
@@ -96,9 +97,7 @@ func (s ProfileSpec) resolvePhase(i int) (Profile, error) {
 // fields so typos in hand-written profiles fail loudly.
 func ParseSpec(data []byte) (ProfileSpec, error) {
 	var spec ProfileSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := httpjson.DecodeStrict(bytes.NewReader(data), &spec); err != nil {
 		return ProfileSpec{}, fmt.Errorf("workload: decoding profile spec: %w", err)
 	}
 	if err := spec.Validate(); err != nil {

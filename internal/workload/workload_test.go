@@ -259,8 +259,8 @@ func TestWrongPathLifecycle(t *testing.T) {
 			t.Fatal("wrong-path instruction not marked")
 		}
 	}
-	if g.WrongPathGenerated() != 50 {
-		t.Errorf("wrong-path count = %d", g.WrongPathGenerated())
+	if g.wrongGen != 50 {
+		t.Errorf("wrong-path count = %d", g.wrongGen)
 	}
 	g.EndWrongPath()
 
