@@ -64,7 +64,8 @@ func TestNoUnusedExports(t *testing.T) {
 }
 
 // TestUnusedExportsFindsDeadFunc runs the check on a module with one used
-// and one unused exported func under internal/.
+// and one unused exported func under internal/. Another package exports a
+// used func of the unused one's name, which must not hide it.
 func TestUnusedExportsFindsDeadFunc(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -76,7 +77,19 @@ func Used() {}
 func Unused() {}
 `,
 		"internal/p/p_test.go": "package p\n\nfunc f() { Unused() }\n",
-		"main.go":              "package main\n\nimport \"m/internal/p\"\n\nfunc main() { p.Used() }\n",
+		"internal/q/q.go":      "package q\n\nfunc Unused() {}\n",
+		"main.go": `package main
+
+import (
+	"m/internal/p"
+	"m/internal/q"
+)
+
+func main() {
+	p.Used()
+	q.Unused()
+}
+`,
 	}
 	for name, src := range files {
 		path := filepath.Join(root, name)
@@ -108,14 +121,20 @@ type exportDecl struct {
 // unusedExports walks the Go module at root, including nested modules such
 // as perfbench, and returns the sorted keys of the exported funcs, methods,
 // types and package-level consts and vars declared in non-test files under
-// root/internal whose name appears as an identifier in no non-test file
-// outside its own declaration. A method's receiver does not count as a use
-// of its type. Struct fields are not checked: encoding/json reads them by
-// reflection. Methods with standard-library interface names, and methods
-// of internal types that the root package aliases, are exempt.
+// root/internal that no non-test file names outside their own declaration.
+// A package-level name counts as named only by a bare identifier in its
+// own package's directory or by a selector through an import of its
+// package, so a same-named export of another package cannot hide it. A
+// method counts as named by any identifier of its name, since calls
+// through interfaces and embedded fields name no package. A method's
+// receiver does not count as a use of its type. Struct fields are not
+// checked: encoding/json reads them by reflection. Methods with
+// standard-library interface names, and methods of internal types that the
+// root package aliases, are exempt.
 func unusedExports(root string) ([]string, error) {
 	fset := token.NewFileSet()
-	uses := map[string][]token.Pos{} // identifier name -> positions
+	uses := map[string][]token.Pos{}    // identifier name -> positions
+	pkgUses := map[string][]token.Pos{} // "dir.Name" -> positions
 	var decls []exportDecl
 	var rootFiles []*ast.File
 	internal := filepath.Join(root, "internal") + string(filepath.Separator)
@@ -138,7 +157,8 @@ func unusedExports(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		collectUses(f, uses)
+		u := usesCollector{dir: filepath.Dir(path), imports: internalImports(f, root), uses: uses, pkgUses: pkgUses}
+		u.collect(f)
 		if filepath.Dir(path) == filepath.Clean(root) {
 			rootFiles = append(rootFiles, f)
 		}
@@ -157,8 +177,12 @@ func unusedExports(root string) ([]string, error) {
 		if d.recv != "" && (interfaceMethods[d.name] || aliased[d.pkgDir+"."+d.recv]) {
 			continue
 		}
+		named := pkgUses[d.pkgDir+"."+d.name]
+		if d.recv != "" {
+			named = uses[d.name]
+		}
 		used := false
-		for _, p := range uses[d.name] {
+		for _, p := range named {
 			if p < d.pos || p >= d.end {
 				used = true
 				break
@@ -172,23 +196,67 @@ func unusedExports(root string) ([]string, error) {
 	return found, nil
 }
 
-// collectUses records every identifier under n, skipping method receivers.
-func collectUses(n ast.Node, uses map[string][]token.Pos) {
+// usesCollector records the identifiers of one file.
+type usesCollector struct {
+	dir     string            // the file's directory
+	imports map[string]string // import name -> directory, internal packages only
+	uses    map[string][]token.Pos
+	pkgUses map[string][]token.Pos
+}
+
+// collect records every identifier under n, skipping method receivers: by
+// name in uses, and in pkgUses under "dir.Name" for the package it can
+// name — the file's own for a bare identifier, the imported one for a
+// selector through an import.
+func (u usesCollector) collect(n ast.Node) {
+	add := func(dir string, id *ast.Ident) {
+		u.uses[id.Name] = append(u.uses[id.Name], id.Pos())
+		key := dir + "." + id.Name
+		u.pkgUses[key] = append(u.pkgUses[key], id.Pos())
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
 			if n.Recv != nil {
-				collectUses(n.Type, uses)
+				u.collect(n.Type)
 				if n.Body != nil {
-					collectUses(n.Body, uses)
+					u.collect(n.Body)
 				}
 				return false
 			}
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && u.imports[x.Name] != "" {
+				add(u.imports[x.Name], n.Sel)
+				return false
+			}
+			// A field or method selector names no package-level decl.
+			u.uses[n.Sel.Name] = append(u.uses[n.Sel.Name], n.Sel.Pos())
+			u.collect(n.X)
+			return false
 		case *ast.Ident:
-			uses[n.Name] = append(uses[n.Name], n.Pos())
+			add(u.dir, n)
 		}
 		return true
 	})
+}
+
+// internalImports maps the import names of f's internal packages to their
+// directories under root.
+func internalImports(f *ast.File, root string) map[string]string {
+	dirs := map[string]string{}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		i := strings.Index(path, "/internal/")
+		if i < 0 {
+			continue
+		}
+		name := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		dirs[name] = filepath.Join(root, filepath.FromSlash(path[i+1:]))
+	}
+	return dirs
 }
 
 // exportedDecls lists the exported package-level declarations of f.
@@ -253,19 +321,7 @@ func receiverType(e ast.Expr) string {
 func aliasedTypes(files []*ast.File, root string) map[string]bool {
 	out := map[string]bool{}
 	for _, f := range files {
-		dirs := map[string]string{} // import name -> directory under root
-		for _, imp := range f.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			i := strings.Index(path, "/internal/")
-			if i < 0 {
-				continue
-			}
-			name := path[strings.LastIndex(path, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			dirs[name] = filepath.Join(root, filepath.FromSlash(path[i+1:]))
-		}
+		dirs := internalImports(f, root)
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {

@@ -27,6 +27,7 @@
 package galsim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -38,7 +39,6 @@ import (
 	"galsim/internal/machine"
 	"galsim/internal/pipeline"
 	"galsim/internal/power"
-	"galsim/internal/trace"
 	"galsim/internal/workload"
 )
 
@@ -407,14 +407,30 @@ func (r Result) RelativePerformance(other Result) float64 {
 // naming the built-ins. Run, RunMany and the galsimd HTTP API all surface
 // the same messages.
 func (o Options) Validate() error {
-	_, err := o.spec()
+	spec, err := o.spec()
+	if err == nil {
+		err = spec.Validate()
+	}
+	if err == nil && o.Warmup > 0 {
+		// Run leaves this rule to ExecuteOpts, which knows the budget
+		// without another read; this is ExecuteOpts' message.
+		if budget := spec.Canonical().Instructions; o.Warmup >= budget {
+			err = fmt.Errorf("campaign: warmup %d must be below the run's %d-instruction budget", o.Warmup, budget)
+		}
+	}
 	return err
 }
 
-// spec translates the options into a canonical campaign unit.
+// spec checks the Options-only rules and builds the campaign unit.
 func (o Options) spec() (campaign.RunSpec, error) {
 	if o.Benchmark == "" && o.Profile == nil && o.Trace == "" {
 		return campaign.RunSpec{}, fmt.Errorf("galsim: Options.Benchmark is required (one of %v) unless Options.Profile or Options.Trace is set", Benchmarks())
+	}
+	if o.SnapshotOut != "" && o.Warmup == 0 {
+		return campaign.RunSpec{}, fmt.Errorf("galsim: Options.SnapshotOut requires Options.Warmup to say when to capture")
+	}
+	if o.Warmup > 0 && o.SnapshotOut == "" {
+		return campaign.RunSpec{}, fmt.Errorf("galsim: Options.Warmup requires Options.SnapshotOut to receive the capture")
 	}
 	spec := campaign.RunSpec{
 		Benchmark:      o.Benchmark,
@@ -433,30 +449,9 @@ func (o Options) spec() (campaign.RunSpec, error) {
 	}
 	if o.Trace != "" {
 		spec.Trace = &campaign.TraceRef{Path: o.Trace}
-		if o.Instructions == 0 {
-			// Replays default to the recorded run's length. Validate (below)
-			// reports unreadable or malformed files.
-			if meta, err := trace.ReadMeta(o.Trace); err == nil {
-				spec.Instructions = meta.Instructions
-			}
-		}
 	}
 	if o.SnapshotIn != "" {
 		spec.Snapshot = &campaign.SnapshotRef{Path: o.SnapshotIn}
-	}
-	if o.SnapshotOut != "" && o.Warmup == 0 {
-		return campaign.RunSpec{}, fmt.Errorf("galsim: Options.SnapshotOut requires Options.Warmup to say when to capture")
-	}
-	if o.Warmup > 0 && o.SnapshotOut == "" {
-		return campaign.RunSpec{}, fmt.Errorf("galsim: Options.Warmup requires Options.SnapshotOut to receive the capture")
-	}
-	if err := spec.Validate(); err != nil {
-		return campaign.RunSpec{}, err
-	}
-	if o.Warmup > 0 {
-		if budget := spec.Canonical().Instructions; o.Warmup >= budget {
-			return campaign.RunSpec{}, fmt.Errorf("galsim: Options.Warmup (%d) must be below the run's %d-instruction budget", o.Warmup, budget)
-		}
 	}
 	return spec, nil
 }
@@ -496,16 +491,16 @@ func Run(o Options) (Result, error) {
 		Warmup:      o.Warmup,
 		SnapshotOut: o.SnapshotOut,
 	}
-	var f *os.File
+	out := &createOnWrite{path: o.RecordTrace}
 	if o.RecordTrace != "" {
-		if f, err = os.Create(o.RecordTrace); err != nil {
-			return Result{}, fmt.Errorf("galsim: creating trace file: %w", err)
-		}
-		execOpts.TraceOut = f
+		execOpts.TraceOut = out
 	}
 	st, err := campaign.ExecuteOpts(spec, execOpts)
-	if f != nil {
-		if cerr := f.Close(); err == nil && cerr != nil {
+	if out.err != nil {
+		err = fmt.Errorf("galsim: creating trace file: %w", out.err)
+	}
+	if out.f != nil {
+		if cerr := out.f.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("galsim: closing trace file: %w", cerr)
 		}
 		if err != nil {
@@ -517,9 +512,26 @@ func Run(o Options) (Result, error) {
 		// whole point is a post-mortem of the events leading to failure.
 		return Result{Timeline: tap.Recorder}, err
 	}
-	r := resultFrom(spec.WorkloadName(), o, st)
+	r := resultFrom(st.Benchmark, spec, st)
 	r.Timeline = tap.Recorder
 	return r, nil
+}
+
+// createOnWrite creates the file at path on its first Write, so a run that
+// fails its checks leaves any file already at path as it was.
+type createOnWrite struct {
+	path string
+	f    *os.File
+	err  error // the error creating the file
+}
+
+func (w *createOnWrite) Write(p []byte) (int, error) {
+	if w.f == nil {
+		if w.f, w.err = os.Create(w.path); w.err != nil {
+			return 0, w.err
+		}
+	}
+	return w.f.Write(p)
 }
 
 // Backend executes batches of simulation units and returns their stats in
@@ -570,6 +582,7 @@ func RunManyProgressOn(ctx context.Context, b Backend, opts []Options, fn Progre
 		return nil, nil
 	}
 	specs := make([]campaign.RunSpec, len(opts))
+	names := make([]string, len(opts))
 	for i, o := range opts {
 		if o.OnCommit != nil {
 			return nil, fmt.Errorf("galsim: RunMany does not support Options.OnCommit; use Run for traced runs")
@@ -584,6 +597,15 @@ func RunManyProgressOn(ctx context.Context, b Backend, opts []Options, fn Progre
 			return nil, fmt.Errorf("galsim: RunMany does not support Options.Warmup/SnapshotOut; use Run to capture a snapshot (Options.SnapshotIn is fine: it is part of the run's identity)")
 		}
 		spec, err := o.spec()
+		switch {
+		case err != nil:
+		case spec.Trace != nil:
+			// A trace recorded without a name is labelled by its path, and a
+			// run of the same bytes at another path may fill the cache entry.
+			_, names[i], err = spec.NewSource()
+		default:
+			err = spec.Validate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("galsim: options[%d]: %w", i, err)
 		}
@@ -594,19 +616,13 @@ func RunManyProgressOn(ctx context.Context, b Backend, opts []Options, fn Progre
 		return nil, err
 	}
 	results := make([]Result, len(opts))
-	for i, o := range opts {
-		results[i] = resultFrom(specs[i].WorkloadName(), o, stats[i])
+	for i, spec := range specs {
+		results[i] = resultFrom(cmp.Or(names[i], stats[i].Benchmark), spec, stats[i])
 	}
 	return results, nil
 }
 
-func resultFrom(name string, o Options, st pipeline.Stats) Result {
-	switch {
-	case o.MachineSpec != nil:
-		o.Machine = Machine(o.MachineSpec.Name)
-	case o.Machine == "":
-		o.Machine = Base
-	}
+func resultFrom(name string, spec campaign.RunSpec, st pipeline.Stats) Result {
 	breakdown := map[string]float64{}
 	for _, b := range power.Blocks() {
 		breakdown[b.String()] = st.EnergyBreakdown[b]
@@ -617,7 +633,7 @@ func resultFrom(name string, o Options, st pipeline.Stats) Result {
 	}
 	return Result{
 		Benchmark:            name,
-		Machine:              o.Machine,
+		Machine:              Machine(spec.MachineName()),
 		Committed:            st.Committed,
 		Fetched:              st.Fetched,
 		WrongPathFetched:     st.WrongPathFetched,

@@ -1,11 +1,17 @@
 package galsim
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"galsim/internal/trace"
+	"galsim/internal/workload"
 )
 
 // phasedProfile alternates a heavily integer kernel with a heavily FP one:
@@ -93,6 +99,82 @@ func TestTraceReplayDefaultsToRecordedLength(t *testing.T) {
 	}
 	if r.Benchmark != "replay:adpcm" {
 		t.Errorf("replay result benchmark = %q", r.Benchmark)
+	}
+}
+
+// TestFailedRecordKeepsExistingFile runs invalid options whose RecordTrace
+// names a file that already exists: the run must fail before it writes a
+// byte there.
+func TestFailedRecordKeepsExistingFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "gcc.trace")
+	old := []byte("an earlier recording")
+	snap := filepath.Join(dir, "gcc.snap")
+	if _, err := Run(Options{Benchmark: "gcc", Instructions: 2_000, Warmup: 1_000, SnapshotOut: snap}); err != nil {
+		t.Fatal(err)
+	}
+	for name, o := range map[string]Options{
+		"resumed run":       {Benchmark: "gcc", Instructions: 2_000, SnapshotIn: snap},
+		"unknown benchmark": {Benchmark: "gccx"},
+		"bad slowdown key":  {Benchmark: "gcc", Machine: GALS, Slowdowns: map[string]float64{"warp": 2}},
+		"warmup past budget": {Benchmark: "gcc", Instructions: 2_000, Warmup: 3_000,
+			SnapshotOut: filepath.Join(dir, "s.snap")},
+	} {
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o.RecordTrace = path
+		if _, err := Run(o); err == nil {
+			t.Errorf("%s: Run succeeded", name)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+			t.Errorf("%s: the existing file now holds %q (%v), want %q", name, got, err, old)
+		}
+	}
+	_, err := Run(Options{Benchmark: "gcc", Instructions: 2_000, RecordTrace: filepath.Join(dir, "missing", "gcc.trace")})
+	if err == nil || !strings.HasPrefix(err.Error(), "galsim: creating trace file: ") {
+		t.Errorf("recording into a missing directory: err = %v", err)
+	}
+}
+
+// TestRunManyLabelsReplaysByTheirOwnPath replays one trace recorded without
+// a workload name from two paths in one batch. The runs share a cache entry
+// (a trace is keyed by content), but each result is labelled with its own
+// path.
+func TestRunManyLabelsReplaysByTheirOwnPath(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, trace.Meta{Instructions: 2_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(prof, 7)
+	for range 2_000 {
+		w.Instr(gen.Next())
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "a.trace"), filepath.Join(dir, "b.trace")}
+	var opts []Options
+	for _, p := range paths {
+		if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts = append(opts, Options{Trace: p})
+	}
+	rs, err := RunMany(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if want := "replay:" + paths[i]; r.Benchmark != want {
+			t.Errorf("result %d labelled %q, want %q", i, r.Benchmark, want)
+		}
 	}
 }
 
@@ -232,4 +314,29 @@ func groupKeys(names []string) []string {
 		keys[i] = info.Suite + "/" + info.Name
 	}
 	return keys
+}
+
+// TestWarmupPastBudgetOneMessage checks that Validate and Run report a
+// warm-up at or past the run's budget with the same message, for an
+// explicit budget and for a replay's recorded one.
+func TestWarmupPastBudgetOneMessage(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "adpcm.trace")
+	if _, err := Run(Options{Benchmark: "adpcm", Instructions: 2_000, RecordTrace: path}); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "s.snap")
+	for _, o := range []Options{
+		{Benchmark: "gcc", Instructions: 2_000, Warmup: 3_000, SnapshotOut: snap},
+		{Trace: path, Warmup: 2_000, SnapshotOut: snap},
+	} {
+		verr := o.Validate()
+		_, rerr := Run(o)
+		if verr == nil || rerr == nil || verr.Error() != rerr.Error() {
+			t.Errorf("Validate = %v, Run = %v; want one error from both", verr, rerr)
+		}
+		if _, err := os.Stat(snap); !os.IsNotExist(err) {
+			t.Errorf("a rejected run left a snapshot behind (stat: %v)", err)
+		}
+	}
 }

@@ -95,7 +95,7 @@ type ProgressBackend interface {
 }
 
 // WarmBackend is optionally implemented by backends that can share warm-up
-// prefixes across a batch: units with equal warm identities (RunSpec.WarmKey)
+// prefixes across a batch: units with equal warm identities
 // simulate their first `warmup` committed instructions once, fork the
 // captured snapshot, and resume per unit. Sharing is pure execution tuning —
 // a WarmBackend must return stats byte-identical to RunAll's for the same

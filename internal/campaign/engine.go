@@ -144,16 +144,14 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) (pipeline.Stats, error) 
 // only observe, and the pipeline differential gate proves captured and
 // resumed executions byte-identical to cold ones.
 func (e *Engine) RunOpts(ctx context.Context, spec RunSpec, opts ExecOpts) (pipeline.Stats, bool, error) {
-	// Canonicalize once up front: this pins a trace's content digest, so
-	// the cache key below and the execution's own Validate see the same
-	// content. A trace file swapped between keying and execution then fails
-	// the digest check with an explicit error instead of caching the new
-	// content's results under the old content's key.
-	spec = spec.Canonical()
-	if err := spec.Validate(); err != nil {
+	// Resolve once: the key below and the simulation both use the trace and
+	// snapshot bytes read here, so a file swapped after this point can
+	// change neither.
+	r, err := resolve(spec)
+	if err != nil {
 		return pipeline.Stats{}, false, err
 	}
-	key := spec.Key()
+	key := r.spec.key()
 	sh := e.shardFor(key)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -188,7 +186,7 @@ func (e *Engine) RunOpts(ctx context.Context, spec RunSpec, opts ExecOpts) (pipe
 		}
 		if ent.err == nil {
 			e.misses.Add(1)
-			ent.st, ent.err = ExecuteOpts(spec, opts)
+			ent.st, ent.err = r.execute(opts)
 			<-e.sem
 		}
 		if ent.err != nil {
@@ -330,7 +328,7 @@ func (e *Engine) WarmSharing() (groups, savedInstructions uint64) {
 }
 
 // RunAllWarm is RunAllProgress with warm-up sharing: units that share a
-// warm identity (WarmKey — same machine, workload and run settings, any
+// warm identity (same machine, workload and run settings, any
 // instruction budget) simulate their common prefix once. It is a two-pass
 // plan over the same batch loop. The first pass runs each group's leader
 // (its first unit) and every unit without prefix peers; a leader captures a
@@ -345,19 +343,21 @@ func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64,
 		return e.RunAllProgress(ctx, specs, fn)
 	}
 	// leader[i] is the first unit of i's warm group, or i itself. A unit
-	// that cannot share a prefix — already snapshot-seeded, or its whole
-	// budget inside the warm-up — leads a group of one and runs cold.
+	// that cannot share a prefix — invalid, already snapshot-seeded, or its
+	// whole budget inside the warm-up — leads a group of one and runs cold.
 	leader := make([]int, len(specs))
+	budget := make([]uint64, len(specs))
 	followed := make([]bool, len(specs))
 	first := map[string]int{}
 	shared := 0
 	for i := range specs {
 		leader[i] = i
-		s := specs[i].Canonical()
-		if s.Snapshot != nil || warmup >= s.Instructions {
+		r, err := resolve(specs[i])
+		if err != nil || r.snap != nil || warmup >= r.spec.Instructions {
 			continue
 		}
-		k := s.WarmKey()
+		budget[i] = r.spec.Instructions
+		k := r.warmKey()
 		l, ok := first[k]
 		if !ok {
 			first[k] = i
@@ -393,7 +393,7 @@ func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64,
 		// warmup, so it can overshoot a budget just above warmup: such a
 		// follower runs cold.
 		sn := snaps[l]
-		if sn != nil && sn.Committed >= specs[i].Canonical().Instructions {
+		if sn != nil && sn.Committed >= budget[i] {
 			sn = nil
 		}
 		return ExecOpts{Resume: sn}, true

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"galsim/internal/isa"
 	"galsim/internal/pipeline"
@@ -49,7 +50,7 @@ type ExecOpts struct {
 	// Resume restores this in-memory snapshot as the run's starting state:
 	// the programmatic equivalent of RunSpec.Snapshot, used where the
 	// snapshot never touches disk (sweep warm-up sharing, cluster job
-	// checkpoints). The snapshot must carry the spec's own WarmKey.
+	// checkpoints). The snapshot must carry the spec's own warm key.
 	Resume *snapshot.Snapshot
 }
 
@@ -62,22 +63,33 @@ func Execute(spec RunSpec, onCommit func(*isa.Instr)) (pipeline.Stats, error) {
 }
 
 // ExecuteOpts runs one unit with the full set of taps and snapshot
-// controls, bypassing any cache. It is the single execution path under
-// Execute, galsim.Run and Engine.RunOpts.
-func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
-	// Canonicalize once: pins trace and snapshot digests (so the later
-	// Validate detects a file swapped underneath us) and spares repeated
-	// default-filling.
-	spec = spec.Canonical()
-	cfg, err := spec.PipelineConfig()
+// controls, bypassing any cache. It and Engine.RunOpts share one path:
+// resolve the spec, then simulate what resolve read.
+func ExecuteOpts(spec RunSpec, opts ExecOpts) (pipeline.Stats, error) {
+	r, err := resolve(spec)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	resume, err := resumeSnapshot(spec, opts)
+	return r.execute(opts)
+}
+
+// execute simulates the resolved run from the trace and snapshot resolve
+// read and checked. The options are checked before opts.TraceOut is
+// first written.
+func (r *resolved) execute(opts ExecOpts) (st pipeline.Stats, err error) {
+	cfg, err := r.config()
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	src, name, err := spec.NewSource()
+	resume, err := r.resumeSnapshot(opts)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	targets, err := snapshotTargets(r.spec, opts, resume)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	src, name, err := r.spec.source(r.trace)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
@@ -86,15 +98,15 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 		if resume != nil {
 			return pipeline.Stats{}, fmt.Errorf("campaign: cannot record a trace of a resumed run: the stream before the snapshot was consumed by the capturing run; record from a cold start")
 		}
-		specJSON, merr := json.Marshal(spec)
+		specJSON, merr := json.Marshal(r.spec)
 		if merr != nil {
 			return pipeline.Stats{}, fmt.Errorf("campaign: marshaling spec for trace header: %w", merr)
 		}
 		tw, werr := trace.NewWriter(opts.TraceOut, trace.Meta{
 			Name:          name,
-			Instructions:  spec.Instructions,
+			Instructions:  r.spec.Instructions,
 			SpecJSON:      specJSON,
-			MachineDigest: spec.MachineDigest(),
+			MachineDigest: r.spec.MachineDigest(),
 		})
 		if werr != nil {
 			return pipeline.Stats{}, werr
@@ -103,8 +115,8 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 		src = rec
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("campaign: run %s/%s failed: %v", spec.MachineName(), spec.WorkloadName(), r)
+		if p := recover(); p != nil {
+			err = fmt.Errorf("campaign: run %s/%s failed: %v", r.spec.MachineName(), name, p)
 		}
 	}()
 	var core *pipeline.Core
@@ -121,16 +133,12 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 		core = pipeline.NewCoreWithSource(cfg, name, src)
 	}
 	var snapErr error
-	targets, err := snapshotTargets(spec, opts, resume)
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
 	if len(targets) > 0 {
 		capture := func(commits uint64, cs *pipeline.CoreState) {
 			if snapErr != nil {
 				return
 			}
-			snapErr = deliverSnapshot(spec, opts, commits, cs)
+			snapErr = r.deliverSnapshot(opts, commits, cs)
 		}
 		if serr := core.SnapshotAt(targets, capture); serr != nil {
 			return pipeline.Stats{}, serr
@@ -142,7 +150,7 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 	if opts.Tap.Recorder != nil {
 		core.AttachTimeline(opts.Tap.Recorder, opts.Tap.Detail, opts.Tap.StallThreshold)
 	}
-	st = core.Run(spec.Instructions)
+	st = core.Run(r.spec.Instructions)
 	// Deferred past the snapshot and trace sinks below; a run that panicked
 	// never gets here, so its tables are left to the garbage collector.
 	defer core.Release()
@@ -157,33 +165,26 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (st pipeline.Stats, err error) {
 	return st, nil
 }
 
-// resumeSnapshot resolves the run's starting state: the in-memory Resume
-// snapshot, or the spec's snapshot file, or nil for a cold start. The
-// returned snapshot has been verified to carry this spec's warm identity.
-func resumeSnapshot(spec RunSpec, opts ExecOpts) (*snapshot.Snapshot, error) {
-	if opts.Resume != nil && spec.Snapshot != nil {
-		return nil, fmt.Errorf("campaign: both an in-memory resume snapshot and RunSpec.Snapshot are set; use one")
-	}
+// resumeSnapshot returns the run's starting state: the in-memory Resume
+// snapshot, or the snapshot file resolve read, or nil for a cold start. The
+// returned snapshot carries this run's warm identity.
+func (r *resolved) resumeSnapshot(opts ExecOpts) (*snapshot.Snapshot, error) {
 	snap := opts.Resume
-	if spec.Snapshot != nil {
-		// Validate (via PipelineConfig) already vouched for envelope
-		// integrity, digest pin, warm-key match and committed-vs-budget.
-		var err error
-		if snap, err = snapshot.ReadFile(spec.Snapshot.Path); err != nil {
-			return nil, fmt.Errorf("campaign: snapshot %s: %w", spec.Snapshot.Path, err)
-		}
-		return snap, nil
-	}
-	if snap == nil {
+	switch {
+	case snap != nil && r.snap != nil:
+		return nil, fmt.Errorf("campaign: both an in-memory resume snapshot and RunSpec.Snapshot are set; use one")
+	case r.snap != nil:
+		return r.snap, nil
+	case snap == nil:
 		return nil, nil
 	}
-	if want := spec.WarmKey(); snap.SpecKey != want {
+	if want := r.warmKey(); snap.SpecKey != want {
 		return nil, fmt.Errorf("campaign: resume snapshot was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...)",
 			snap.SpecKey, want)
 	}
-	if snap.Committed >= spec.Instructions {
+	if snap.Committed >= r.spec.Instructions {
 		return nil, fmt.Errorf("campaign: resume snapshot already holds %d committed instructions, at or beyond this run's %d-instruction budget",
-			snap.Committed, spec.Instructions)
+			snap.Committed, r.spec.Instructions)
 	}
 	return snap, nil
 }
@@ -223,27 +224,22 @@ func snapshotTargets(spec RunSpec, opts ExecOpts, resume *snapshot.Snapshot) ([]
 			}
 		}
 	}
-	targets := make([]uint64, 0, len(set))
-	for n := range set {
-		targets = append(targets, n)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	return targets, nil
+	return slices.Sorted(maps.Keys(set)), nil
 }
 
 // deliverSnapshot wraps one captured core state in the envelope and hands
 // it to the configured sinks.
-func deliverSnapshot(spec RunSpec, opts ExecOpts, commits uint64, cs *pipeline.CoreState) error {
+func (r *resolved) deliverSnapshot(opts ExecOpts, commits uint64, cs *pipeline.CoreState) error {
 	stateJSON, err := json.Marshal(cs)
 	if err != nil {
 		return fmt.Errorf("encoding state: %w", err)
 	}
-	specJSON, err := json.Marshal(spec)
+	specJSON, err := json.Marshal(r.spec)
 	if err != nil {
 		return fmt.Errorf("encoding spec: %w", err)
 	}
 	snap := &snapshot.Snapshot{
-		SpecKey:   spec.WarmKey(),
+		SpecKey:   r.warmKey(),
 		SpecJSON:  specJSON,
 		Committed: commits,
 		State:     stateJSON,

@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"os"
 
 	"galsim/internal/bpred"
 	"galsim/internal/machine"
@@ -78,7 +78,7 @@ type RunSpec struct {
 	// Snapshot restores a captured simulation state (see internal/snapshot)
 	// as the run's starting point: the machine resumes at the snapshot's
 	// committed-instruction count and runs on to Instructions. The snapshot
-	// must have been captured under this spec's own warm identity (WarmKey),
+	// must have been captured under this spec's own warm identity,
 	// which makes the result byte-identical to a cold-start run — the
 	// golden differential gate in internal/pipeline proves it.
 	Snapshot *SnapshotRef `json:"snapshot,omitempty"`
@@ -140,6 +140,24 @@ const (
 // needed); an unreadable file leaves the digest empty for Validate to
 // report.
 func (s RunSpec) Canonical() RunSpec {
+	var meta trace.Meta
+	if s.Trace != nil && s.Instructions == 0 {
+		meta, _ = trace.ReadMeta(s.Trace.Path) // unreadable: the generic default applies
+	}
+	c := s.canonical(meta.Instructions)
+	if c.Trace != nil && c.Trace.SHA256 == "" {
+		c.Trace.SHA256, _ = trace.FileDigest(c.Trace.Path) // unreadable: Validate reports
+	}
+	if c.Snapshot != nil && c.Snapshot.SHA256 == "" {
+		c.Snapshot.SHA256, _ = snapshot.FileDigest(c.Snapshot.Path) // unreadable: Validate reports
+	}
+	return c
+}
+
+// canonical is Canonical without file access: trace and snapshot digests
+// stay as given, and recorded is the replayed trace's recorded length (0
+// when unknown).
+func (s RunSpec) canonical(recorded uint64) RunSpec {
 	if s.MachineSpec != nil && s.Machine == "" {
 		// An inline spec equal to a built-in collapses to the built-in's
 		// name, so uploads of (say) the literal gals machine share the
@@ -160,11 +178,9 @@ func (s RunSpec) Canonical() RunSpec {
 	if s.Trace != nil && s.Instructions == 0 {
 		// A replay's natural budget is the recorded run's length, not the
 		// generic default: defaulting to 100000 against a shorter trace would
-		// silently wrap it (see TraceLengthError). An unreadable file falls
-		// through to the generic default for Validate to report.
-		if meta, err := trace.ReadMeta(s.Trace.Path); err == nil && meta.Instructions > 0 {
-			s.Instructions = meta.Instructions
-		}
+		// silently wrap it (see TraceLengthError). An unknown length falls
+		// through to the generic default.
+		s.Instructions = recorded
 	}
 	if s.Instructions == 0 {
 		s.Instructions = defaultInstructions
@@ -174,18 +190,12 @@ func (s RunSpec) Canonical() RunSpec {
 	}
 	if s.Trace != nil {
 		t := *s.Trace
-		if t.SHA256 == "" {
-			t.SHA256, _ = trace.FileDigest(t.Path) // unreadable: Validate reports
-		}
 		s.Trace = &t
 		// A replayed stream is fixed; the workload seed cannot influence it.
 		s.WorkloadSeed = defaultWorkloadSeed
 	}
 	if s.Snapshot != nil {
 		sn := *s.Snapshot
-		if sn.SHA256 == "" {
-			sn.SHA256, _ = snapshot.FileDigest(sn.Path) // unreadable: Validate reports
-		}
 		s.Snapshot = &sn
 	}
 	if s.PhaseSeed == 0 {
@@ -258,34 +268,23 @@ func (s RunSpec) Canonical() RunSpec {
 // different paths share one cache entry. (A trace whose digest cannot be
 // computed keeps its path as a fallback identity; Validate rejects such
 // specs before they reach the engine.)
-func (s RunSpec) Key() string {
-	c := s.Canonical()
-	if c.Trace != nil && c.Trace.SHA256 != "" {
-		c.Trace = &TraceRef{SHA256: c.Trace.SHA256}
+func (s RunSpec) Key() string { return s.Canonical().key() }
+
+// key is Key of a canonical spec.
+func (s RunSpec) key() string {
+	if s.Trace != nil && s.Trace.SHA256 != "" {
+		s.Trace = &TraceRef{SHA256: s.Trace.SHA256}
 	}
-	if c.Snapshot != nil && c.Snapshot.SHA256 != "" {
-		c.Snapshot = &SnapshotRef{SHA256: c.Snapshot.SHA256}
+	if s.Snapshot != nil && s.Snapshot.SHA256 != "" {
+		s.Snapshot = &SnapshotRef{SHA256: s.Snapshot.SHA256}
 	}
-	b, err := json.Marshal(c)
+	b, err := json.Marshal(s)
 	if err != nil {
 		// RunSpec contains only marshalable fields; this cannot happen.
 		panic(fmt.Sprintf("campaign: marshaling RunSpec: %v", err))
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// WarmKey returns the spec's warm-up identity: the content address of the
-// run with the instruction budget and any snapshot seed normalized away.
-// Two runs that share a WarmKey execute bit-identical prefixes, so a
-// snapshot captured under one resumes the other exactly — the grouping
-// relation behind sweep warm-up sharing and the compatibility check behind
-// RunSpec.Snapshot restores.
-func (s RunSpec) WarmKey() string {
-	c := s.Canonical()
-	c.Instructions = 0 // Key re-canonicalizes; both sides land on the default
-	c.Snapshot = nil
-	return c.Key()
 }
 
 // TraceLengthError reports a same-configuration replay asking for more
@@ -321,26 +320,17 @@ func (s RunSpec) replayConfigEquals(meta trace.Meta) bool {
 		// only provenance we have, and it matched (or was absent).
 		return true
 	}
-	return stripReplayIdentity(rec) == stripReplayIdentity(s)
-}
-
-// stripReplayIdentity reduces a spec to the settings that shape the
-// instruction stream a machine executes: everything except the workload
-// source, the budget, and pure observation taps.
-func stripReplayIdentity(s RunSpec) string {
-	c := s.Canonical()
-	c.Benchmark = ""
-	c.Profile = nil
-	c.Trace = nil
-	c.Snapshot = nil
-	c.WorkloadSeed = 0
-	c.Instructions = 0
-	c.SampleInterval = 0
-	b, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("campaign: marshaling RunSpec: %v", err))
+	// Compare only the settings that shape the instruction stream a machine
+	// executes: strip the workload source, the budget and pure observation
+	// taps. The inputs go before canonicalizing, so that no file a recorded
+	// header names is ever opened.
+	strip := func(s RunSpec) string {
+		s.Benchmark, s.Profile, s.Trace, s.Snapshot = "", nil, nil, nil
+		c := s.canonical(0)
+		c.WorkloadSeed, c.Instructions, c.SampleInterval = 0, 0, 0
+		return c.key()
 	}
-	return string(b)
+	return strip(rec) == strip(s)
 }
 
 // builtinByDigest maps the canonical digest of each built-in machine to its
@@ -419,6 +409,33 @@ func (s RunSpec) WorkloadName() string {
 // Validate reports the first problem with the spec, with errors phrased for
 // end users of the library and the HTTP API alike.
 func (s RunSpec) Validate() error {
+	_, err := resolve(s)
+	return err
+}
+
+// resolved is a checked run ready to key and simulate: its spec
+// canonical, its trace and snapshot files read once each. The digests in
+// spec are those of the bytes in trace and snap, so a run's key names
+// exactly what it simulates.
+type resolved struct {
+	spec  RunSpec
+	trace *trace.Trace       // the replayed trace, for a Trace run
+	snap  *snapshot.Snapshot // the starting state, for a Snapshot run
+}
+
+// recorded is the replayed trace's recorded length; 0 without a trace.
+func (r *resolved) recorded() uint64 {
+	if r.trace == nil {
+		return 0
+	}
+	return r.trace.Meta.Instructions
+}
+
+// resolve is the one place a run is checked: Validate, ExecuteOpts and
+// Engine.RunOpts all go through it. It reads each input file once, pins or
+// checks its digest, decodes it, and reports the first problem with the
+// spec.
+func resolve(s RunSpec) (*resolved, error) {
 	sources := 0
 	for _, set := range []bool{s.Benchmark != "", s.Profile != nil, s.Trace != nil} {
 		if set {
@@ -427,29 +444,30 @@ func (s RunSpec) Validate() error {
 	}
 	switch {
 	case sources == 0:
-		return fmt.Errorf("campaign: benchmark is required (one of %v) unless a custom profile or a trace is given", workload.Names())
+		return nil, fmt.Errorf("campaign: benchmark is required (one of %v) unless a custom profile or a trace is given", workload.Names())
 	case sources > 1:
-		return fmt.Errorf("campaign: benchmark, profile and trace are mutually exclusive; set exactly one")
+		return nil, fmt.Errorf("campaign: benchmark, profile and trace are mutually exclusive; set exactly one")
 	}
+	r := &resolved{}
 	switch {
 	case s.Benchmark != "":
 		if _, err := workload.ByName(s.Benchmark); err != nil {
-			return err
+			return nil, err
 		}
 	case s.Profile != nil:
 		if err := s.Profile.Validate(); err != nil {
-			return err
+			return nil, err
 		}
 	case s.Trace != nil:
 		if s.Trace.Path == "" {
-			return fmt.Errorf("campaign: trace requires a path")
+			return nil, fmt.Errorf("campaign: trace requires a path")
 		}
 		t, err := trace.Load(s.Trace.Path) // full decode: every record must parse
 		if err != nil {
-			return fmt.Errorf("campaign: trace: %w", err)
+			return nil, fmt.Errorf("campaign: trace: %w", err)
 		}
 		if digest := t.Digest(); s.Trace.SHA256 != "" && s.Trace.SHA256 != digest {
-			return fmt.Errorf("campaign: trace %s content digest %s does not match the requested %s (file changed?)",
+			return nil, fmt.Errorf("campaign: trace %s content digest %s does not match the requested %s (file changed?)",
 				s.Trace.Path, digest, s.Trace.SHA256)
 		}
 		// Topology provenance: a replay that names no machine runs on the
@@ -460,73 +478,134 @@ func (s RunSpec) Validate() error {
 		// there") and is always allowed.
 		if s.Machine == "" && s.MachineSpec == nil &&
 			t.Meta.MachineDigest != "" && t.Meta.MachineDigest != baseMachineDigest {
-			recorded := "an unknown machine"
+			on := "an unknown machine"
 			var rs RunSpec
 			if json.Unmarshal(t.Meta.SpecJSON, &rs) == nil && rs.MachineName() != "" {
-				recorded = fmt.Sprintf("machine %q", rs.MachineName())
+				on = fmt.Sprintf("machine %q", rs.MachineName())
 			}
-			return fmt.Errorf("campaign: trace %s was recorded on %s (topology digest %.12s...), not the default base machine; set the machine explicitly — the recorded one to reproduce the run, or any other for a what-if replay",
-				s.Trace.Path, recorded, t.Meta.MachineDigest)
+			return nil, fmt.Errorf("campaign: trace %s was recorded on %s (topology digest %.12s...), not the default base machine; set the machine explicitly — the recorded one to reproduce the run, or any other for a what-if replay",
+				s.Trace.Path, on, t.Meta.MachineDigest)
 		}
+		r.trace = t
+	}
+	r.spec = s.canonical(r.recorded())
+	if t := r.trace; t != nil {
+		r.spec.Trace.SHA256 = t.Digest()
 		// Budget vs recorded length: under the recorded configuration an
 		// over-length replay would silently wrap the stream and fabricate
 		// provenance; an explicitly divergent replay keeps the wrap (its
 		// stream already departs from the recording). The canonical budget
 		// is what matters — a zero budget defaults to the recorded length.
-		if want := s.Canonical().Instructions; t.Meta.Instructions > 0 && want > t.Meta.Instructions && s.replayConfigEquals(t.Meta) {
-			return &TraceLengthError{Path: s.Trace.Path, Requested: want, Recorded: t.Meta.Instructions}
+		if want, n := r.spec.Instructions, t.Meta.Instructions; n > 0 && want > n && s.replayConfigEquals(t.Meta) {
+			return nil, &TraceLengthError{Path: s.Trace.Path, Requested: want, Recorded: n}
 		}
 	}
 	if s.Snapshot != nil {
 		if s.Snapshot.Path == "" {
-			return fmt.Errorf("campaign: snapshot requires a path")
+			return nil, fmt.Errorf("campaign: snapshot requires a path")
 		}
-		snap, err := snapshot.ReadFile(s.Snapshot.Path)
+		b, err := os.ReadFile(s.Snapshot.Path)
+		if err == nil {
+			r.snap, err = snapshot.DecodeBytes(b)
+		}
 		if err != nil {
-			return fmt.Errorf("campaign: snapshot %s: %w", s.Snapshot.Path, err)
+			return nil, fmt.Errorf("campaign: snapshot %s: %w", s.Snapshot.Path, err)
 		}
-		if s.Snapshot.SHA256 != "" {
-			if digest, derr := snapshot.FileDigest(s.Snapshot.Path); derr == nil && digest != s.Snapshot.SHA256 {
-				return fmt.Errorf("campaign: snapshot %s content digest %s does not match the requested %s (file changed?)",
-					s.Snapshot.Path, digest, s.Snapshot.SHA256)
-			}
+		sum := sha256.Sum256(b)
+		digest := hex.EncodeToString(sum[:])
+		if s.Snapshot.SHA256 != "" && s.Snapshot.SHA256 != digest {
+			return nil, fmt.Errorf("campaign: snapshot %s content digest %s does not match the requested %s (file changed?)",
+				s.Snapshot.Path, digest, s.Snapshot.SHA256)
 		}
-		if want := s.WarmKey(); snap.SpecKey != want {
-			return fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
-				s.Snapshot.Path, snap.SpecKey, want)
+		r.spec.Snapshot.SHA256 = digest
+		if want := r.warmKey(); r.snap.SpecKey != want {
+			return nil, fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
+				s.Snapshot.Path, r.snap.SpecKey, want)
 		}
-		if budget := s.Canonical().Instructions; snap.Committed >= budget {
-			return fmt.Errorf("campaign: snapshot %s already holds %d committed instructions, at or beyond this run's %d-instruction budget; raise Instructions or use an earlier snapshot",
-				s.Snapshot.Path, snap.Committed, budget)
+		if budget := r.spec.Instructions; r.snap.Committed >= budget {
+			return nil, fmt.Errorf("campaign: snapshot %s already holds %d committed instructions, at or beyond this run's %d-instruction budget; raise Instructions or use an earlier snapshot",
+				s.Snapshot.Path, r.snap.Committed, budget)
 		}
 	}
 	ms, err := s.machineSpec()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := ValidateSlowdownsFor(ms, s.Slowdowns); err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := s.disambig(); err != nil {
-		return err
+	if _, ok := memoryOrderings[s.MemoryOrdering]; !ok {
+		return nil, fmt.Errorf("campaign: unknown memory ordering %q (want perfect, conservative or addr-match)", s.MemoryOrdering)
 	}
-	if _, err := s.linkStyle(); err != nil {
-		return err
+	if _, ok := linkStyles[s.LinkStyle]; !ok {
+		return nil, fmt.Errorf("campaign: unknown link style %q (want fifo or stretch)", s.LinkStyle)
 	}
-	if _, err := s.predictor(); err != nil {
-		return err
+	if _, ok := predictors[s.Predictor]; !ok {
+		return nil, fmt.Errorf("campaign: unknown predictor %q (want gshare, bimodal, taken or nottaken)", s.Predictor)
 	}
 	if s.FIFOSyncEdges < 0 || s.FIFOCapacity < 0 {
-		return fmt.Errorf("campaign: FIFO sync edges (%d) and capacity (%d) must be non-negative",
+		return nil, fmt.Errorf("campaign: FIFO sync edges (%d) and capacity (%d) must be non-negative",
 			s.FIFOSyncEdges, s.FIFOCapacity)
 	}
 	if s.SampleInterval != 0 && s.SampleInterval < 100 {
-		return fmt.Errorf("campaign: sample_interval %d is too short (minimum 100 decode cycles, or 0 to disable sampling)", s.SampleInterval)
+		return nil, fmt.Errorf("campaign: sample_interval %d is too short (minimum 100 decode cycles, or 0 to disable sampling)", s.SampleInterval)
 	}
 	if s.DynamicDVFS && !ms.DynamicCapable() {
-		return fmt.Errorf("campaign: dynamic DVFS requires a machine with a dynamic-capable clock domain; %q has none (use the gals machine, or declare a domain with \"dvfs\": \"dynamic\")", ms.Name)
+		return nil, fmt.Errorf("campaign: dynamic DVFS requires a machine with a dynamic-capable clock domain; %q has none (use the gals machine, or declare a domain with \"dvfs\": \"dynamic\")", ms.Name)
 	}
-	return nil
+	return r, nil
+}
+
+// config is PipelineConfig of the resolved run, built from its canonical
+// spec.
+func (r *resolved) config() (pipeline.Config, error) {
+	c := r.spec
+	ms, _ := c.machineSpec() // resolve vouched for it
+	topo, err := ms.Topology()
+	if err != nil {
+		return pipeline.Config{}, err
+	}
+	cfg := pipeline.DefaultConfig(topo)
+	cfg.WorkloadSeed = c.WorkloadSeed
+	cfg.PhaseSeed = c.PhaseSeed
+	cfg.AutoVoltage = !c.FreqOnly
+	cfg.ZeroPhases = c.ZeroPhases
+	cfg.FIFOSyncEdges = c.FIFOSyncEdges
+	cfg.FIFOCapacity = c.FIFOCapacity
+	cfg.MemDisambig = memoryOrderings[c.MemoryOrdering]
+	cfg.LinkStyle = linkStyles[c.LinkStyle]
+	cfg.Bpred.Kind = predictors[c.Predictor]
+	if c.DynamicDVFS {
+		cfg.DynamicDVFS = pipeline.DefaultDynamicDVFS()
+	}
+	cfg.SampleInterval = c.SampleInterval
+	// A slowdown key names a clock domain of the machine; it stretches
+	// every structure the domain owns. Apply "all" first so a per-domain
+	// entry may refine a uniform stretch.
+	if f, ok := c.Slowdowns["all"]; ok {
+		cfg.SetUniformSlowdown(f)
+	}
+	for d := range cfg.Slowdowns {
+		if f, ok := c.Slowdowns[topo.Domains[topo.Of[d]].Name]; ok {
+			cfg.Slowdowns[d] = f
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		return pipeline.Config{}, err
+	}
+	return cfg, nil
+}
+
+// warmKey is the run's warm-up identity: the content address of the run
+// with the instruction budget and any snapshot seed normalized away. Two
+// runs that share a warm key execute bit-identical prefixes, so a snapshot
+// captured under one resumes the other exactly — the grouping relation
+// behind sweep warm-up sharing and the compatibility check behind
+// RunSpec.Snapshot restores.
+func (r *resolved) warmKey() string {
+	c := r.spec
+	c.Instructions, c.Snapshot = 0, nil
+	return c.canonical(r.recorded()).key()
 }
 
 // ValidateSlowdownsFor checks a slowdown map against a machine's clock
@@ -556,50 +635,34 @@ func ValidateSlowdownsFor(ms machine.Spec, slowdowns map[string]float64) error {
 	return nil
 }
 
-func (s RunSpec) disambig() (pipeline.MemDisambiguation, error) {
-	switch s.MemoryOrdering {
-	case "", "perfect":
-		return pipeline.DisambigPerfect, nil
-	case "conservative":
-		return pipeline.DisambigConservative, nil
-	case "addr-match":
-		return pipeline.DisambigAddrMatch, nil
-	default:
-		return 0, fmt.Errorf("campaign: unknown memory ordering %q (want perfect, conservative or addr-match)", s.MemoryOrdering)
+// memoryOrderings, linkStyles and predictors map every accepted spelling
+// of a setting, the empty default included, to its pipeline value.
+var (
+	memoryOrderings = map[string]pipeline.MemDisambiguation{
+		"": pipeline.DisambigPerfect, "perfect": pipeline.DisambigPerfect,
+		"conservative": pipeline.DisambigConservative, "addr-match": pipeline.DisambigAddrMatch,
 	}
-}
-
-func (s RunSpec) linkStyle() (pipeline.LinkStyle, error) {
-	switch s.LinkStyle {
-	case "", "fifo":
-		return pipeline.LinkFIFO, nil
-	case "stretch":
-		return pipeline.LinkStretch, nil
-	default:
-		return 0, fmt.Errorf("campaign: unknown link style %q (want fifo or stretch)", s.LinkStyle)
+	linkStyles = map[string]pipeline.LinkStyle{"": pipeline.LinkFIFO, "fifo": pipeline.LinkFIFO, "stretch": pipeline.LinkStretch}
+	predictors = map[string]bpred.Kind{
+		"": bpred.GShare, bpred.GShare.String(): bpred.GShare, bpred.Bimodal.String(): bpred.Bimodal,
+		bpred.Taken.String(): bpred.Taken, bpred.NotTaken.String(): bpred.NotTaken,
 	}
-}
-
-func (s RunSpec) predictor() (bpred.Kind, error) {
-	switch s.Predictor {
-	case "", bpred.GShare.String():
-		return bpred.GShare, nil
-	case bpred.Bimodal.String():
-		return bpred.Bimodal, nil
-	case bpred.Taken.String():
-		return bpred.Taken, nil
-	case bpred.NotTaken.String():
-		return bpred.NotTaken, nil
-	default:
-		return 0, fmt.Errorf("campaign: unknown predictor %q (want gshare, bimodal, taken or nottaken)", s.Predictor)
-	}
-}
+)
 
 // NewSource builds the spec's workload instruction source — synthetic
 // generator, phased profile generator, or trace replayer — along with the
 // workload's display name.
 func (s RunSpec) NewSource() (workload.InstrSource, string, error) {
-	s = s.Canonical()
+	r, err := resolve(s)
+	if err != nil {
+		return nil, "", err
+	}
+	return r.spec.source(r.trace)
+}
+
+// source builds the instruction source of a canonical spec; t is the
+// loaded trace of a replay.
+func (s RunSpec) source(t *trace.Trace) (workload.InstrSource, string, error) {
 	switch {
 	case s.Profile != nil:
 		src, err := workload.NewSpecSource(*s.Profile, s.WorkloadSeed)
@@ -608,10 +671,6 @@ func (s RunSpec) NewSource() (workload.InstrSource, string, error) {
 		}
 		return src, s.Profile.Name, nil
 	case s.Trace != nil:
-		t, err := trace.Load(s.Trace.Path)
-		if err != nil {
-			return nil, "", fmt.Errorf("campaign: trace: %w", err)
-		}
 		name := "replay:" + t.Meta.Name
 		if t.Meta.Name == "" {
 			name = "replay:" + s.Trace.Path
@@ -630,54 +689,9 @@ func (s RunSpec) NewSource() (workload.InstrSource, string, error) {
 // the resolved MachineSpec becomes the pipeline's clock topology, and the
 // run settings (seeds, slowdowns, link ablations) are layered on top.
 func (s RunSpec) PipelineConfig() (pipeline.Config, error) {
-	if err := s.Validate(); err != nil {
-		return pipeline.Config{}, err
-	}
-	s = s.Canonical()
-	ms, _ := s.machineSpec() // Validate above vouched for it
-	topo, err := ms.Topology()
+	r, err := resolve(s)
 	if err != nil {
 		return pipeline.Config{}, err
 	}
-	cfg := pipeline.DefaultConfig(topo)
-	cfg.WorkloadSeed = s.WorkloadSeed
-	cfg.PhaseSeed = s.PhaseSeed
-	cfg.AutoVoltage = !s.FreqOnly
-	cfg.ZeroPhases = s.ZeroPhases
-	cfg.FIFOSyncEdges = s.FIFOSyncEdges
-	cfg.FIFOCapacity = s.FIFOCapacity
-	cfg.MemDisambig, _ = s.disambig()
-	cfg.LinkStyle, _ = s.linkStyle()
-	cfg.Bpred.Kind, _ = s.predictor()
-	if s.DynamicDVFS {
-		cfg.DynamicDVFS = pipeline.DefaultDynamicDVFS()
-	}
-	cfg.SampleInterval = s.SampleInterval
-	// A slowdown key names a clock domain of the machine; it stretches
-	// every structure the domain owns. Apply "all" first so a per-domain
-	// entry may refine a uniform stretch.
-	structsOf := map[string][]pipeline.DomainID{}
-	for d := pipeline.DomainID(0); d < pipeline.NumDomains; d++ {
-		name := topo.Domains[topo.Of[d]].Name
-		structsOf[name] = append(structsOf[name], d)
-	}
-	if f, ok := s.Slowdowns["all"]; ok {
-		cfg.SetUniformSlowdown(f)
-	}
-	names := make([]string, 0, len(s.Slowdowns))
-	for name := range s.Slowdowns {
-		if name != "all" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, d := range structsOf[name] {
-			cfg.Slowdowns[d] = s.Slowdowns[name]
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return pipeline.Config{}, err
-	}
-	return cfg, nil
+	return r.config()
 }

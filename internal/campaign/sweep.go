@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
 
 	"galsim/internal/machine"
 	"galsim/internal/pipeline"
-	"galsim/internal/report"
 	"galsim/internal/workload"
 )
 
@@ -322,63 +320,4 @@ func RunSweepProgress(ctx context.Context, b Backend, s Sweep, fn ProgressFunc) 
 		out[i] = UnitResult{Key: u.Key(), Spec: u.Canonical(), Summary: Summarize(u, stats[i])}
 	}
 	return out, nil
-}
-
-// Table renders aggregated sweep results as a report table, one row per
-// unit, suitable for the text, JSON and CSV encoders alike.
-func Table(results []UnitResult) *report.Table {
-	t := &report.Table{
-		ID:      "Sweep",
-		Title:   fmt.Sprintf("Campaign results (%d units)", len(results)),
-		Headers: []string{"benchmark", "machine", "slowdowns", "wseed", "pseed", "ipc", "time-us", "energy-mj", "power-w", "slip-ns", "misspec"},
-	}
-	for _, r := range results {
-		t.AddRow(
-			r.Summary.Benchmark,
-			r.Spec.MachineName(),
-			slowdownLabel(r.Spec.Slowdowns),
-			fmt.Sprintf("%d", r.Spec.WorkloadSeed),
-			fmt.Sprintf("%d", r.Spec.PhaseSeed),
-			report.F2(r.Summary.IPC),
-			report.F(r.Summary.SimSeconds*1e6),
-			report.F(r.Summary.EnergyJoules*1e3),
-			report.F2(r.Summary.PowerWatts),
-			report.F(r.Summary.AvgSlipNs),
-			report.Pct(r.Summary.MisspeculationFrac),
-		)
-	}
-	return t
-}
-
-func slowdownLabel(slow map[string]float64) string {
-	if len(slow) == 0 {
-		return "-"
-	}
-	label := ""
-	add := func(name string, f float64) {
-		if label != "" {
-			label += ","
-		}
-		label += fmt.Sprintf("%s=%.2g", name, f)
-	}
-	known := map[string]bool{}
-	for _, name := range append(DomainNames(), "all") {
-		known[name] = true
-		if f, ok := slow[name]; ok {
-			add(name, f)
-		}
-	}
-	// User machines may name domains outside the built-in set; list those
-	// keys too, sorted for determinism.
-	var rest []string
-	for name := range slow {
-		if !known[name] {
-			rest = append(rest, name)
-		}
-	}
-	sort.Strings(rest)
-	for _, name := range rest {
-		add(name, slow[name])
-	}
-	return label
 }

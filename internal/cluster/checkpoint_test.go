@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,19 +229,26 @@ func TestCheckpointSurvivesCoordinatorCrash(t *testing.T) {
 // TestCheckpointResumeAfterWorkerLoss is the live chaos case: a real worker
 // checkpointing on cadence is killed mid-job, and its successor must log
 // "resuming from checkpoint" and still deliver stats byte-identical to a
-// serial run.
+// serial run. The lease runs on a fake clock that moves only after the
+// first worker is gone, so it cannot expire before a checkpoint lands, however
+// slow the host.
 func TestCheckpointResumeAfterWorkerLoss(t *testing.T) {
 	spec := campaign.RunSpec{Benchmark: "gcc", Machine: "gals", Instructions: 400_000}.Canonical()
-	coord := NewCoordinator(Config{LeaseTTL: 500 * time.Millisecond, MaxAttempts: 25})
-	var ckpts atomic.Int64
-	inner := coord.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/jobs/checkpoint" {
-			ckpts.Add(1)
-		}
-		inner.ServeHTTP(w, r)
-	}))
+	clock := newFakeClock()
+	coord := NewCoordinator(Config{LeaseTTL: time.Minute, MaxAttempts: 25, Now: clock.Now})
+	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
+	// accepted is the committed count of the newest checkpoint the
+	// coordinator took from a lease holder.
+	accepted := func() uint64 {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		var n uint64
+		for _, j := range coord.jobs {
+			n = max(n, j.ckptCommitted)
+		}
+		return n
+	}
 
 	newWorker := func(id string, logs *syncBuffer) (context.CancelFunc, *sync.WaitGroup) {
 		w := &Worker{
@@ -272,10 +278,12 @@ func TestCheckpointResumeAfterWorkerLoss(t *testing.T) {
 
 	var logs1 syncBuffer
 	cancel1, wg1 := newWorker("ck-w1", &logs1)
-	// Kill the first worker once it has durably checkpointed some progress.
-	waitFor(t, func() bool { return ckpts.Load() >= 2 }, "first checkpoints")
+	// Kill the first worker once the coordinator holds two of its
+	// checkpoints, then let its lease run out.
+	waitFor(t, func() bool { return accepted() >= 20_000 }, "two accepted checkpoints")
 	cancel1()
 	wg1.Wait()
+	clock.Advance(2 * time.Minute)
 
 	var logs2 syncBuffer
 	cancel2, wg2 := newWorker("ck-w2", &logs2)

@@ -119,6 +119,7 @@ const (
 type job struct {
 	id        uint64
 	spec      campaign.RunSpec
+	key       string // spec.Key(), the job's identity in the journal
 	camp      *campaignRun
 	slots     []int // indices into camp.results
 	pri       campaign.Priority
@@ -499,7 +500,7 @@ func (c *Coordinator) submit(canon []campaign.RunSpec, reqID string, tc telemetr
 func (c *Coordinator) enqueueGroupsLocked(camp *campaignRun, groups []specGroup) {
 	for _, g := range groups {
 		c.nextID++
-		j := &job{id: c.nextID, spec: g.spec, camp: camp, slots: g.slots, pri: camp.pri}
+		j := &job{id: c.nextID, spec: g.spec, key: g.key, camp: camp, slots: g.slots, pri: camp.pri}
 		c.jobs[j.id] = j
 		if camp.pri == campaign.PriorityInteractive {
 			c.queuePri = append(c.queuePri, j.id)
@@ -747,7 +748,7 @@ func (c *Coordinator) complete(workerID string, results []JobResult, cache campa
 			// Journaled after the in-memory fill, outside c.mu: a crash in
 			// between re-runs the job on recovery, which deterministic
 			// execution makes safe. The store serializes its own appends.
-			campID, key, stats := j.camp.id, j.spec.Key(), r.Stats
+			campID, key, stats := j.camp.id, j.key, r.Stats
 			after = append(after, func() {
 				if err := c.cfg.Store.JobCompleted(campID, key, stats); err != nil {
 					c.log.Warn("journaling job completion failed",
@@ -790,7 +791,7 @@ func (c *Coordinator) checkpoint(req CheckpointRequest) bool {
 	j.ckptCommitted = req.Committed
 	j.deadline = now.Add(c.cfg.LeaseTTL)
 	c.m.checkpoints.Inc(req.WorkerID)
-	campID, key, reqID := j.camp.id, j.spec.Key(), j.camp.requestID
+	campID, key, reqID := j.camp.id, j.key, j.camp.requestID
 	c.mu.Unlock()
 	c.log.Debug("job checkpointed", "request_id", reqID, "job_id", req.JobID,
 		"worker", req.WorkerID, "committed", req.Committed, "bytes", len(req.Snapshot))
@@ -1104,7 +1105,7 @@ func (c *Coordinator) resume(rec RecoveredCampaign) *Resumed {
 			if j.camp != camp {
 				continue
 			}
-			if snap, ok := rec.Checkpoints[j.spec.Key()]; ok && len(snap) > 0 {
+			if snap, ok := rec.Checkpoints[j.key]; ok && len(snap) > 0 {
 				j.checkpoint = snap
 				ckpts++
 			}

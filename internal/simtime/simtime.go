@@ -63,19 +63,3 @@ func (t Time) String() string {
 		return fmt.Sprintf("%s%dfs", neg, int64(v))
 	}
 }
-
-// Min returns the smaller of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,9 +1,6 @@
 package simtime
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestUnits(t *testing.T) {
 	if Picosecond != 1000 {
@@ -56,28 +53,5 @@ func TestString(t *testing.T) {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", int64(c.t), got, c.want)
 		}
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 {
-		t.Error("Min broken")
-	}
-	if Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Max broken")
-	}
-	if Min(Never, 0) != 0 {
-		t.Error("Min(Never, 0) != 0")
-	}
-}
-
-func TestMinMaxProperties(t *testing.T) {
-	f := func(a, b int64) bool {
-		x, y := Time(a), Time(b)
-		mn, mx := Min(x, y), Max(x, y)
-		return mn <= mx && (mn == x || mn == y) && (mx == x || mx == y) && mn+mx == x+y
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
