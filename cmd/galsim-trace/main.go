@@ -14,6 +14,8 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -78,23 +80,20 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	meta, err := trace.ReadMeta(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	digest, err := trace.FileDigest(path)
+	r, err := trace.NewReader(bytes.NewReader(raw))
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trace    %s (%d bytes)\n", path, info.Size())
+	meta := r.Meta()
+	fmt.Printf("trace    %s (%d bytes)\n", path, len(raw))
 	fmt.Printf("version  %d\n", trace.Version)
 	fmt.Printf("workload %s\n", meta.Name)
 	fmt.Printf("recorded %d committed instructions\n", meta.Instructions)
-	fmt.Printf("sha256   %s\n", digest)
+	fmt.Printf("sha256   %x\n", sha256.Sum256(raw))
 	if meta.MachineDigest != "" {
 		fmt.Printf("machine  %s\n", meta.MachineDigest)
 	}

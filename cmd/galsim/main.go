@@ -22,6 +22,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -265,17 +266,14 @@ func checkTrace(path string) error {
 // reports its size and content digest, and prints the command line that
 // resumes from it: this run's flags, less the capture and recording ones.
 func checkSnapshot(path string) error {
-	if _, err := snapshot.ReadFile(path); err != nil {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if _, err := snapshot.DecodeBytes(b); err != nil {
 		return fmt.Errorf("written snapshot failed to validate: %w", err)
 	}
-	digest, err := snapshot.FileDigest(path)
-	if err != nil {
-		return err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
+	sum := sha256.Sum256(b)
 	resume := []string{"galsim"}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -284,7 +282,7 @@ func checkSnapshot(path string) error {
 			resume = append(resume, "-"+f.Name+"="+f.Value.String())
 		}
 	})
-	fmt.Printf("  %s: %d bytes, digest %s\n", path, info.Size(), digest)
+	fmt.Printf("  %s: %d bytes, digest %x\n", path, len(b), sum)
 	fmt.Printf("  resume with: %s -snapshot-in %s\n", strings.Join(resume, " "), path)
 	return nil
 }

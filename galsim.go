@@ -409,12 +409,12 @@ func (r Result) RelativePerformance(other Result) float64 {
 func (o Options) Validate() error {
 	spec, err := o.spec()
 	if err == nil {
-		err = spec.Validate()
+		spec, err = spec.Resolve()
 	}
 	if err == nil && o.Warmup > 0 {
 		// Run leaves this rule to ExecuteOpts, which knows the budget
 		// without another read; this is ExecuteOpts' message.
-		if budget := spec.Canonical().Instructions; o.Warmup >= budget {
+		if budget := spec.Instructions; o.Warmup >= budget {
 			err = fmt.Errorf("campaign: warmup %d must be below the run's %d-instruction budget", o.Warmup, budget)
 		}
 	}

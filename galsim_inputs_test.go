@@ -238,3 +238,24 @@ func TestOverLengthReplayOpensOnlyItsOwnTrace(t *testing.T) {
 		t.Errorf("files named in the trace header were opened: trace %d times, snapshot %d times", n, m)
 	}
 }
+
+// TestValidateOfACaptureOpensTheTraceOnce checks a fast-forward of a
+// replay: its warm-up is held against the replay's budget, which the trace
+// records, without a second read of the trace.
+func TestValidateOfACaptureOpensTheTraceOnce(t *testing.T) {
+	dir := t.TempDir()
+	recorded := filepath.Join(dir, "gcc.trace")
+	if _, err := Run(Options{Benchmark: "gcc", Machine: GALS, Instructions: 4_000, RecordTrace: recorded}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "piped.trace")
+	data := mustRead(t, recorded)
+	opens := servePipe(t, path, data, data)
+	o := Options{Trace: path, Machine: GALS, Warmup: 1_000, SnapshotOut: filepath.Join(dir, "warm.snap")}
+	if err := o.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := opens(); n != 1 {
+		t.Errorf("Validate opened the trace %d times, want 1", n)
+	}
+}

@@ -350,6 +350,10 @@ func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64,
 	followed := make([]bool, len(specs))
 	first := map[string]int{}
 	shared := 0
+	// The plan resolves each unit only to group it; the batch loop resolves
+	// it again when it runs. Handing the planned units over instead would
+	// hold every replay's loaded trace from here until its run: one copy
+	// per unit at once, where the batch loop holds at most Workers().
 	for i := range specs {
 		leader[i] = i
 		r, err := resolve(specs[i])

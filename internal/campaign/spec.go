@@ -136,21 +136,19 @@ const (
 // Canonical returns the spec with every default made explicit and no-op
 // slowdown entries removed, so that equal runs hash equally regardless of
 // how sparsely the caller filled the struct.
-// A trace reference gains its content digest here (reading the file if
-// needed); an unreadable file leaves the digest empty for Validate to
-// report.
+//
+// A spec with no input file, or with every digest pinned and a budget set
+// (as every spec Resolve returns without error is), needs nothing from a
+// file and is canonicalized without opening one. Any other spec is
+// Resolve's result: its digests are pinned from the bytes resolve checked.
+// A spec that fails to resolve keeps its digests as given, and a replay
+// without a budget then takes the generic default.
 func (s RunSpec) Canonical() RunSpec {
-	var meta trace.Meta
-	if s.Trace != nil && s.Instructions == 0 {
-		meta, _ = trace.ReadMeta(s.Trace.Path) // unreadable: the generic default applies
+	if (s.Trace == nil || s.Trace.SHA256 != "" && s.Instructions != 0) &&
+		(s.Snapshot == nil || s.Snapshot.SHA256 != "") {
+		return s.canonical(0)
 	}
-	c := s.canonical(meta.Instructions)
-	if c.Trace != nil && c.Trace.SHA256 == "" {
-		c.Trace.SHA256, _ = trace.FileDigest(c.Trace.Path) // unreadable: Validate reports
-	}
-	if c.Snapshot != nil && c.Snapshot.SHA256 == "" {
-		c.Snapshot.SHA256, _ = snapshot.FileDigest(c.Snapshot.Path) // unreadable: Validate reports
-	}
+	c, _ := s.Resolve()
 	return c
 }
 
@@ -265,9 +263,9 @@ func (s RunSpec) canonical(recorded uint64) RunSpec {
 // JSON form. encoding/json writes map keys in sorted order, so the hash is
 // stable across equal specs. Trace-driven runs are keyed by the trace's
 // content digest, with the path stripped, so equal trace bytes at
-// different paths share one cache entry. (A trace whose digest cannot be
-// computed keeps its path as a fallback identity; Validate rejects such
-// specs before they reach the engine.)
+// different paths share one cache entry. Key of a canonical spec opens no
+// file. (A spec that fails to resolve keeps its path as a fallback
+// identity; Validate rejects such specs before they reach the engine.)
 func (s RunSpec) Key() string { return s.Canonical().key() }
 
 // key is Key of a canonical spec.
@@ -409,8 +407,21 @@ func (s RunSpec) WorkloadName() string {
 // Validate reports the first problem with the spec, with errors phrased for
 // end users of the library and the HTTP API alike.
 func (s RunSpec) Validate() error {
-	_, err := resolve(s)
+	_, err := s.Resolve()
 	return err
+}
+
+// Resolve checks the spec as Validate does and returns it canonical, each
+// trace and snapshot digest pinned from the bytes it checked. It reads each
+// input file once. A caller that both checks a spec and keys it calls
+// Resolve once instead of Validate and then Canonical or Key. On error the
+// spec comes back canonicalized without file access, to label the failure.
+func (s RunSpec) Resolve() (RunSpec, error) {
+	r, err := resolve(s)
+	if err != nil {
+		return s.canonical(0), err
+	}
+	return r.spec, nil
 }
 
 // resolved is a checked run ready to key and simulate: its spec
@@ -431,10 +442,11 @@ func (r *resolved) recorded() uint64 {
 	return r.trace.Meta.Instructions
 }
 
-// resolve is the one place a run is checked: Validate, ExecuteOpts and
-// Engine.RunOpts all go through it. It reads each input file once, pins or
-// checks its digest, decodes it, and reports the first problem with the
-// spec.
+// resolve is the one place a run is checked, and the only code in this
+// package that reads a trace or snapshot body: Resolve (and so Validate and
+// Canonical), ExecuteOpts and Engine.RunOpts all go through it. It reads
+// each input file once, pins or checks its digest, decodes it, and reports
+// the first problem with the spec.
 func resolve(s RunSpec) (*resolved, error) {
 	sources := 0
 	for _, set := range []bool{s.Benchmark != "", s.Profile != nil, s.Trace != nil} {

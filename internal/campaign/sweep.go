@@ -253,11 +253,13 @@ type Summary struct {
 }
 
 // Summarize digests one unit's stats.
-func Summarize(spec RunSpec, st pipeline.Stats) Summary {
-	spec = spec.Canonical()
+func Summarize(spec RunSpec, st pipeline.Stats) Summary { return spec.Canonical().summary(st) }
+
+// summary is Summarize of a canonical spec.
+func (s RunSpec) summary(st pipeline.Stats) Summary {
 	return Summary{
-		Benchmark:            spec.WorkloadName(),
-		Machine:              spec.MachineName(),
+		Benchmark:            s.WorkloadName(),
+		Machine:              s.MachineName(),
 		Committed:            st.Committed,
 		SimSeconds:           st.SimTime.Seconds(),
 		IPC:                  st.IPC(),
@@ -317,7 +319,8 @@ func RunSweepProgress(ctx context.Context, b Backend, s Sweep, fn ProgressFunc) 
 	}
 	out := make([]UnitResult, len(units))
 	for i, u := range units {
-		out[i] = UnitResult{Key: u.Key(), Spec: u.Canonical(), Summary: Summarize(u, stats[i])}
+		c := u.Canonical()
+		out[i] = UnitResult{Key: c.key(), Spec: c, Summary: c.summary(stats[i])}
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"galsim/internal/isa"
@@ -313,4 +314,46 @@ func mustMarshal(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestCanonicalSpecReadsNoFile: a resolved replay-and-restore spec carries
+// both digests and its budget, so keying or canonicalizing it again needs
+// neither file.
+func TestCanonicalSpecReadsNoFile(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, snapPath := filepath.Join(dir, "gcc.trace"), filepath.Join(dir, "warm.gsnp")
+	f, err := os.Create(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecuteOpts(RunSpec{Benchmark: "gcc", Machine: "gals", Instructions: 4_000}, ExecOpts{TraceOut: f}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spec := RunSpec{Trace: &TraceRef{Path: tracePath}, Machine: "gals"}
+	if _, err := ExecuteOpts(spec, ExecOpts{Warmup: 1_000, SnapshotOut: snapPath}); err != nil {
+		t.Fatal(err)
+	}
+	spec.Snapshot = &SnapshotRef{Path: snapPath}
+	c, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, canon := c.Key(), c.Canonical()
+	if !reflect.DeepEqual(canon, c) || key != spec.Key() {
+		t.Fatalf("resolved spec is not canonical:\n got %+v\nwant %+v", canon, c)
+	}
+	for _, p := range []string{tracePath, snapPath} {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Key(); got != key {
+		t.Errorf("Key after deleting the inputs = %s, want %s", got, key)
+	}
+	if got := c.Canonical(); !reflect.DeepEqual(got, canon) {
+		t.Errorf("Canonical after deleting the inputs:\n got %+v\nwant %+v", got, canon)
+	}
 }

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -99,18 +101,28 @@ func TestTraceSpecValidationAndKey(t *testing.T) {
 		t.Errorf("WorkloadName() = %q", got)
 	}
 
-	// The key is content-addressed: a copy at another path keys equally...
+	// The key is content-addressed: copies at other paths, in this
+	// directory or another, key equally, by the SHA-256 of the bytes...
 	copyPath := filepath.Join(dir, "copy.trace")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(copyPath, data, 0o644); err != nil {
+	sum := sha256.Sum256(data)
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	spec2 := RunSpec{Trace: &TraceRef{Path: copyPath}, Instructions: 3000}
-	if spec.Key() != spec2.Key() {
-		t.Error("same trace content at different paths keyed differently")
+	for _, p := range []string{copyPath, filepath.Join(dir, "sub", "b.trace")} {
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := RunSpec{Trace: &TraceRef{Path: p}, Instructions: 3000}
+		if spec.Key() != c.Key() {
+			t.Errorf("same trace content at %s keyed differently", p)
+		}
+		if got := c.Canonical().Trace.SHA256; got != hex.EncodeToString(sum[:]) {
+			t.Errorf("trace at %s pinned digest %q, want the SHA-256 of its bytes", p, got)
+		}
 	}
 
 	// ...and a pinned digest that no longer matches the file is rejected.

@@ -343,14 +343,14 @@ func (c *Coordinator) RunAllProgress(ctx context.Context, specs []campaign.RunSp
 	}
 	canon := make([]campaign.RunSpec, len(specs))
 	for i, s := range specs {
-		// Canonicalizing here pins trace digests and profile contents before
+		// Resolving here pins trace digests and profile contents before
 		// anything crosses the wire, so a job's cache identity on every
-		// worker matches what the coordinator validated.
-		s = s.Canonical()
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("campaign: unit %d (%s/%s): %w", i, s.Machine, s.WorkloadName(), err)
+		// worker matches the bytes the coordinator validated.
+		c, err := s.Resolve()
+		if err != nil {
+			return nil, fmt.Errorf("campaign: unit %d (%s/%s): %w", i, c.Machine, c.WorkloadName(), err)
 		}
-		canon[i] = s
+		canon[i] = c
 	}
 	reqID := telemetry.RequestID(ctx)
 	if reqID == "" {

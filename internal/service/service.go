@@ -337,17 +337,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &spec) {
 		return
 	}
+	// A trace or snapshot reference names a server-side file; honouring it
+	// would let clients probe the server's filesystem. Both are local-tooling
+	// features (galsim -replay and -snapshot-in, or the library API).
 	if spec.Trace != nil {
-		// A trace reference names a server-side file; honouring it would let
-		// clients probe the server's filesystem. Traces are a local-tooling
-		// feature (galsim -replay / the library API).
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("trace replay is not available over HTTP; use galsim -replay or the library API"))
 		return
 	}
+	if spec.Snapshot != nil {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("snapshot restore is not available over HTTP; use galsim -snapshot-in or the library API"))
+		return
+	}
 	s.resolveWorkload(&spec)
 	s.resolveMachine(&spec)
-	if err := spec.Validate(); err != nil {
+	spec, err := spec.Resolve()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -375,7 +381,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var (
 		st  pipeline.Stats
-		err error
 		rec *timeline.Recorder
 	)
 	if wantTimeline {
@@ -396,7 +401,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := RunResponse{
 		Key:     spec.Key(),
-		Spec:    spec.Canonical(),
+		Spec:    spec,
 		Summary: campaign.Summarize(spec, st),
 		Samples: st.Samples,
 	}

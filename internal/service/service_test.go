@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +90,35 @@ func TestRunEndpointValidation(t *testing.T) {
 	}
 	if resp, body := post(t, ts.URL+"/run", `{"bench":"gcc"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field accepted: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestRunEndpointRefusesServerFiles: a /run body that names a trace or a
+// snapshot is refused before the server touches the path, so the answer
+// is the same for a regular file, a directory and a missing path.
+func TestRunEndpointRefusesServerFiles(t *testing.T) {
+	_, ts := newTestServer(t)
+	dir := t.TempDir()
+	file := filepath.Join(dir, "not-a-snapshot")
+	if err := os.WriteFile(file, []byte("hello\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ field, want string }{
+		{"trace", "trace replay is not available over HTTP"},
+		{"snapshot", "snapshot restore is not available over HTTP"},
+	} {
+		var first []byte
+		for _, path := range []string{file, dir, filepath.Join(dir, "missing")} {
+			resp, body := post(t, ts.URL+"/run", fmt.Sprintf(`{"benchmark":"gcc","%s":{"path":%q}}`, c.field, path))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+				t.Errorf("%s %s: status %d, body %s; want 400 saying %q", c.field, path, resp.StatusCode, body, c.want)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%s %s: body %s differs from %s: it tells the client about the path", c.field, path, body, first)
+			}
+		}
 	}
 }
 

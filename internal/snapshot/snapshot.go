@@ -207,24 +207,3 @@ func WriteFile(path string, s *Snapshot) error {
 	}
 	return nil
 }
-
-// ReadFile reads and verifies a snapshot file.
-func ReadFile(path string) (*Snapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(b)
-}
-
-// FileDigest returns the hex SHA-256 of the file's raw bytes — for a
-// well-formed snapshot file this equals the contained Snapshot's Digest(),
-// without the cost of decoding it.
-func FileDigest(path string) (string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -52,7 +53,11 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBytes(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,7 @@ package trace
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -416,24 +414,8 @@ func (r *Reader) readInstr(tag byte) (Record, error) {
 	return rec, nil
 }
 
-// FileDigest returns the hex SHA-256 of a file's contents: the trace's
-// content address, used by the campaign cache key so renaming or copying a
-// trace never changes the identity of the runs it drives.
-func FileDigest(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", fmt.Errorf("trace: hashing %s: %w", path, err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// ReadMeta parses just the header of a trace file: the cheap validity check
-// used by spec validation.
+// ReadMeta parses just the header of a trace file: a replay's recorded
+// workload name, for labelling it.
 func ReadMeta(path string) (Meta, error) {
 	f, err := os.Open(path)
 	if err != nil {

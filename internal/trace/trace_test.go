@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
@@ -233,30 +235,37 @@ func TestReplayWrapsShortTrace(t *testing.T) {
 	}
 }
 
+// TestFileDigestIsContentAddressed: a loaded trace's digest is the SHA-256 of
+// the file's bytes, so the same bytes at two paths (one in a sub-directory)
+// give one content address.
 func TestFileDigestIsContentAddressed(t *testing.T) {
 	dir := t.TempDir()
 	data := buildTrace(t, Meta{Name: "x"}, func(w *Writer) {
 		w.Instr(isa.NewInstr(0, 0x400000, isa.ClassIntALU))
 	})
 	a := filepath.Join(dir, "a.trace")
-	b := filepath.Join(dir, "sub-dir-b.trace")
+	b := filepath.Join(dir, "sub", "b.trace")
+	if err := os.Mkdir(filepath.Dir(b), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []string{a, b} {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	da, err := FileDigest(a)
+	ta, err := Load(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := FileDigest(b)
+	tb, err := Load(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if da != db {
-		t.Errorf("equal contents hashed differently: %s vs %s", da, db)
+	if ta.Digest() != tb.Digest() {
+		t.Errorf("equal contents hashed differently: %s vs %s", ta.Digest(), tb.Digest())
 	}
-	if len(da) != 64 {
-		t.Errorf("digest %q is not hex SHA-256", da)
+	sum := sha256.Sum256(data)
+	if want := hex.EncodeToString(sum[:]); ta.Digest() != want {
+		t.Errorf("digest %q, want the SHA-256 of the file's bytes %q", ta.Digest(), want)
 	}
 }
