@@ -195,7 +195,7 @@ func BenchmarkDynamicDVFS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := newCore(pipeline.DefaultConfig(topology(b, machine.Base())), prof).Run(30_000)
 		cfg := pipeline.DefaultConfig(topology(b, machine.GALS()))
-		cfg.DynamicDVFS = pipeline.DefaultDynamicDVFS()
+		cfg.DynamicDVFS = true
 		dyn := newCore(cfg, prof).Run(30_000)
 		rel = dyn.EnergyPJ / base.EnergyPJ
 	}

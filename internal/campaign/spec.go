@@ -586,10 +586,8 @@ func (r *resolved) config() (pipeline.Config, error) {
 	cfg.FIFOCapacity = c.FIFOCapacity
 	cfg.MemDisambig = memoryOrderings[c.MemoryOrdering]
 	cfg.LinkStyle = linkStyles[c.LinkStyle]
-	cfg.Bpred.Kind = predictors[c.Predictor]
-	if c.DynamicDVFS {
-		cfg.DynamicDVFS = pipeline.DefaultDynamicDVFS()
-	}
+	cfg.Predictor = predictors[c.Predictor]
+	cfg.DynamicDVFS = c.DynamicDVFS
 	cfg.SampleInterval = c.SampleInterval
 	// A slowdown key names a clock domain of the machine; it stretches
 	// every structure the domain owns. Apply "all" first so a per-domain

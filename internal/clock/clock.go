@@ -80,9 +80,6 @@ func (d *Domain) Name() string { return d.name }
 // Period returns the current clock period.
 func (d *Domain) Period() simtime.Duration { return d.period }
 
-// NominalPeriod returns the period at slowdown 1.0.
-func (d *Domain) NominalPeriod() simtime.Duration { return d.nominal }
-
 // Phase returns the time of the clock's first edge (edge index 0).
 func (d *Domain) Phase() simtime.Time { return d.phase }
 

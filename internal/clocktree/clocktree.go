@@ -42,26 +42,27 @@ func Table1() []TrendRow {
 // TreeConfig parameterizes the skew estimator: a balanced H-tree of buffers
 // from the PLL to the leaf loads.
 type TreeConfig struct {
-	Depth        int     // buffer levels from root to leaf
-	BufferDelay  float64 // nominal per-buffer delay (ps)
-	SigmaFrac    float64 // per-buffer delay standard deviation, fraction of nominal
-	WireDelay    float64 // per-level wire delay (ps), matched across branches
-	WireSigma    float64 // wire delay mismatch sigma (ps)
-	MonteCarloN  int     // number of random tree instances
-	LeavesPerSim int     // leaf count sampled per instance (2^Depth capped)
+	Depth       int     // buffer levels from root to leaf
+	BufferDelay float64 // nominal per-buffer delay (ps)
+	SigmaFrac   float64 // per-buffer delay standard deviation, fraction of nominal
+	WireDelay   float64 // per-level wire delay (ps), matched across branches
 }
+
+// Fixed parameters of the Monte-Carlo model.
+const (
+	wireSigma    float64 = 1.5 // wire delay mismatch sigma (ps)
+	monteCarloN          = 200 // number of random tree instances
+	leavesPerSim         = 256 // leaf count sampled per instance (2^Depth capped)
+)
 
 // DefaultTree is sized after a late-1990s global distribution: 8 buffer
 // levels at ~50 ps each with 4% sigma.
 func DefaultTree() TreeConfig {
 	return TreeConfig{
-		Depth:        8,
-		BufferDelay:  50,
-		SigmaFrac:    0.04,
-		WireDelay:    30,
-		WireSigma:    1.5,
-		MonteCarloN:  200,
-		LeavesPerSim: 256,
+		Depth:       8,
+		BufferDelay: 50,
+		SigmaFrac:   0.04,
+		WireDelay:   30,
 	}
 }
 
@@ -74,8 +75,6 @@ func (c TreeConfig) Validate() error {
 		return fmt.Errorf("clocktree: non-positive delays")
 	case c.SigmaFrac < 0 || c.SigmaFrac > 1:
 		return fmt.Errorf("clocktree: sigma fraction %v outside [0,1]", c.SigmaFrac)
-	case c.MonteCarloN < 1 || c.LeavesPerSim < 2:
-		return fmt.Errorf("clocktree: insufficient sampling")
 	}
 	return nil
 }
@@ -87,12 +86,12 @@ func Estimate(cfg TreeConfig, seed int64) (meanSkewPS, worstSkewPS float64, err 
 		return 0, 0, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	leaves := cfg.LeavesPerSim
+	leaves := leavesPerSim
 	if full := 1 << cfg.Depth; leaves > full {
 		leaves = full
 	}
 	var sum, worst float64
-	for n := 0; n < cfg.MonteCarloN; n++ {
+	for n := 0; n < monteCarloN; n++ {
 		minA, maxA := math.Inf(1), math.Inf(-1)
 		for l := 0; l < leaves; l++ {
 			// Each leaf's arrival is the sum of Depth independent buffer and
@@ -102,7 +101,7 @@ func Estimate(cfg TreeConfig, seed int64) (meanSkewPS, worstSkewPS float64, err 
 			arrival := 0.0
 			for d := 0; d < cfg.Depth; d++ {
 				arrival += cfg.BufferDelay * (1 + cfg.SigmaFrac*rng.NormFloat64())
-				arrival += cfg.WireDelay + cfg.WireSigma*rng.NormFloat64()
+				arrival += cfg.WireDelay + wireSigma*rng.NormFloat64()
 			}
 			minA = math.Min(minA, arrival)
 			maxA = math.Max(maxA, arrival)
@@ -111,7 +110,7 @@ func Estimate(cfg TreeConfig, seed int64) (meanSkewPS, worstSkewPS float64, err 
 		sum += skew
 		worst = math.Max(worst, skew)
 	}
-	return sum / float64(cfg.MonteCarloN), worst, nil
+	return sum / monteCarloN, worst, nil
 }
 
 // ScaleForGeneration derives a TreeConfig for a given feature size relative

@@ -14,6 +14,7 @@ import (
 	"galsim/internal/campaign"
 	"galsim/internal/snapshot"
 	"galsim/internal/telemetry"
+	"galsim/internal/timeline"
 	"galsim/internal/wal"
 )
 
@@ -309,6 +310,93 @@ func TestCheckpointResumeAfterWorkerLoss(t *testing.T) {
 	if !strings.Contains(logs2.String(), "resuming from checkpoint") {
 		t.Error("successor worker did not resume from the checkpoint (no resume log line)")
 	}
+}
+
+// TestCheckpointingWorkerShipsSpans: a traced job that resumes from a
+// checkpoint on a checkpointing worker ships its execute and simulate spans
+// under its lease span, and its stats equal an untraced straight run. The
+// first holder is simulated by hand (lease, one checkpoint, silence); the
+// fake clock then expires its lease so a real worker inherits the job.
+func TestCheckpointingWorkerShipsSpans(t *testing.T) {
+	spans := timeline.NewSpanCollector(0)
+	clock := newFakeClock()
+	coord := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clock.Now, Spans: spans})
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	spec := ckptSpec()
+	straight, err := campaign.Execute(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceID := timeline.NewTraceID()
+	camp, err := coord.submit([]campaign.RunSpec{spec}, "req-traced-ckpt",
+		telemetry.TraceContext{TraceID: traceID, SpanID: timeline.NewSpanID()}, nil, campaign.PriorityBulk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _ := coord.tryLease("w1", 1, campaign.CacheStats{})
+	if len(jobs) != 1 || jobs[0].TraceParent == "" {
+		t.Fatalf("lease granted %d jobs (trace parent %q), want 1 traced job", len(jobs), jobs[0].TraceParent)
+	}
+	blob := captureCheckpoint(t, spec, 8_000)
+	if !coord.checkpoint(CheckpointRequest{WorkerID: "w1", JobID: jobs[0].ID, Committed: 8_000, Snapshot: blob}) {
+		t.Fatal("holder's checkpoint rejected")
+	}
+	clock.Advance(2 * time.Minute)
+
+	var logs syncBuffer
+	w := &Worker{
+		Coordinator:     ts.URL,
+		ID:              "w2",
+		Engine:          campaign.NewEngine(1),
+		Slots:           1,
+		PollInterval:    10 * time.Millisecond,
+		CheckpointEvery: 5_000,
+		Log:             slog.New(slog.NewTextHandler(&logs, nil)),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); w.Run(ctx) }() //nolint:errcheck // exits via ctx cancellation
+	defer func() { cancel(); wg.Wait() }()
+
+	select {
+	case <-camp.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("campaign did not finish on the successor worker")
+	}
+	if camp.err != nil {
+		t.Fatal(camp.err)
+	}
+	if !bytes.Equal(mustJSON(t, camp.results[0]), mustJSON(t, straight)) {
+		t.Error("traced resumed result differs from the untraced straight run")
+	}
+	if !strings.Contains(logs.String(), "resuming from checkpoint") {
+		t.Error("successor worker did not resume from the checkpoint (no resume log line)")
+	}
+
+	// The successor's lease span, and its execute span under it with a
+	// simulate child.
+	var lease, exec timeline.Span
+	waitFor(t, func() bool {
+		got := spans.ForTrace(traceID)
+		for _, sp := range got {
+			if sp.Name == "job lease" && sp.Attrs["worker"] == "w2" {
+				lease = sp
+			}
+		}
+		for _, sp := range got {
+			if sp.Name == "execute" && sp.Service == "worker w2" && lease.SpanID != "" && sp.ParentID == lease.SpanID {
+				exec = sp
+			}
+		}
+		for _, sp := range got {
+			if sp.Name == "simulate" && exec.SpanID != "" && sp.ParentID == exec.SpanID {
+				return true
+			}
+		}
+		return false
+	}, "the successor's lease, execute and simulate spans")
 }
 
 // TestJournalCheckpointLifecycle pins the store semantics in isolation:

@@ -23,15 +23,13 @@ type Config struct {
 	// LeaseTTL is how long a worker holds a job before the coordinator
 	// assumes the worker is gone and re-queues it (default 30s). Workers
 	// stream completions per job, so the TTL bounds one job, not a batch.
+	// A worker in contact within 3×LeaseTTL counts as alive.
 	LeaseTTL time.Duration
 	// MaxAttempts bounds how many times one job may be dispatched before its
 	// whole campaign fails (default 3). Lease expiries and worker-reported
 	// errors both count: a job that deterministically breaks every worker it
 	// touches must not circulate forever.
 	MaxAttempts int
-	// AliveAfter is how recently a worker must have contacted the
-	// coordinator to be reported alive in fleet stats (default 3×LeaseTTL).
-	AliveAfter time.Duration
 	// Now overrides the clock for lease-expiry tests.
 	Now func() time.Time
 	// Metrics is the registry the coordinator exports its fleet metrics to;
@@ -195,9 +193,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
-	if cfg.AliveAfter <= 0 {
-		cfg.AliveAfter = 3 * cfg.LeaseTTL
-	}
 	log := cfg.Log
 	if log == nil {
 		log = slog.Default()
@@ -289,7 +284,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		defer c.mu.Unlock()
 		n := 0
 		for _, w := range c.workers {
-			if now.Sub(w.lastSeen) <= c.cfg.AliveAfter {
+			if c.alive(w, now) {
 				n++
 			}
 		}
@@ -885,11 +880,17 @@ func (c *Coordinator) addSpans(spans []timeline.Span) {
 	c.cfg.Spans.Add(spans...)
 }
 
+// alive reports whether worker w has contacted the coordinator within the
+// liveness window, three lease TTLs.
+func (c *Coordinator) alive(w *workerState, now time.Time) bool {
+	return now.Sub(w.lastSeen) <= 3*c.cfg.LeaseTTL
+}
+
 // noEligibleWorkerLocked reports whether every worker recently in contact
 // has already failed this job: re-queuing it then waits for nobody.
 func (c *Coordinator) noEligibleWorkerLocked(j *job, now time.Time) bool {
 	for id, w := range c.workers {
-		if !j.excluded[id] && now.Sub(w.lastSeen) <= c.cfg.AliveAfter {
+		if !j.excluded[id] && c.alive(w, now) {
 			return false
 		}
 	}
@@ -995,7 +996,7 @@ func (c *Coordinator) Stats() FleetStats {
 		}
 	}
 	for _, w := range c.workers {
-		alive := now.Sub(w.lastSeen) <= c.cfg.AliveAfter
+		alive := c.alive(w, now)
 		if alive {
 			s.Alive++
 		}

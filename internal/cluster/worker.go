@@ -41,12 +41,10 @@ type Worker struct {
 	// PollInterval is the pause after an idle long-poll (default 500ms; the
 	// lease long-poll provides the real pacing). It also seeds the error
 	// backoff: failed lease/complete calls retry on a jittered exponential
-	// schedule from PollInterval up to MaxBackoff, resetting on success, so
-	// a briefly-down coordinator sees a fan-in of retries instead of a
-	// fixed-cadence stampede from every worker at once.
+	// schedule from PollInterval up to maxBackoff (15s), resetting on
+	// success, so a briefly-down coordinator sees a fan-in of retries
+	// instead of a fixed-cadence stampede from every worker at once.
 	PollInterval time.Duration
-	// MaxBackoff caps the error-retry delay (default 15s).
-	MaxBackoff time.Duration
 	// DrainTimeout, when positive, makes shutdown graceful: after Run's ctx
 	// is cancelled the worker stops leasing but finishes and reports the
 	// jobs it already holds, for at most this long. Zero preserves the
@@ -72,19 +70,14 @@ type Worker struct {
 	// microarchitecture events of each traced simulation are converted to
 	// spans and shipped back with the completion. 0 selects a small default;
 	// negative disables in-sim spans (execute/simulate spans still ship).
-	// A checkpointing worker (CheckpointEvery > 0) ignores it: it ships no
-	// worker spans at all for traced jobs.
 	TimelineEvents int
 	// CheckpointEvery, when positive, makes long jobs crash-resumable: every
 	// N committed instructions the worker posts the job's full execution
 	// state to the coordinator (POST /jobs/checkpoint), and a job that
 	// arrives carrying a previous holder's checkpoint resumes from it
 	// instead of re-simulating the prefix. Results are byte-identical either
-	// way (the snapshot differential gate proves it). Checkpointing takes
-	// precedence over tracing: a checkpointing worker attaches no timeline
-	// and ships no worker spans (execute, simulate or in-sim) for traced
-	// jobs, so their traces show only the coordinator's spans. Zero disables
-	// checkpointing.
+	// way (the snapshot differential gate proves it), traced or not. Zero
+	// disables checkpointing.
 	CheckpointEvery uint64
 
 	m struct {
@@ -100,13 +93,12 @@ type Worker struct {
 	randFloat func() float64
 }
 
+// maxBackoff caps a worker's error-retry delay.
+const maxBackoff = 15 * time.Second
+
 // newBackoff builds this worker's error-retry schedule.
 func (w *Worker) newBackoff() backoff {
-	maxB := w.MaxBackoff
-	if maxB <= 0 {
-		maxB = 15 * time.Second
-	}
-	return backoff{base: w.pollInterval(), cap: maxB, rand: w.randFloat}
+	return backoff{base: w.pollInterval(), cap: maxBackoff, rand: w.randFloat}
 }
 
 func (w *Worker) log() *slog.Logger {
@@ -202,6 +194,10 @@ func (w *Worker) Run(ctx context.Context) error {
 // already held, and outlives leaseCtx during a graceful drain.
 func (w *Worker) pull(leaseCtx, jobCtx context.Context) {
 	bo := w.newBackoff()
+	// rec is this slot's flight recorder (nil when TimelineEvents disables
+	// in-sim spans), reset for each traced job: the slot runs one job at a
+	// time and has rendered the job's spans before it leases the next.
+	rec := w.flightRecorder()
 	for leaseCtx.Err() == nil {
 		lease, err := w.lease(leaseCtx)
 		if err != nil {
@@ -228,14 +224,14 @@ func (w *Worker) pull(leaseCtx, jobCtx context.Context) {
 			w.log().Info("job start", "worker", w.ID, "job_id", jb.ID,
 				"request_id", jb.RequestID, "benchmark", jb.Spec.Benchmark)
 			start := time.Now()
-			// Checkpointing takes precedence over tracing: a checkpointing
-			// worker attaches no timeline and ships no worker spans.
 			var opts campaign.ExecOpts
-			trID, parentSp, traced := timeline.ParseTraceParent(jb.TraceParent)
 			if w.CheckpointEvery > 0 {
-				opts, traced = w.checkpointOpts(jobCtx, jb), false
-			} else if traced {
-				opts.Tap.Recorder = w.flightRecorder()
+				opts = w.checkpointOpts(jobCtx, jb)
+			}
+			trID, parentSp, traced := timeline.ParseTraceParent(jb.TraceParent)
+			if traced && rec != nil {
+				rec.Reset()
+				opts.Tap.Recorder = rec
 			}
 			st, hit, err := w.Engine.RunOpts(jobCtx, jb.Spec, opts)
 			end := time.Now()
@@ -355,8 +351,8 @@ func (w *Worker) checkpointOpts(ctx context.Context, jb Job) campaign.ExecOpts {
 // last events) while keeping completion bodies small.
 const maxSimSpans = 256
 
-// flightRecorder returns the timeline ring attached to a traced job, or nil
-// when TimelineEvents disables in-sim spans.
+// flightRecorder returns a timeline ring for traced jobs, or nil when
+// TimelineEvents disables in-sim spans.
 func (w *Worker) flightRecorder() *timeline.Recorder {
 	if w.TimelineEvents < 0 {
 		return nil

@@ -142,7 +142,7 @@ func TestPooledMatchesRetained(t *testing.T) {
 	for _, topo := range []Topology{BaseTopology(), GALSTopology()} {
 		cfg := DefaultConfig(topo)
 		if !topo.Synchronous() {
-			cfg.DynamicDVFS = DefaultDynamicDVFS()
+			cfg.DynamicDVFS = true
 		}
 		pooled := NewCore(cfg, prof).Run(10_000)
 		retained := NewCore(cfg, prof)

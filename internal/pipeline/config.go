@@ -25,7 +25,6 @@ import (
 	"galsim/internal/bpred"
 	"galsim/internal/cache"
 	"galsim/internal/dvfs"
-	"galsim/internal/power"
 	"galsim/internal/simtime"
 )
 
@@ -134,7 +133,11 @@ func (d DomainID) String() string {
 }
 
 // Config parameterizes a machine. The zero value is not usable; start from
-// DefaultConfig.
+// DefaultConfig. The parameters no experiment varies are not fields: the
+// decode, rename and issue widths, the register files and the link and
+// watchdog settings are the constants below, the memory system is
+// memSystem, and the power and voltage models are package power's table
+// and dvfs.Default.
 type Config struct {
 	// Topology assigns the five pipeline structures to clock domains and
 	// carries per-domain and per-link-class settings. It is required: the
@@ -143,30 +146,13 @@ type Config struct {
 
 	// Widths (instructions per cycle).
 	FetchWidth  int
-	DecodeWidth int
-	RenameWidth int
 	CommitWidth int
-
-	// Issue resources per execution domain.
-	IntIssueWidth int // integer ALUs
-	FPIssueWidth  int // FP units
-	MemIssueWidth int // D-cache ports
 
 	// Window sizes (Table 3).
 	IntIQSize int
 	FPIQSize  int
 	MemIQSize int
 	ROBSize   int
-
-	// Physical register file sizes. Table 3 specifies 72 integer and 72 FP
-	// *rename* registers; adding the 32 architectural registers of each file
-	// gives 104 physical registers (the 21264 similarly had 80 integer
-	// physical registers for 31 architectural).
-	PhysInt int
-	PhysFP  int
-
-	// NominalPeriod is the full-speed clock period (1 ns = 1 GHz).
-	NominalPeriod simtime.Duration
 
 	// Slowdowns stretches each structure's clock: period = factor × nominal,
 	// factor >= 1. Structures that share a clock domain must carry equal
@@ -192,12 +178,11 @@ type Config struct {
 	// Communication fabric.
 	FIFOCapacity  int // mixed-clock FIFO depth (GALS)
 	FIFOSyncEdges int // synchronizer depth in consumer edges (2 = two-flop)
-	LatchCapacity int // pipe-stage queue depth (base)
 
 	// DynamicDVFS enables the online per-domain frequency/voltage controller
 	// (GALS only): the application-driven dynamic scaling the paper's
-	// conclusion anticipates.
-	DynamicDVFS DynamicDVFSConfig
+	// conclusion anticipates (see dvfsController).
+	DynamicDVFS bool
 
 	// MemDisambig selects the memory cluster's load/store ordering policy
 	// (default: perfect disambiguation, as an oracle predictor would give).
@@ -209,27 +194,12 @@ type Config struct {
 	// paper rejected it). Ignored by the base machine.
 	LinkStyle LinkStyle
 
-	// StretchHandshake is the duration of one stretchable-clock transaction
-	// (LinkStyle == LinkStretch). Zero selects 1.5x the nominal period.
-	StretchHandshake simtime.Duration
-
-	// StretchWidth is the number of items one stretched transaction carries.
-	// Zero selects the machine width (4).
-	StretchWidth int
-
-	// Subsystem configurations.
-	Bpred  bpred.Config
-	Caches cache.HierarchyConfig
-	Power  power.Params
-	DVFS   dvfs.Params
+	// Predictor selects the direction-prediction scheme over the default
+	// table geometry (bpred.DefaultConfig).
+	Predictor bpred.Kind
 
 	// WorkloadSeed seeds the synthetic benchmark generator.
 	WorkloadSeed int64
-
-	// MaxStallCycles aborts a run that fails to commit (deadlock guard): the
-	// run panics if this many cycles of its slowest clock domain pass
-	// without a commit.
-	MaxStallCycles int
 
 	// SampleInterval, when non-zero, snapshots the machine's internal state
 	// every that many decode cycles into Stats.Samples (see Sample). Zero —
@@ -246,43 +216,66 @@ const (
 	DefaultFIFOSyncEdges = 2
 )
 
+// The fixed structural parameters of the paper's machine (Tables 2 and 3).
+const (
+	decodeWidth = 4 // instructions decoded per cycle
+	renameWidth = 4 // instructions renamed and dispatched per cycle
+
+	// Issue resources per execution domain.
+	intIssueWidth = 4 // integer ALUs
+	fpIssueWidth  = 4 // FP units
+	memIssueWidth = 2 // D-cache ports
+
+	// Physical register file sizes. Table 3 specifies 72 integer and 72 FP
+	// *rename* registers; adding the 32 architectural registers of each file
+	// gives 104 physical registers (the 21264 similarly had 80 integer
+	// physical registers for 31 architectural).
+	physInt = 72 + 32
+	physFP  = 72 + 32
+
+	// nominalPeriod is the full-speed clock period (1 ns = 1 GHz) of a
+	// domain whose topology leaves TopoDomain.Nominal at zero.
+	nominalPeriod = simtime.Nanosecond
+
+	// latchCapacity is the pipe-stage queue depth of a same-domain link.
+	latchCapacity = 4
+
+	// One stretchable-clock transaction (LinkStretch) lasts 1.5 nominal
+	// periods and carries up to the machine width of items.
+	stretchHandshake = nominalPeriod + nominalPeriod/2
+	stretchWidth     = 4
+
+	// maxStallCycles is the deadlock guard: a run panics when this many
+	// cycles of its slowest clock domain pass without a commit.
+	maxStallCycles = 20_000
+)
+
+// memSystem is the paper's Table 3 memory hierarchy, shared by every
+// machine.
+var memSystem = cache.DefaultHierarchyConfig()
+
 // DefaultConfig returns the paper's machine (Tables 2 and 3) clocked by the
 // given topology, at full speed.
 func DefaultConfig(topo Topology) Config {
 	cfg := Config{
 		Topology:    topo,
 		FetchWidth:  4,
-		DecodeWidth: 4,
-		RenameWidth: 4,
 		CommitWidth: 4,
-
-		IntIssueWidth: 4,
-		FPIssueWidth:  4,
-		MemIssueWidth: 2,
 
 		IntIQSize: 20,
 		FPIQSize:  16,
 		MemIQSize: 16,
 		ROBSize:   64,
 
-		PhysInt: 72 + 32,
-		PhysFP:  72 + 32,
-
-		NominalPeriod: simtime.Nanosecond,
-		AutoVoltage:   true,
-		PhaseSeed:     1,
+		AutoVoltage: true,
+		PhaseSeed:   1,
 
 		FIFOCapacity:  DefaultFIFOCapacity,
 		FIFOSyncEdges: DefaultFIFOSyncEdges,
-		LatchCapacity: 4,
 
-		Bpred:  bpred.DefaultConfig(),
-		Caches: cache.DefaultHierarchyConfig(),
-		Power:  power.DefaultParams(),
-		DVFS:   dvfs.Default,
+		Predictor: bpred.GShare,
 
-		WorkloadSeed:   42,
-		MaxStallCycles: 20_000,
+		WorkloadSeed: 42,
 	}
 	for i := range cfg.Slowdowns {
 		cfg.Slowdowns[i] = 1.0
@@ -302,22 +295,15 @@ func (c Config) Validate() error {
 		name string
 		v    int
 	}{
-		{"FetchWidth", c.FetchWidth}, {"DecodeWidth", c.DecodeWidth},
-		{"RenameWidth", c.RenameWidth}, {"CommitWidth", c.CommitWidth},
-		{"IntIssueWidth", c.IntIssueWidth}, {"FPIssueWidth", c.FPIssueWidth},
-		{"MemIssueWidth", c.MemIssueWidth}, {"IntIQSize", c.IntIQSize},
-		{"FPIQSize", c.FPIQSize}, {"MemIQSize", c.MemIQSize},
-		{"ROBSize", c.ROBSize}, {"FIFOCapacity", c.FIFOCapacity},
-		{"FIFOSyncEdges", c.FIFOSyncEdges}, {"LatchCapacity", c.LatchCapacity},
-		{"MaxStallCycles", c.MaxStallCycles},
+		{"FetchWidth", c.FetchWidth}, {"CommitWidth", c.CommitWidth},
+		{"IntIQSize", c.IntIQSize}, {"FPIQSize", c.FPIQSize},
+		{"MemIQSize", c.MemIQSize}, {"ROBSize", c.ROBSize},
+		{"FIFOCapacity", c.FIFOCapacity}, {"FIFOSyncEdges", c.FIFOSyncEdges},
 	}
 	for _, ch := range checks {
 		if err := pos(ch.name, ch.v); err != nil {
 			return err
 		}
-	}
-	if c.NominalPeriod <= 0 {
-		return fmt.Errorf("pipeline: NominalPeriod %v must be positive", c.NominalPeriod)
 	}
 	if c.SampleInterval != 0 && c.SampleInterval < 100 {
 		return fmt.Errorf("pipeline: SampleInterval %d cycles too short (minimum 100, or 0 to disable)", c.SampleInterval)
@@ -341,19 +327,16 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	// Voltage-table ceilings need the DVFS model's nominal supply.
+	// Voltage-table ceilings: the DVFS model's nominal supply.
 	for _, dom := range topo.Domains {
 		for _, p := range dom.VoltTable {
-			if p.Voltage > c.DVFS.VNominal {
+			if p.Voltage > dvfs.Default.VNominal {
 				return fmt.Errorf("pipeline: clock domain %q voltage %v exceeds the nominal supply %v",
-					dom.Name, p.Voltage, c.DVFS.VNominal)
+					dom.Name, p.Voltage, dvfs.Default.VNominal)
 			}
 		}
 	}
-	if err := c.DVFS.Validate(); err != nil {
-		return err
-	}
-	if c.DynamicDVFS.Enable {
+	if c.DynamicDVFS {
 		scalable := false
 		for _, dom := range topo.Domains {
 			scalable = scalable || dom.Scalable
@@ -362,10 +345,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("pipeline: dynamic DVFS requires a machine with at least one scalable clock domain (the fully synchronous machine has a single clock)")
 		}
 	}
-	if err := c.DynamicDVFS.Validate(); err != nil {
-		return err
-	}
-	return c.Power.Validate()
+	return nil
 }
 
 // SetUniformSlowdown sets every domain to the same slowdown (used for the

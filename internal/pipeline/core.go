@@ -6,6 +6,7 @@ import (
 	"galsim/internal/bpred"
 	"galsim/internal/cache"
 	"galsim/internal/clock"
+	"galsim/internal/dvfs"
 	"galsim/internal/fifo"
 	"galsim/internal/iq"
 	"galsim/internal/isa"
@@ -235,19 +236,21 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 	if src == nil {
 		panic("pipeline: nil instruction source")
 	}
+	pcfg := bpred.DefaultConfig()
+	pcfg.Kind = cfg.Predictor
 	c := &Core{
 		cfg:  cfg,
 		gen:  src,
-		pred: bpred.New(cfg.Bpred),
-		mem:  cache.NewHierarchy(cfg.Caches),
-		mtr:  power.NewMeter(cfg.Power),
-		rat:  rename.New(cfg.PhysInt, cfg.PhysFP),
+		pred: bpred.New(pcfg),
+		mem:  cache.NewHierarchy(memSystem),
+		mtr:  new(power.Meter),
+		rat:  rename.New(physInt, physFP),
 		rob:  rob.New(cfg.ROBSize),
 	}
 	c.stats.Kind = c.cfg.Topology.kind()
 	c.stats.Benchmark = name
 	c.lastFetchLine = ^uint64(0)
-	for l := cfg.Caches.L1I.LineBytes; l > 1; l >>= 1 {
+	for l := memSystem.L1I.LineBytes; l > 1; l >>= 1 {
 		c.l1iLineShift++
 	}
 
@@ -277,11 +280,11 @@ func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core 
 		c.readyAt[d] = make([]simtime.Time, c.rat.NumPhys())
 	}
 	c.exec[DomInt] = &execUnit{dom: DomInt, queue: iq.New("int-iq", cfg.IntIQSize),
-		fuBusyUntil: make([]simtime.Time, cfg.IntIssueWidth)}
+		fuBusyUntil: make([]simtime.Time, intIssueWidth)}
 	c.exec[DomFP] = &execUnit{dom: DomFP, queue: iq.New("fp-iq", cfg.FPIQSize),
-		fuBusyUntil: make([]simtime.Time, cfg.FPIssueWidth)}
+		fuBusyUntil: make([]simtime.Time, fpIssueWidth)}
 	c.exec[DomMem] = &execUnit{dom: DomMem, queue: iq.New("mem-iq", cfg.MemIQSize),
-		fuBusyUntil: make([]simtime.Time, cfg.MemIssueWidth)}
+		fuBusyUntil: make([]simtime.Time, memIssueWidth)}
 
 	c.buildScratch()
 	return c
@@ -299,14 +302,7 @@ func (c *Core) buildScratch() {
 	c.wakeOut[DomMem] = []*fifo.Link[wakeTag]{c.wakeMemToInt}
 	c.wakeOutFP = []*fifo.Link[wakeTag]{c.wakeMemToFP}
 
-	maxWidth := c.cfg.IntIssueWidth
-	if c.cfg.FPIssueWidth > maxWidth {
-		maxWidth = c.cfg.FPIssueWidth
-	}
-	if c.cfg.MemIssueWidth > maxWidth {
-		maxWidth = c.cfg.MemIssueWidth
-	}
-	c.selScratch = make([]*isa.Instr, 0, maxWidth)
+	c.selScratch = make([]*isa.Instr, 0, max(intIssueWidth, fpIssueWidth, memIssueWidth))
 	c.memSel.pendingAddrs = make([]uint64, 0, c.cfg.MemIQSize)
 
 	for _, d := range execDomains {
@@ -364,12 +360,12 @@ func (c *Core) buildScratch() {
 // phases, aliases the per-structure clock table onto the domain clocks, and
 // schedules each domain's first edge at its phase.
 func (c *Core) buildClocks() {
-	vnom := c.cfg.DVFS.VNominal
+	vnom := dvfs.Default.VNominal
 	topo := &c.cfg.Topology
 	c.domClocks = make([]*clock.Domain, len(topo.Domains))
 	periods := make([]simtime.Duration, len(topo.Domains))
 	for g, dom := range topo.Domains {
-		d := clock.NewDomain(dom.Name, topo.nominalPeriod(g, c.cfg), 0, vnom)
+		d := clock.NewDomain(dom.Name, topo.nominalPeriod(g), 0, vnom)
 		// Validate guaranteed every structure of the domain carries the same
 		// slowdown; read it off the first one.
 		if s := c.cfg.Slowdowns[topo.structuresOf(g)[0]]; s != 1 {
@@ -400,7 +396,7 @@ func (c *Core) voltageFor(g int, slow float64) float64 {
 	if tbl := c.cfg.Topology.Domains[g].VoltTable; len(tbl) > 0 {
 		return voltFromTable(tbl, slow)
 	}
-	return c.cfg.DVFS.VoltageForSlowdown(slow)
+	return dvfs.Default.VoltageForSlowdown(slow)
 }
 
 // voltFromTable interpolates a voltage table (sorted by ascending slowdown)
@@ -436,21 +432,13 @@ func (c *Core) buildLinks() {
 		}
 		return def
 	}
-	handshake := c.cfg.StretchHandshake
-	if handshake == 0 {
-		handshake = c.cfg.NominalPeriod + c.cfg.NominalPeriod/2
-	}
-	stretchWidth := c.cfg.StretchWidth
-	if stretchWidth == 0 {
-		stretchWidth = 4
-	}
 	instrLink := func(name string, from, to DomainID, class LinkClass) *fifo.Link[*isa.Instr] {
 		switch {
 		case !c.cfg.Topology.Cross(from, to):
-			return fifo.NewSyncLatch[*isa.Instr](name, c.clocks[from], capOf(class, c.cfg.LatchCapacity))
+			return fifo.NewSyncLatch[*isa.Instr](name, c.clocks[from], capOf(class, latchCapacity))
 		case c.cfg.LinkStyle == LinkStretch:
 			return fifo.NewStretchLink[*isa.Instr](name, c.clocks[from], c.clocks[to],
-				handshake, stretchWidth)
+				stretchHandshake, stretchWidth)
 		default:
 			return fifo.NewMixedClockFIFO[*isa.Instr](name, c.clocks[from], c.clocks[to],
 				capOf(class, c.cfg.FIFOCapacity), edges(class))
@@ -462,7 +450,7 @@ func (c *Core) buildLinks() {
 			return fifo.NewSyncLatch[wakeTag](name, c.clocks[from], capOf(LinkClassWakeup, 2*c.cfg.FIFOCapacity))
 		case c.cfg.LinkStyle == LinkStretch:
 			return fifo.NewStretchLink[wakeTag](name, c.clocks[from], c.clocks[to],
-				handshake, stretchWidth)
+				stretchHandshake, stretchWidth)
 		default:
 			return fifo.NewMixedClockFIFO[wakeTag](name, c.clocks[from], c.clocks[to],
 				capOf(LinkClassWakeup, 2*c.cfg.FIFOCapacity), edges(LinkClassWakeup))
@@ -470,7 +458,7 @@ func (c *Core) buildLinks() {
 	}
 
 	c.fetchToDecode = instrLink("fetch->decode", DomFetch, DomDecode, LinkClassFetch)
-	c.decodeToRename = fifo.NewSyncLatch[*isa.Instr]("decode->rename", c.clocks[DomDecode], c.cfg.LatchCapacity)
+	c.decodeToRename = fifo.NewSyncLatch[*isa.Instr]("decode->rename", c.clocks[DomDecode], latchCapacity)
 	for _, d := range execDomains {
 		c.dispatch[d] = instrLink(fmt.Sprintf("dispatch->%v", d), DomDecode, d, LinkClassDispatch)
 		c.complete[d] = instrLink(fmt.Sprintf("complete<-%v", d), d, DomDecode, LinkClassComplete)
@@ -794,17 +782,19 @@ func (c *Core) watchdogAndSamples() {
 	if c.tl != nil {
 		c.tl.checkStallTrigger(c)
 	}
-	if stalled := c.decodeCycles - c.lastProgress; stalled > uint64(c.cfg.MaxStallCycles) && stalled > c.stallLimit() {
-		panic(fmt.Sprintf(
-			"pipeline: no commit in %d cycles (%s/%s): committed=%d rob=%d/%d head=%v iqs=%d/%d/%d sqActive=%v",
-			c.cfg.MaxStallCycles, c.stats.Kind, c.stats.Benchmark,
-			c.stats.Committed, c.rob.Len(), c.rob.Cap(), c.rob.Head(),
-			c.exec[DomInt].queue.Len(), c.exec[DomFP].queue.Len(), c.exec[DomMem].queue.Len(),
-			c.sq.active))
+	if stalled := c.decodeCycles - c.lastProgress; stalled > maxStallCycles {
+		if limit := c.stallLimit(); stalled > limit {
+			panic(fmt.Sprintf(
+				"pipeline: no commit in %d decode cycles (limit %d) (%s/%s): committed=%d rob=%d/%d head=%v iqs=%d/%d/%d sqActive=%v",
+				stalled, limit, c.stats.Kind, c.stats.Benchmark,
+				c.stats.Committed, c.rob.Len(), c.rob.Cap(), c.rob.Head(),
+				c.exec[DomInt].queue.Len(), c.exec[DomFP].queue.Len(), c.exec[DomMem].queue.Len(),
+				c.sq.active))
+		}
 	}
 }
 
-// stallLimit is the watchdog's limit in decode cycles: MaxStallCycles
+// stallLimit is the watchdog's limit in decode cycles: maxStallCycles
 // cycles of the slowest clock domain, so a validly slowed domain — whose
 // every operation spans many decode cycles — is not mistaken for a
 // deadlock.
@@ -814,5 +804,5 @@ func (c *Core) stallLimit() uint64 {
 	for _, d := range c.domClocks {
 		slowest = max(slowest, d.Period())
 	}
-	return uint64(c.cfg.MaxStallCycles) * uint64((slowest+dec-1)/dec)
+	return maxStallCycles * uint64((slowest+dec-1)/dec)
 }

@@ -1,19 +1,16 @@
 package pipeline
 
 import (
-	"fmt"
-
 	"galsim/internal/simtime"
 )
 
-// DynamicDVFSConfig parameterizes the online per-domain frequency/voltage
-// controller: the "application-driven, multiple-domain dynamic
-// clock/voltage scaling" the paper's conclusion identifies as the eventual
-// payoff of GALS design (realized contemporaneously by Semeraro et al.,
-// HPCA 2002, via offline profiling; here as a simple online utilization
-// controller).
+// The online per-domain frequency/voltage controller (Config.DynamicDVFS):
+// the "application-driven, multiple-domain dynamic clock/voltage scaling"
+// the paper's conclusion identifies as the eventual payoff of GALS design
+// (realized contemporaneously by Semeraro et al., HPCA 2002, via offline
+// profiling; here as a simple online utilization controller).
 //
-// Every IntervalCycles decode cycles the controller inspects each execution
+// Every dvfsInterval decode cycles the controller inspects each execution
 // domain's issue-queue occupancy over the elapsed interval. A nearly empty
 // queue means the domain drains faster than work arrives — slack that can
 // be traded for energy by slowing its clock (and dropping its voltage per
@@ -23,61 +20,25 @@ import (
 // queue-based control (as in Semeraro et al.) beats raw utilization.
 // Changes take effect at the target domain's next clock edge — a local
 // decision applied locally, which only a GALS machine can do.
-type DynamicDVFSConfig struct {
-	Enable         bool
-	IntervalCycles uint64  // controller period in decode cycles
-	LowOcc         float64 // slow a domain whose IQ occupancy fraction is below this
-	HighOcc        float64 // speed up a domain whose IQ occupancy fraction is above this
-	Step           float64 // multiplicative frequency step (> 1)
-	MaxSlowdown    float64 // slowest allowed clock, as a factor of nominal
-
-	// MaxStepPerfLoss is the probe guard: each slowdown step is a probe,
-	// and if the machine's IPC falls by more than this fraction over the
-	// following interval the step is reverted and the domain frozen for
-	// FreezeIntervals. This is what keeps the controller from walking into
-	// Figure 12's trap — a near-empty memory queue whose few operations are
-	// all critical.
-	MaxStepPerfLoss float64
-	FreezeIntervals int
-}
-
-// DefaultDynamicDVFS returns the controller settings used by the dynamic
-// scaling demo: 2000-cycle intervals, slow below 5% queue occupancy,
+//
+// The settings: 4000-cycle intervals, slow below 5% queue occupancy,
 // recover above 25%, 1.26x steps (two steps per octave) up to 3x.
-func DefaultDynamicDVFS() DynamicDVFSConfig {
-	return DynamicDVFSConfig{
-		Enable:          true,
-		IntervalCycles:  4000,
-		LowOcc:          0.05,
-		HighOcc:         0.25,
-		Step:            1.26,
-		MaxSlowdown:     3.0,
-		MaxStepPerfLoss: 0.02,
-		FreezeIntervals: 8,
-	}
-}
+const (
+	dvfsInterval    uint64  = 4000 // controller period in decode cycles
+	dvfsLowOcc      float64 = 0.05 // slow a domain whose IQ occupancy fraction is below this
+	dvfsHighOcc     float64 = 0.25 // speed up a domain whose IQ occupancy fraction is above this
+	dvfsStep        float64 = 1.26 // multiplicative frequency step (> 1)
+	dvfsMaxSlowdown float64 = 3.0  // slowest allowed clock, as a factor of nominal
 
-// Validate reports an error for malformed controller settings.
-func (c DynamicDVFSConfig) Validate() error {
-	if !c.Enable {
-		return nil
-	}
-	switch {
-	case c.IntervalCycles < 100:
-		return fmt.Errorf("pipeline: dvfs interval %d cycles too short", c.IntervalCycles)
-	case c.LowOcc < 0 || c.HighOcc <= c.LowOcc || c.HighOcc > 1:
-		return fmt.Errorf("pipeline: dvfs thresholds low=%v high=%v malformed", c.LowOcc, c.HighOcc)
-	case c.Step <= 1:
-		return fmt.Errorf("pipeline: dvfs step %v must exceed 1", c.Step)
-	case c.MaxSlowdown < 1:
-		return fmt.Errorf("pipeline: dvfs max slowdown %v below 1", c.MaxSlowdown)
-	case c.MaxStepPerfLoss < 0 || c.MaxStepPerfLoss > 0.5:
-		return fmt.Errorf("pipeline: dvfs per-step perf-loss guard %v outside [0, 0.5]", c.MaxStepPerfLoss)
-	case c.FreezeIntervals < 0:
-		return fmt.Errorf("pipeline: dvfs freeze intervals %d negative", c.FreezeIntervals)
-	}
-	return nil
-}
+	// dvfsMaxStepPerfLoss is the probe guard: each slowdown step is a
+	// probe, and if the machine's IPC falls by more than this fraction over
+	// the following interval the step is reverted and the domain frozen for
+	// dvfsFreezeIntervals. This is what keeps the controller from walking
+	// into Figure 12's trap — a near-empty memory queue whose few operations
+	// are all critical.
+	dvfsMaxStepPerfLoss float64 = 0.02
+	dvfsFreezeIntervals         = 8
+)
 
 // The controller may retune the topology's scalable clock domains (see
 // TopoDomain.Scalable): domains consisting solely of execution structures,
@@ -108,14 +69,13 @@ type dvfsState struct {
 // boundary it computes per-clock-domain issue-queue occupancy and posts
 // retune requests.
 func (c *Core) dvfsController() {
-	ctl := c.cfg.DynamicDVFS
-	if !ctl.Enable || c.decodeCycles-c.dvfs.lastCheck < ctl.IntervalCycles {
+	if !c.cfg.DynamicDVFS || c.decodeCycles-c.dvfs.lastCheck < dvfsInterval {
 		return
 	}
 	c.dvfs.lastCheck = c.decodeCycles
 
 	// Interval IPC, the probe guard's signal.
-	intervalIPC := float64(c.stats.Committed-c.dvfs.lastCommitted) / float64(ctl.IntervalCycles)
+	intervalIPC := float64(c.stats.Committed-c.dvfs.lastCommitted) / float64(dvfsInterval)
 	c.dvfs.lastCommitted = c.stats.Committed
 
 	// Judge the outstanding probe: revert and freeze the domain if the last
@@ -123,13 +83,13 @@ func (c *Core) dvfsController() {
 	if c.dvfs.probeActive {
 		c.dvfs.probeActive = false
 		g := c.dvfs.probeDomain
-		if intervalIPC < c.dvfs.probeIPC*(1-ctl.MaxStepPerfLoss) {
-			c.dvfs.target[g] = c.dvfs.target[g] / ctl.Step
+		if intervalIPC < c.dvfs.probeIPC*(1-dvfsMaxStepPerfLoss) {
+			c.dvfs.target[g] = c.dvfs.target[g] / dvfsStep
 			if c.dvfs.target[g] < 1 {
 				c.dvfs.target[g] = 1
 			}
 			c.dvfs.pending[g] = true
-			c.dvfs.frozen[g] = ctl.FreezeIntervals
+			c.dvfs.frozen[g] = dvfsFreezeIntervals
 		}
 	}
 
@@ -165,20 +125,20 @@ func (c *Core) dvfsController() {
 			c.dvfs.target[g] = cur
 		}
 		switch {
-		case occFrac > ctl.HighOcc && cur > 1:
-			next := cur / ctl.Step
+		case occFrac > dvfsHighOcc && cur > 1:
+			next := cur / dvfsStep
 			if next < 1 {
 				next = 1
 			}
 			c.dvfs.target[g] = next
 			c.dvfs.pending[g] = true
-		case occFrac < ctl.LowOcc && cur*ctl.Step <= ctl.MaxSlowdown && occFrac < slowOcc:
+		case occFrac < dvfsLowOcc && cur*dvfsStep <= dvfsMaxSlowdown && occFrac < slowOcc:
 			slowCand = g
 			slowOcc = occFrac
 		}
 	}
 	if slowCand >= 0 {
-		c.dvfs.target[slowCand] *= ctl.Step
+		c.dvfs.target[slowCand] *= dvfsStep
 		c.dvfs.pending[slowCand] = true
 		c.dvfs.probeActive = true
 		c.dvfs.probeDomain = slowCand

@@ -15,7 +15,7 @@ func TestDynamicDVFSSlowsIdleDomain(t *testing.T) {
 	static := NewCore(DefaultConfig(GALSTopology()), prof).Run(80_000)
 
 	cfg := DefaultConfig(GALSTopology())
-	cfg.DynamicDVFS = DefaultDynamicDVFS()
+	cfg.DynamicDVFS = true
 	dyn := NewCore(cfg, prof).Run(80_000)
 
 	if dyn.Retunes == 0 {
@@ -44,7 +44,7 @@ func TestDynamicDVFSSlowsIdleDomain(t *testing.T) {
 func TestDynamicDVFSKeepsBusyDomainFast(t *testing.T) {
 	prof, _ := workload.ByName("swim")
 	cfg := DefaultConfig(GALSTopology())
-	cfg.DynamicDVFS = DefaultDynamicDVFS()
+	cfg.DynamicDVFS = true
 	dyn := NewCore(cfg, prof).Run(40_000)
 	if got := dyn.FinalSlowdowns[DomFP]; got > 1.7 {
 		t.Errorf("FP domain slowed to %.2f on an FP-heavy benchmark", got)
@@ -59,29 +59,28 @@ func TestDynamicDVFSKeepsBusyDomainFast(t *testing.T) {
 
 func TestDynamicDVFSRejectedOnBase(t *testing.T) {
 	cfg := DefaultConfig(BaseTopology())
-	cfg.DynamicDVFS = DefaultDynamicDVFS()
+	cfg.DynamicDVFS = true
 	if err := cfg.Validate(); err == nil {
 		t.Error("dynamic DVFS accepted on the base machine")
 	}
 }
 
+// TestDynamicDVFSConfigValidation checks the controller's settings against
+// the bounds its logic assumes.
 func TestDynamicDVFSConfigValidation(t *testing.T) {
-	bad := []DynamicDVFSConfig{
-		{Enable: true, IntervalCycles: 10, LowOcc: 0.1, HighOcc: 0.5, Step: 1.3, MaxSlowdown: 3},
-		{Enable: true, IntervalCycles: 2000, LowOcc: 0.5, HighOcc: 0.2, Step: 1.3, MaxSlowdown: 3},
-		{Enable: true, IntervalCycles: 2000, LowOcc: 0.1, HighOcc: 0.5, Step: 1.0, MaxSlowdown: 3},
-		{Enable: true, IntervalCycles: 2000, LowOcc: 0.1, HighOcc: 0.5, Step: 1.3, MaxSlowdown: 0.5},
-	}
-	for i, c := range bad {
-		if c.Validate() == nil {
-			t.Errorf("case %d accepted: %+v", i, c)
-		}
-	}
-	if (DynamicDVFSConfig{}).Validate() != nil {
-		t.Error("disabled controller should validate")
-	}
-	if DefaultDynamicDVFS().Validate() != nil {
-		t.Error("default controller config invalid")
+	switch {
+	case dvfsInterval < 100:
+		t.Errorf("dvfs interval %d cycles too short", dvfsInterval)
+	case dvfsLowOcc < 0 || dvfsHighOcc <= dvfsLowOcc || dvfsHighOcc > 1:
+		t.Errorf("dvfs thresholds low=%v high=%v malformed", dvfsLowOcc, dvfsHighOcc)
+	case dvfsStep <= 1:
+		t.Errorf("dvfs step %v must exceed 1", dvfsStep)
+	case dvfsMaxSlowdown < dvfsStep:
+		t.Errorf("dvfs max slowdown %v allows no step of %v", dvfsMaxSlowdown, dvfsStep)
+	case dvfsMaxStepPerfLoss < 0 || dvfsMaxStepPerfLoss > 0.5:
+		t.Errorf("dvfs per-step perf-loss guard %v outside [0, 0.5]", dvfsMaxStepPerfLoss)
+	case dvfsFreezeIntervals < 0:
+		t.Errorf("dvfs freeze intervals %d negative", dvfsFreezeIntervals)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestDynamicDVFSDeterministic(t *testing.T) {
 	prof, _ := workload.ByName("perl")
 	runIt := func() Stats {
 		cfg := DefaultConfig(GALSTopology())
-		cfg.DynamicDVFS = DefaultDynamicDVFS()
+		cfg.DynamicDVFS = true
 		return NewCore(cfg, prof).Run(20_000)
 	}
 	a, b := runIt(), runIt()

@@ -59,7 +59,7 @@ func TestGoldenStats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(tc.topo)
 			if tc.dvfs {
-				cfg.DynamicDVFS = DefaultDynamicDVFS()
+				cfg.DynamicDVFS = true
 			}
 			cfg.ZeroPhases = tc.zeroPhases
 			prof, err := workload.ByName(tc.bench)

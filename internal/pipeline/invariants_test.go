@@ -52,7 +52,7 @@ func TestCommitStreamInvariants(t *testing.T) {
 					}
 				}
 				for _, s := range in.PhysSrc {
-					if s < -1 || s >= cfg.PhysInt+cfg.PhysFP {
+					if s < -1 || s >= physInt+physFP {
 						t.Fatalf("instr %d: dangling physical source %d", in.Seq, s)
 					}
 				}
@@ -153,7 +153,7 @@ func TestEnergyAccountingClosed(t *testing.T) {
 		}
 		// Grid energy per cycle is a constant at nominal voltage.
 		perCycle := st.EnergyBreakdown[power.BlockFetchClock] / float64(st.Cycles[DomFetch])
-		want := cfg.Power.Blocks[power.BlockFetchClock].PerAccess
+		want := power.PerAccess(power.BlockFetchClock)
 		if perCycle < want*0.999 || perCycle > want*1.001 {
 			t.Errorf("%v: fetch grid %.3f pJ/cycle, want %.3f", topo.kind(), perCycle, want)
 		}

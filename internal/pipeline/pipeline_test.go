@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -282,5 +283,37 @@ func TestRunGuards(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestWatchdogReportsStalledCycles: the deadlock guard's limit scales with
+// the slowest clock domain, and its panic reports the decode cycles that
+// actually passed without a commit and that scaled limit.
+func TestWatchdogReportsStalledCycles(t *testing.T) {
+	cfg := DefaultConfig(GALSTopology())
+	cfg.Slowdowns[DomMem] = 1000
+	prof, _ := workload.ByName("gcc")
+	c := NewCore(cfg, prof)
+	const limit = maxStallCycles * 1000
+	if got := c.stallLimit(); got != limit {
+		t.Fatalf("stallLimit = %d, want %d", got, limit)
+	}
+	watchdog := func(decodeCycles uint64) (msg string) {
+		defer func() {
+			if p := recover(); p != nil {
+				msg = fmt.Sprint(p)
+			}
+		}()
+		c.decodeCycles, c.lastProgress = decodeCycles, 500
+		c.watchdogAndSamples()
+		return ""
+	}
+	if msg := watchdog(500 + limit - 1); msg != "" {
+		t.Fatalf("watchdog fired at the limit: %s", msg)
+	}
+	msg := watchdog(500 + limit)
+	want := fmt.Sprintf("pipeline: no commit in %d decode cycles (limit %d) (gals/gcc)", limit+1, limit)
+	if !strings.HasPrefix(msg, want) {
+		t.Errorf("watchdog panic = %q, want prefix %q", msg, want)
 	}
 }

@@ -66,7 +66,7 @@ func TestSamplerSeries(t *testing.T) {
 	// slowdowns somewhere in the series (perl converges on a slow FP
 	// domain, as the paper's hand tuning did).
 	cfg = DefaultConfig(GALSTopology())
-	cfg.DynamicDVFS = DefaultDynamicDVFS()
+	cfg.DynamicDVFS = true
 	cfg.SampleInterval = 2000
 	dyn := NewCore(cfg, prof).Run(60_000)
 	var retuned bool

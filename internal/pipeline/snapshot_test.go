@@ -44,7 +44,7 @@ func snapConfig(t *testing.T, topo Topology, dvfs bool, sample uint64) Config {
 	t.Helper()
 	cfg := DefaultConfig(topo)
 	if dvfs {
-		cfg.DynamicDVFS = DefaultDynamicDVFS()
+		cfg.DynamicDVFS = true
 	}
 	cfg.SampleInterval = sample
 	return cfg

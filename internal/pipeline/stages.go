@@ -43,7 +43,7 @@ func (c *Core) stageFetch(now simtime.Time) {
 			lat := c.mem.L1I.Access(pc, false)
 			c.mtr.Access(power.BlockICache, 1)
 			c.lastFetchLine = line
-			if lat > c.cfg.Caches.L1I.HitLatency {
+			if lat > memSystem.L1I.HitLatency {
 				c.mtr.Access(power.BlockL2, 1)
 				c.icacheStallTo = now + simtime.Time(lat)*c.clocks[DomFetch].Period()
 				c.stats.ICacheMisses++
@@ -112,7 +112,7 @@ func (c *Core) stageFetch(now simtime.Time) {
 // stageDecode models pipe stage 2: move instructions from the fetch link
 // into the decode→rename latch.
 func (c *Core) stageDecode(now simtime.Time) {
-	for i := 0; i < c.cfg.DecodeWidth; i++ {
+	for i := 0; i < decodeWidth; i++ {
 		if !c.decodeToRename.CanPut(now) {
 			break
 		}
@@ -138,7 +138,7 @@ func (c *Core) stageDecode(now simtime.Time) {
 // ROB allocation, and dispatch into the per-cluster links. Stalls keep the
 // instruction in the latch (in-order front end).
 func (c *Core) stageRenameDispatch(now simtime.Time) {
-	for i := 0; i < c.cfg.RenameWidth; i++ {
+	for i := 0; i < renameWidth; i++ {
 		in, ok := c.decodeToRename.Peek(now)
 		if !ok {
 			break
@@ -204,7 +204,7 @@ func (c *Core) stageCommit(now simtime.Time) {
 		if h.Class == isa.ClassStore {
 			lat := c.mem.L1D.Access(h.Addr, true)
 			c.mtr.Access(power.BlockDCache, 1)
-			if lat > c.cfg.Caches.L1D.HitLatency {
+			if lat > memSystem.L1D.HitLatency {
 				c.mtr.Access(power.BlockL2, 1)
 			}
 		}
@@ -428,10 +428,10 @@ func (c *Core) stageIssue(d DomainID, now simtime.Time) {
 		case isa.ClassLoad:
 			clat := c.mem.L1D.Access(in.Addr, false)
 			c.mtr.Access(power.BlockDCache, 1)
-			if clat > c.cfg.Caches.L1D.HitLatency {
+			if clat > memSystem.L1D.HitLatency {
 				c.mtr.Access(power.BlockL2, 1)
 			}
-			in.DCacheHit = clat == c.cfg.Caches.L1D.HitLatency
+			in.DCacheHit = clat == memSystem.L1D.HitLatency
 			latCycles = 1 + int64(clat) // AGU + cache
 		case isa.ClassStore:
 			latCycles = 1 // AGU only; the write happens at commit

@@ -201,7 +201,7 @@ func chargeLink[T any](c *Core, l *fifo.Link[T], from, to DomainID) {
 		// Final voltages; exact for static scaling, a slight approximation
 		// when dynamic DVFS retuned voltages mid-run.
 		scale := (c.clocks[from].EnergyScale() + c.clocks[to].EnergyScale()) / 2
-		perAccess := c.cfg.Power.Blocks[power.BlockFIFOs].PerAccess
+		perAccess := power.PerAccess(power.BlockFIFOs)
 		c.mtr.AddEnergy(power.BlockFIFOs, float64(st.Puts+st.Gets)*perAccess*scale)
 	}
 }

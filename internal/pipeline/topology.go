@@ -64,10 +64,10 @@ type TopoDomain struct {
 	// Name labels the domain's clock (diagnostics, slowdown keys).
 	Name string
 	// Nominal is the domain's full-speed clock period; 0 selects the
-	// machine-wide Config.NominalPeriod.
+	// machine-wide 1 ns.
 	Nominal simtime.Duration
 	// Scalable marks the domain eligible for the online DVFS controller
-	// (which still only runs when Config.DynamicDVFS.Enable is set). Only
+	// (which still only runs when Config.DynamicDVFS is set). Only
 	// domains consisting solely of execution structures may be scalable:
 	// their issue queues provide the occupancy feedback signal.
 	Scalable bool
@@ -220,12 +220,12 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// nominalPeriod returns domain g's full-speed period under cfg.
-func (t Topology) nominalPeriod(g int, cfg Config) simtime.Duration {
+// nominalPeriod returns domain g's full-speed period.
+func (t Topology) nominalPeriod(g int) simtime.Duration {
 	if p := t.Domains[g].Nominal; p > 0 {
 		return p
 	}
-	return cfg.NominalPeriod
+	return nominalPeriod
 }
 
 // randomPhases derives the per-clock-domain starting phases: zero for a

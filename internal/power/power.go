@@ -84,94 +84,64 @@ func (b Block) IsClock() bool {
 	return false
 }
 
-// BlockParams gives one block's energy model.
-type BlockParams struct {
-	// PerAccess is the switching energy of one access, in picojoules at
+// blockModel gives one block's energy model.
+type blockModel struct {
+	// perAccess is the switching energy of one access, in picojoules at
 	// nominal voltage. For clock grids it is the energy of one clock cycle.
-	PerAccess float64
-	// FullAccesses is the access count of a fully busy cycle; idle cycles
-	// charge IdleFraction × FullAccesses × PerAccess. Zero for grids (a grid
+	perAccess float64
+	// fullAccesses is the access count of a fully busy cycle; idle cycles
+	// charge idleFraction × fullAccesses × perAccess. Zero for grids (a grid
 	// is never idle while its clock runs) and for FIFOs.
-	FullAccesses float64
+	fullAccesses float64
 }
 
-// Params is the complete power model configuration.
-type Params struct {
-	// IdleFraction is the fraction of full per-cycle power an unused block
-	// still burns; the paper models clock-gating overheads and leakage as
-	// 10% of full power.
-	IdleFraction float64
-	Blocks       [NumBlocks]BlockParams
-}
+// idleFraction is the fraction of full per-cycle power an unused block
+// still burns; the paper models clock-gating overheads and leakage as 10%
+// of full power.
+const idleFraction float64 = 0.10
 
-// DefaultParams returns the calibrated model. Absolute magnitudes are
-// arbitrary (results are reported normalized to the base machine); the
-// ratios encode the structure described in the package comment.
-func DefaultParams() Params {
-	p := Params{IdleFraction: 0.10}
-	set := func(b Block, perAccess, full float64) {
-		p.Blocks[b] = BlockParams{PerAccess: perAccess, FullAccesses: full}
-	}
+// table is the calibrated model. Absolute magnitudes are arbitrary
+// (results are reported normalized to the base machine); the ratios encode
+// the structure described in the package comment.
+var table = [NumBlocks]blockModel{
 	// Clock grids: energy per cycle of their domain's clock. Proportioned so
 	// that in the base machine the whole clock network is roughly a third of
 	// total power and the global grid roughly a third of that (the
 	// 21264-style hierarchy): global ≈ 10% of chip power.
-	set(BlockGlobalClock, 750, 0)
-	set(BlockFetchClock, 385, 0)
-	set(BlockDecodeClock, 495, 0)
-	set(BlockIntClock, 495, 0)
-	set(BlockFPClock, 495, 0)
-	set(BlockMemClock, 605, 0)
+	BlockGlobalClock: {750, 0},
+	BlockFetchClock:  {385, 0},
+	BlockDecodeClock: {495, 0},
+	BlockIntClock:    {495, 0},
+	BlockFPClock:     {495, 0},
+	BlockMemClock:    {605, 0},
 	// Arrays and logic: energy per access, and accesses in a saturated cycle.
-	set(BlockICache, 1100, 1)  // one line fetch per cycle
-	set(BlockBPred, 350, 2)    // lookup + update
-	set(BlockRename, 180, 4)   // 4-wide rename
-	set(BlockRegfile, 140, 12) // 8 read + 4 write ports
-	set(BlockIntIQ, 200, 8)    // dispatch writes + selects + wakeups
-	set(BlockFPIQ, 200, 8)     //
-	set(BlockMemIQ, 200, 6)    //
-	set(BlockALUs, 450, 4)     // 4 integer ALUs
-	set(BlockFPALUs, 900, 4)   // 4 FP units
-	set(BlockDCache, 900, 2)   // 2 ports
-	set(BlockL2, 2400, 0.5)    // occasional
-	set(BlockFIFOs, 30, 0)     // per put/get; GALS only
-	return p
+	BlockICache:  {1100, 1},   // one line fetch per cycle
+	BlockBPred:   {350, 2},    // lookup + update
+	BlockRename:  {180, 4},    // 4-wide rename
+	BlockRegfile: {140, 12},   // 8 read + 4 write ports
+	BlockIntIQ:   {200, 8},    // dispatch writes + selects + wakeups
+	BlockFPIQ:    {200, 8},    //
+	BlockMemIQ:   {200, 6},    //
+	BlockALUs:    {450, 4},    // 4 integer ALUs
+	BlockFPALUs:  {900, 4},    // 4 FP units
+	BlockDCache:  {900, 2},    // 2 ports
+	BlockL2:      {2400, 0.5}, // occasional
+	BlockFIFOs:   {30, 0},     // per put/get; GALS only
 }
 
-// Validate reports an error for malformed parameters.
-func (p Params) Validate() error {
-	if p.IdleFraction < 0 || p.IdleFraction > 1 {
-		return fmt.Errorf("power: idle fraction %v outside [0,1]", p.IdleFraction)
-	}
-	for b, bp := range p.Blocks {
-		if bp.PerAccess < 0 || bp.FullAccesses < 0 {
-			return fmt.Errorf("power: block %v has negative parameters", Block(b))
-		}
-	}
-	return nil
-}
+// PerAccess returns a block's switching energy per access in picojoules at
+// nominal voltage (per cycle for a clock grid).
+func PerAccess(b Block) float64 { return table[b].perAccess }
 
 // Meter accumulates energy over a simulation run. One Meter serves the whole
 // machine; each clock domain ends its own cycles with EndCycle over the
-// blocks it owns.
+// blocks it owns. The zero Meter is ready to use.
 type Meter struct {
-	params  Params
 	pending [NumBlocks]float64 // accesses recorded since the block's last EndCycle
 	energy  [NumBlocks]float64 // accumulated energy in pJ
 	cycles  [NumBlocks]uint64
 	idle    [NumBlocks]uint64
 }
-
-// NewMeter builds a meter with the given parameters.
-func NewMeter(params Params) *Meter {
-	if err := params.Validate(); err != nil {
-		panic(err)
-	}
-	return &Meter{params: params}
-}
-
-// Params returns the meter's configuration.
-func (m *Meter) Params() Params { return m.params }
 
 // Access records n accesses to a block within the current cycle of the
 // block's owning domain.
@@ -188,19 +158,19 @@ func (m *Meter) Access(b Block, n int) {
 // full cycle.
 func (m *Meter) EndCycle(blocks []Block, energyScale float64) {
 	for _, b := range blocks {
-		bp := m.params.Blocks[b]
+		bp := table[b]
 		acc := m.pending[b]
 		m.pending[b] = 0
 		m.cycles[b]++
 		var e float64
 		if acc > 0 {
-			e = acc * bp.PerAccess
+			e = acc * bp.perAccess
 		} else if b.IsClock() {
 			// A grid switches every cycle of its clock regardless of work.
-			e = bp.PerAccess
+			e = bp.perAccess
 		} else {
 			m.idle[b]++
-			e = m.params.IdleFraction * bp.FullAccesses * bp.PerAccess
+			e = idleFraction * bp.fullAccesses * bp.perAccess
 		}
 		m.energy[b] += e * energyScale
 	}
@@ -213,7 +183,7 @@ func (m *Meter) EndClockCycle(b Block, energyScale float64) {
 		panic(fmt.Sprintf("power: EndClockCycle on non-clock block %v", b))
 	}
 	m.cycles[b]++
-	m.energy[b] += m.params.Blocks[b].PerAccess * energyScale
+	m.energy[b] += table[b].perAccess * energyScale
 }
 
 // AddEnergy adds raw energy (pJ) to a block, already voltage-scaled. Used

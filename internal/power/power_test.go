@@ -31,28 +31,35 @@ func TestClockClassification(t *testing.T) {
 	}
 }
 
+// TestDefaultParamsValid checks the calibrated table against the bounds
+// the model assumes: an idle fraction in [0, 1] and no negative energy or
+// access count.
 func TestDefaultParamsValid(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatal(err)
+	if idleFraction < 0 || idleFraction > 1 {
+		t.Errorf("idle fraction %v outside [0,1]", idleFraction)
+	}
+	for b, bp := range table {
+		if bp.perAccess < 0 || bp.fullAccesses < 0 {
+			t.Errorf("block %v has negative parameters", Block(b))
+		}
 	}
 }
 
 func TestActiveCycleCharging(t *testing.T) {
-	m := NewMeter(DefaultParams())
+	m := new(Meter)
 	m.Access(BlockICache, 2)
 	m.EndCycle([]Block{BlockICache}, 1.0)
-	want := 2 * DefaultParams().Blocks[BlockICache].PerAccess
+	want := 2 * PerAccess(BlockICache)
 	if got := m.energy[BlockICache]; got != want {
 		t.Errorf("energy = %v, want %v", got, want)
 	}
 }
 
 func TestIdleCycleChargesTenPercent(t *testing.T) {
-	p := DefaultParams()
-	m := NewMeter(p)
+	m := new(Meter)
 	m.EndCycle([]Block{BlockALUs}, 1.0)
-	bp := p.Blocks[BlockALUs]
-	want := 0.10 * bp.FullAccesses * bp.PerAccess
+	bp := table[BlockALUs]
+	want := 0.10 * bp.fullAccesses * bp.perAccess
 	if got := m.energy[BlockALUs]; math.Abs(got-want) > 1e-9 {
 		t.Errorf("idle energy = %v, want %v", got, want)
 	}
@@ -62,20 +69,18 @@ func TestIdleCycleChargesTenPercent(t *testing.T) {
 }
 
 func TestClockGridNeverIdle(t *testing.T) {
-	p := DefaultParams()
-	m := NewMeter(p)
+	m := new(Meter)
 	m.EndCycle([]Block{BlockFetchClock}, 1.0)
-	if got := m.energy[BlockFetchClock]; got != p.Blocks[BlockFetchClock].PerAccess {
-		t.Errorf("grid idle cycle charged %v, want full %v", got, p.Blocks[BlockFetchClock].PerAccess)
+	if got := m.energy[BlockFetchClock]; got != PerAccess(BlockFetchClock) {
+		t.Errorf("grid idle cycle charged %v, want full %v", got, PerAccess(BlockFetchClock))
 	}
 }
 
 func TestEndClockCycle(t *testing.T) {
-	p := DefaultParams()
-	m := NewMeter(p)
+	m := new(Meter)
 	m.EndClockCycle(BlockGlobalClock, 1.0)
 	m.EndClockCycle(BlockGlobalClock, 0.25)
-	want := p.Blocks[BlockGlobalClock].PerAccess * 1.25
+	want := PerAccess(BlockGlobalClock) * 1.25
 	if got := m.energy[BlockGlobalClock]; math.Abs(got-want) > 1e-9 {
 		t.Errorf("grid energy = %v, want %v", got, want)
 	}
@@ -85,7 +90,7 @@ func TestEndClockCycle(t *testing.T) {
 }
 
 func TestEndClockCycleRejectsNonClock(t *testing.T) {
-	m := NewMeter(DefaultParams())
+	m := new(Meter)
 	defer func() {
 		if recover() == nil {
 			t.Error("EndClockCycle(ALUs) did not panic")
@@ -95,30 +100,30 @@ func TestEndClockCycleRejectsNonClock(t *testing.T) {
 }
 
 func TestVoltageScaling(t *testing.T) {
-	m := NewMeter(DefaultParams())
+	m := new(Meter)
 	m.Access(BlockDCache, 1)
 	m.EndCycle([]Block{BlockDCache}, 0.5) // e.g. V = Vnom/sqrt(2)
-	want := 0.5 * DefaultParams().Blocks[BlockDCache].PerAccess
+	want := 0.5 * PerAccess(BlockDCache)
 	if got := m.energy[BlockDCache]; math.Abs(got-want) > 1e-9 {
 		t.Errorf("scaled energy = %v, want %v", got, want)
 	}
 }
 
 func TestPendingResetsBetweenCycles(t *testing.T) {
-	m := NewMeter(DefaultParams())
+	m := new(Meter)
 	m.Access(BlockRename, 4)
 	m.EndCycle([]Block{BlockRename}, 1.0)
 	first := m.energy[BlockRename]
 	m.EndCycle([]Block{BlockRename}, 1.0) // idle cycle
 	second := m.energy[BlockRename] - first
-	idle := 0.10 * DefaultParams().Blocks[BlockRename].FullAccesses * DefaultParams().Blocks[BlockRename].PerAccess
+	idle := 0.10 * table[BlockRename].fullAccesses * table[BlockRename].perAccess
 	if math.Abs(second-idle) > 1e-9 {
 		t.Errorf("second cycle charged %v, want idle %v", second, idle)
 	}
 }
 
 func TestTotalsAndBreakdown(t *testing.T) {
-	m := NewMeter(DefaultParams())
+	m := new(Meter)
 	m.Access(BlockICache, 1)
 	m.EndCycle([]Block{BlockICache}, 1.0)
 	m.EndClockCycle(BlockGlobalClock, 1.0)
@@ -139,11 +144,10 @@ func TestGlobalGridShareOfClockPower(t *testing.T) {
 	// Structural check on the calibration: the global grid should be a
 	// substantial minority of total clock power (the 21264-style hierarchy),
 	// between 20% and 45%.
-	p := DefaultParams()
-	global := p.Blocks[BlockGlobalClock].PerAccess
+	global := PerAccess(BlockGlobalClock)
 	total := global
 	for _, b := range []Block{BlockFetchClock, BlockDecodeClock, BlockIntClock, BlockFPClock, BlockMemClock} {
-		total += p.Blocks[b].PerAccess
+		total += PerAccess(b)
 	}
 	share := global / total
 	if share < 0.20 || share > 0.45 {
@@ -152,7 +156,7 @@ func TestGlobalGridShareOfClockPower(t *testing.T) {
 }
 
 func TestNegativeGuards(t *testing.T) {
-	m := NewMeter(DefaultParams())
+	m := new(Meter)
 	for name, fn := range map[string]func(){
 		"Access":    func() { m.Access(BlockALUs, -1) },
 		"AddEnergy": func() { m.AddEnergy(BlockFIFOs, -1) },

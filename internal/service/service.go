@@ -66,30 +66,6 @@ import (
 // maxBodyBytes bounds request bodies; specs and sweeps are small.
 const maxBodyBytes = 1 << 20
 
-// maxCustomWorkloads and maxCustomWorkloadBytes bound the uploaded-profile
-// registry in entries and in total stored bytes (specs are kept for the
-// server's lifetime and uploads are unauthenticated, so both axes need a
-// ceiling — 1024 one-MiB specs would otherwise pin a gigabyte of heap).
-// The machine registry is bounded the same way.
-const (
-	maxCustomWorkloads     = 1024
-	maxCustomWorkloadBytes = 16 << 20
-	maxCustomMachines      = 1024
-	maxCustomMachineBytes  = 16 << 20
-)
-
-// customEntry is one uploaded profile plus its accounted size.
-type customEntry struct {
-	spec workload.ProfileSpec
-	size int
-}
-
-// machineEntry is one uploaded machine spec plus its accounted size.
-type machineEntry struct {
-	spec machine.Spec
-	size int
-}
-
 // Server is the galsimd HTTP handler. Create with New.
 type Server struct {
 	engine *campaign.Engine
@@ -135,15 +111,10 @@ type Server struct {
 	sweepIDs  []string // insertion order, for bounded eviction
 	sweepNext int
 
-	// custom is the uploaded-profile registry: name -> validated spec.
-	customMu    sync.RWMutex
-	custom      map[string]customEntry
-	customBytes int // total accounted size of all entries
-
-	// machines is the uploaded-machine registry: name -> validated spec.
-	machinesMu    sync.RWMutex
-	machines      map[string]machineEntry
-	machinesBytes int // total accounted size of all entries
+	// custom and machines are the upload registries: name -> validated
+	// spec.
+	custom   *registry[workload.ProfileSpec]
+	machines *registry[machine.Spec]
 }
 
 // New builds a server around the given engine (nil creates a fresh
@@ -154,7 +125,7 @@ func New(engine *campaign.Engine) *Server {
 	}
 	s := &Server{engine: engine, mux: http.NewServeMux(), MaxSweepUnits: 4096,
 		metrics: telemetry.NewRegistry(), sweeps: map[string]*sweepStatus{},
-		custom: map[string]customEntry{}, machines: map[string]machineEntry{}}
+		custom: newRegistry[workload.ProfileSpec]("workload"), machines: newRegistry[machine.Spec]("machine")}
 	s.mux.HandleFunc("POST /run", s.handleRun)
 	s.mux.HandleFunc("POST /sweep", s.handleSweep)
 	s.mux.HandleFunc("GET /sweeps", s.handleSweeps)
@@ -188,18 +159,10 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.engine.Stats().Entries) })
 	s.metrics.GaugeFunc("galsim_service_workloads",
 		"Uploaded custom workload profiles currently registered.",
-		func() float64 {
-			s.customMu.RLock()
-			defer s.customMu.RUnlock()
-			return float64(len(s.custom))
-		})
+		func() float64 { return float64(s.custom.len()) })
 	s.metrics.GaugeFunc("galsim_service_machines",
 		"Uploaded custom machine specs currently registered.",
-		func() float64 {
-			s.machinesMu.RLock()
-			defer s.machinesMu.RUnlock()
-			return float64(len(s.machines))
-		})
+		func() float64 { return float64(s.machines.len()) })
 }
 
 // Engine returns the server's campaign engine.
@@ -275,12 +238,9 @@ func (s *Server) resolveWorkload(spec *campaign.RunSpec) {
 	if spec.Benchmark == "" || spec.Profile != nil || spec.Trace != nil {
 		return
 	}
-	s.customMu.RLock()
-	ent, ok := s.custom[spec.Benchmark]
-	s.customMu.RUnlock()
-	if ok {
+	if p, ok := s.custom.get(spec.Benchmark); ok {
 		spec.Benchmark = ""
-		spec.Profile = &ent.spec
+		spec.Profile = &p
 	}
 }
 
@@ -295,12 +255,9 @@ func (s *Server) resolveMachine(spec *campaign.RunSpec) {
 	if _, err := machine.ByName(spec.Machine); err == nil {
 		return // built-ins resolve everywhere; never shadow them
 	}
-	s.machinesMu.RLock()
-	ent, ok := s.machines[spec.Machine]
-	s.machinesMu.RUnlock()
-	if ok {
+	if m, ok := s.machines.get(spec.Machine); ok {
 		spec.Machine = ""
-		spec.MachineSpec = &ent.spec
+		spec.MachineSpec = &m
 	}
 }
 
@@ -452,22 +409,15 @@ func (s *Server) resolveSweepMachines(sweep *campaign.Sweep) error {
 	if !needed {
 		return nil
 	}
-	s.machinesMu.RLock()
-	defer s.machinesMu.RUnlock()
 	var specs []machine.Spec
 	for _, name := range sweep.Machines {
 		if sp, err := machine.ByName(name); err == nil {
 			specs = append(specs, sp)
-		} else if ent, ok := s.machines[name]; ok {
-			specs = append(specs, ent.spec)
+		} else if sp, ok := s.machines.get(name); ok {
+			specs = append(specs, sp)
 		} else {
-			uploaded := make([]string, 0, len(s.machines))
-			for n := range s.machines {
-				uploaded = append(uploaded, n)
-			}
-			sort.Strings(uploaded)
 			return fmt.Errorf("unknown machine %q in sweep (built-in machines: %s; uploaded: %v)",
-				name, strings.Join(machine.BuiltinNames(), ", "), uploaded)
+				name, strings.Join(machine.BuiltinNames(), ", "), s.machines.names())
 		}
 	}
 	sweep.Machines = nil
@@ -625,11 +575,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 			DataBytes:  p.DataWorkingSet,
 		})
 	}
-	s.customMu.RLock()
-	for _, ent := range s.custom {
-		resp.Custom = append(resp.Custom, ent.spec)
-	}
-	s.customMu.RUnlock()
+	resp.Custom = append(resp.Custom, s.custom.values()...)
 	sort.Slice(resp.Custom, func(i, j int) bool { return resp.Custom[i].Name < resp.Custom[j].Name })
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -654,19 +600,11 @@ func (s *Server) handleUploadWorkload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("encoding profile: %w", err))
 		return
 	}
-	s.customMu.Lock()
-	old, exists := s.custom[spec.Name]
-	newTotal := s.customBytes - old.size + len(encoded)
-	if (!exists && len(s.custom) >= maxCustomWorkloads) || newTotal > maxCustomWorkloadBytes {
-		s.customMu.Unlock()
-		writeError(w, http.StatusInsufficientStorage,
-			fmt.Errorf("custom workload registry is full (%d entries / %d bytes max)",
-				maxCustomWorkloads, maxCustomWorkloadBytes))
+	exists, err := s.custom.put(spec.Name, spec, len(encoded))
+	if err != nil {
+		writeError(w, http.StatusInsufficientStorage, err)
 		return
 	}
-	s.custom[spec.Name] = customEntry{spec: spec, size: len(encoded)}
-	s.customBytes = newTotal
-	s.customMu.Unlock()
 	status := http.StatusCreated
 	if exists {
 		status = http.StatusOK // idempotent re-upload / replacement
@@ -707,11 +645,9 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 	for _, sp := range machine.Builtins() {
 		resp.Builtin = append(resp.Builtin, machineInfo(sp))
 	}
-	s.machinesMu.RLock()
-	for _, ent := range s.machines {
-		resp.Custom = append(resp.Custom, machineInfo(ent.spec))
+	for _, sp := range s.machines.values() {
+		resp.Custom = append(resp.Custom, machineInfo(sp))
 	}
-	s.machinesMu.RUnlock()
 	sort.Slice(resp.Custom, func(i, j int) bool { return resp.Custom[i].Name < resp.Custom[j].Name })
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -733,7 +669,7 @@ func (s *Server) handleUploadMachine(w http.ResponseWriter, r *http.Request) {
 	exists, err := s.RegisterMachine(spec)
 	if err != nil {
 		status := http.StatusBadRequest
-		if err == errMachineRegistryFull {
+		if errors.Is(err, s.machines.full) {
 			status = http.StatusInsufficientStorage
 		}
 		writeError(w, status, err)
@@ -749,9 +685,6 @@ func (s *Server) handleUploadMachine(w http.ResponseWriter, r *http.Request) {
 		Domains: len(spec.Domains),
 	})
 }
-
-var errMachineRegistryFull = fmt.Errorf("custom machine registry is full (%d entries / %d bytes max)",
-	maxCustomMachines, maxCustomMachineBytes)
 
 // RegisterMachine validates and stores a machine spec in the server's
 // registry, so /run and /sweep requests may reference it by name; replaced
@@ -769,16 +702,7 @@ func (s *Server) RegisterMachine(spec machine.Spec) (replaced bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("encoding machine spec: %w", err)
 	}
-	s.machinesMu.Lock()
-	defer s.machinesMu.Unlock()
-	old, exists := s.machines[spec.Name]
-	newTotal := s.machinesBytes - old.size + len(encoded)
-	if (!exists && len(s.machines) >= maxCustomMachines) || newTotal > maxCustomMachineBytes {
-		return false, errMachineRegistryFull
-	}
-	s.machines[spec.Name] = machineEntry{spec: spec, size: len(encoded)}
-	s.machinesBytes = newTotal
-	return exists, nil
+	return s.machines.put(spec.Name, spec, len(encoded))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

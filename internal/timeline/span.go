@@ -245,12 +245,16 @@ func WriteSpansTrace(w io.Writer, spans []Span) error {
 // coordinator so they appear, correctly parented, in the fleet trace.
 // At most max spans are returned (0 means no limit).
 func (r *Recorder) SimSpans(traceID, parentID, service string, startNs, endNs int64, max int) []Span {
-	events := r.Events()
-	if len(events) == 0 {
+	older, newer := r.ordered()
+	if len(older) == 0 {
 		return nil
 	}
-	t0 := int64(events[0].TS)
-	t1 := int64(events[len(events)-1].TS)
+	last := older
+	if len(newer) > 0 {
+		last = newer
+	}
+	t0 := int64(older[0].TS)
+	t1 := int64(last[len(last)-1].TS)
 	scale := 0.0
 	if t1 > t0 {
 		scale = float64(endNs-startNs) / float64(t1-t0)
@@ -264,29 +268,31 @@ func (r *Recorder) SimSpans(traceID, parentID, service string, startNs, endNs in
 	}
 	begins := map[TrackID][]open{}
 	var out []Span
-	for _, ev := range events {
-		switch ev.Kind {
-		case KindBegin:
-			begins[ev.Track] = append(begins[ev.Track], open{ev.Name, int64(ev.TS)})
-		case KindEnd:
-			st := begins[ev.Track]
-			if len(st) == 0 {
-				continue
+	for _, events := range [2][]Event{older, newer} {
+		for _, ev := range events {
+			switch ev.Kind {
+			case KindBegin:
+				begins[ev.Track] = append(begins[ev.Track], open{ev.Name, int64(ev.TS)})
+			case KindEnd:
+				st := begins[ev.Track]
+				if len(st) == 0 {
+					continue
+				}
+				b := st[len(st)-1]
+				begins[ev.Track] = st[:len(st)-1]
+				if max > 0 && len(out) >= max {
+					continue
+				}
+				out = append(out, Span{
+					TraceID:     traceID,
+					SpanID:      NewSpanID(),
+					ParentID:    parentID,
+					Name:        r.EventName(b.name) + " " + r.TrackName(ev.Track),
+					Service:     service,
+					StartUnixNs: rebase(b.ts),
+					EndUnixNs:   rebase(int64(ev.TS)),
+				})
 			}
-			b := st[len(st)-1]
-			begins[ev.Track] = st[:len(st)-1]
-			if max > 0 && len(out) >= max {
-				continue
-			}
-			out = append(out, Span{
-				TraceID:     traceID,
-				SpanID:      NewSpanID(),
-				ParentID:    parentID,
-				Name:        r.EventName(b.name) + " " + r.TrackName(ev.Track),
-				Service:     service,
-				StartUnixNs: rebase(b.ts),
-				EndUnixNs:   rebase(int64(ev.TS)),
-			})
 		}
 	}
 	return out

@@ -176,13 +176,31 @@ func (r *Recorder) Triggered() bool { return r.triggered }
 // Events returns the retained events in record order (unwrapping the
 // flight ring). The returned slice aliases internal storage in full mode.
 func (r *Recorder) Events() []Event {
-	if !r.flight || len(r.events) < r.max || r.head == 0 {
-		return r.events
+	older, newer := r.ordered()
+	if len(newer) == 0 {
+		return older
 	}
 	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.head:]...)
-	out = append(out, r.events[:r.head]...)
-	return out
+	out = append(out, older...)
+	return append(out, newer...)
+}
+
+// ordered returns the retained events in record order as two slices of
+// internal storage: a wrapped flight ring's older and newer halves, or
+// every event and nil.
+func (r *Recorder) ordered() (older, newer []Event) {
+	if !r.flight || len(r.events) < r.max || r.head == 0 {
+		return r.events, nil
+	}
+	return r.events[r.head:], r.events[:r.head]
+}
+
+// Reset empties the recorder for another run and keeps its storage: its
+// events, tracks, names, drop count and trigger flag are cleared.
+func (r *Recorder) Reset() {
+	r.events = r.events[:0]
+	r.head, r.dropped, r.triggered = 0, 0, false
+	r.procs, r.tracks, r.names = r.procs[:0], r.tracks[:0], r.names[:0]
 }
 
 // TrackName returns the registered name of a track, for tests and for

@@ -245,3 +245,39 @@ func TestSimSpansCap(t *testing.T) {
 		t.Fatalf("cap ignored: got %d spans, want 3", got)
 	}
 }
+
+// TestResetReusesRecorder: SimSpans reads a wrapped flight ring in record
+// order (a window that begins in the ring's older half and ends in its
+// newer half is one span), and a Reset recorder, registered and fed
+// again, renders what a fresh one renders.
+func TestResetReusesRecorder(t *testing.T) {
+	feed := func(r *Recorder) []Span {
+		trk := r.RegisterTrack("sim", "domain fetch", false)
+		stall := r.InternName("stall")
+		r.Record(0, KindInstant, trk, stall, 0)
+		r.Record(1, KindInstant, trk, stall, 0)
+		r.Record(10, KindBegin, trk, stall, 0)
+		r.Record(20, KindInstant, trk, stall, 0)
+		r.Record(30, KindEnd, trk, stall, 0) // the ring is [20 30 | 10]: older 10, newer 20 30
+		spans := r.SimSpans("t", "p", "s", 0, 200, 0)
+		for i := range spans {
+			spans[i].SpanID = "" // random
+		}
+		return spans
+	}
+	want := feed(NewRecorder(Options{MaxEvents: 3, Flight: true}))
+	if len(want) != 1 || want[0].StartUnixNs != 0 || want[0].EndUnixNs != 200 {
+		t.Fatalf("wrapped ring spans = %+v, want one window over [0,200]", want)
+	}
+	r := NewRecorder(Options{MaxEvents: 3, Flight: true})
+	feed(r)
+	r.MarkTriggered()
+	r.Reset()
+	if r.Len() != 0 || r.Dropped() != 0 || r.Triggered() || r.TrackName(0) != "" {
+		t.Fatalf("Reset left state: len %d dropped %d triggered %v track %q",
+			r.Len(), r.Dropped(), r.Triggered(), r.TrackName(0))
+	}
+	if got := feed(r); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reused recorder spans = %+v, want %+v", got, want)
+	}
+}
