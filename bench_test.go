@@ -193,8 +193,8 @@ func BenchmarkDynamicDVFS(b *testing.B) {
 	}
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		base := newCore(pipeline.DefaultConfig(topology(b, machine.Base())), prof).Run(30_000)
-		cfg := pipeline.DefaultConfig(topology(b, machine.GALS()))
+		base := newCore(pipeline.DefaultConfig(machine.Base().Topology()), prof).Run(30_000)
+		cfg := pipeline.DefaultConfig(machine.GALS().Topology())
 		cfg.DynamicDVFS = true
 		dyn := newCore(cfg, prof).Run(30_000)
 		rel = dyn.EnergyPJ / base.EnergyPJ
@@ -213,19 +213,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	const n = 20_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := pipeline.DefaultConfig(topology(b, machine.GALS()))
+		cfg := pipeline.DefaultConfig(machine.GALS().Topology())
 		newCore(cfg, prof).Run(n)
 	}
 	b.ReportMetric(float64(n*uint64(b.N))/b.Elapsed().Seconds(), "sim-instrs/s")
-}
-
-// topology returns a machine's clock topology.
-func topology(b *testing.B, m machine.Spec) pipeline.Topology {
-	t, err := m.Topology()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return t
 }
 
 // newCore builds a core running prof's synthetic generator, bypassing the

@@ -101,7 +101,7 @@ func main() {
 		tlEvents = flag.Int("timeline-events", 0,
 			"flight-recorder ring size for traced jobs on spawned workers (0 = small default, negative = no in-sim spans)")
 		maxSpans = flag.Int("max-spans", 0,
-			"trace spans retained for GET /sweeps/{id}/trace (0 = default window)")
+			"most recent trace spans retained for GET /sweeps/{id}/trace (0 = default)")
 		journalDir = flag.String("journal", "",
 			"directory for the crash-safe campaign journal (WAL); unfinished sweeps resume after a restart (empty = in-memory only)")
 		journalSync = flag.Int("journal-sync", 1,

@@ -65,7 +65,9 @@ func TestNoUnusedExports(t *testing.T) {
 
 // TestUnusedExportsFindsDeadFunc runs the check on a module with one used
 // and one unused exported func under internal/. Another package exports a
-// used func of the unused one's name, which must not hide it.
+// used func of the unused one's name, which must not hide it. A method
+// Config that nothing calls is dead too, though main names the type
+// p.Config and p's own code names it bare.
 func TestUnusedExportsFindsDeadFunc(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -75,6 +77,12 @@ func TestUnusedExportsFindsDeadFunc(t *testing.T) {
 func Used() {}
 
 func Unused() {}
+
+type Config struct{}
+
+type Cache struct{ cfg Config }
+
+func (c *Cache) Config() Config { return c.cfg }
 `,
 		"internal/p/p_test.go": "package p\n\nfunc f() { Unused() }\n",
 		"internal/q/q.go":      "package q\n\nfunc Unused() {}\n",
@@ -88,6 +96,8 @@ import (
 func main() {
 	p.Used()
 	q.Unused()
+	_ = p.Cache{}
+	_ = p.Config{}
 }
 `,
 	}
@@ -104,7 +114,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"p.Unused"}; strings.Join(found, ",") != strings.Join(want, ",") {
+	if want := []string{"p.Cache.Config", "p.Unused"}; strings.Join(found, ",") != strings.Join(want, ",") {
 		t.Fatalf("unusedExports = %q, want %q", found, want)
 	}
 }
@@ -125,7 +135,8 @@ type exportDecl struct {
 // A package-level name counts as named only by a bare identifier in its
 // own package's directory or by a selector through an import of its
 // package, so a same-named export of another package cannot hide it. A
-// method counts as named by any identifier of its name, since calls
+// method counts as named by a selector of its name whose left side is not
+// an imported package, or by an interface method of its name, since calls
 // through interfaces and embedded fields name no package. A method's
 // receiver does not count as a use of its type. Struct fields are not
 // checked: encoding/json reads them by reflection. Methods with
@@ -133,8 +144,8 @@ type exportDecl struct {
 // root package aliases, are exempt.
 func unusedExports(root string) ([]string, error) {
 	fset := token.NewFileSet()
-	uses := map[string][]token.Pos{}    // identifier name -> positions
-	pkgUses := map[string][]token.Pos{} // "dir.Name" -> positions
+	methodUses := map[string][]token.Pos{} // method name -> positions
+	pkgUses := map[string][]token.Pos{}    // "dir.Name" -> positions
 	var decls []exportDecl
 	var rootFiles []*ast.File
 	internal := filepath.Join(root, "internal") + string(filepath.Separator)
@@ -157,7 +168,7 @@ func unusedExports(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		u := usesCollector{dir: filepath.Dir(path), imports: internalImports(f, root), uses: uses, pkgUses: pkgUses}
+		u := usesCollector{dir: filepath.Dir(path), imports: fileImports(f, root), methodUses: methodUses, pkgUses: pkgUses}
 		u.collect(f)
 		if filepath.Dir(path) == filepath.Clean(root) {
 			rootFiles = append(rootFiles, f)
@@ -179,7 +190,7 @@ func unusedExports(root string) ([]string, error) {
 		}
 		named := pkgUses[d.pkgDir+"."+d.name]
 		if d.recv != "" {
-			named = uses[d.name]
+			named = methodUses[d.name]
 		}
 		used := false
 		for _, p := range named {
@@ -198,19 +209,20 @@ func unusedExports(root string) ([]string, error) {
 
 // usesCollector records the identifiers of one file.
 type usesCollector struct {
-	dir     string            // the file's directory
-	imports map[string]string // import name -> directory, internal packages only
-	uses    map[string][]token.Pos
-	pkgUses map[string][]token.Pos
+	dir        string            // the file's directory
+	imports    map[string]string // import name -> directory ("" outside internal/)
+	methodUses map[string][]token.Pos
+	pkgUses    map[string][]token.Pos
 }
 
-// collect records every identifier under n, skipping method receivers: by
-// name in uses, and in pkgUses under "dir.Name" for the package it can
-// name — the file's own for a bare identifier, the imported one for a
-// selector through an import.
+// collect records the names under n, skipping method receivers. A name a
+// package-level declaration can carry goes in pkgUses under "dir.Name":
+// the file's own directory for a bare identifier, the imported package's
+// for a selector through an import. A name a method can carry goes in
+// methodUses: the right side of any other selector, and the method names
+// of an interface type.
 func (u usesCollector) collect(n ast.Node) {
 	add := func(dir string, id *ast.Ident) {
-		u.uses[id.Name] = append(u.uses[id.Name], id.Pos())
 		key := dir + "." + id.Name
 		u.pkgUses[key] = append(u.pkgUses[key], id.Pos())
 	}
@@ -224,13 +236,23 @@ func (u usesCollector) collect(n ast.Node) {
 				}
 				return false
 			}
+		case *ast.InterfaceType:
+			for _, m := range n.Methods.List {
+				for _, id := range m.Names {
+					u.methodUses[id.Name] = append(u.methodUses[id.Name], id.Pos())
+				}
+			}
 		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok && u.imports[x.Name] != "" {
-				add(u.imports[x.Name], n.Sel)
-				return false
+			if x, ok := n.X.(*ast.Ident); ok {
+				if dir, ok := u.imports[x.Name]; ok {
+					if dir != "" {
+						add(dir, n.Sel)
+					}
+					return false
+				}
 			}
 			// A field or method selector names no package-level decl.
-			u.uses[n.Sel.Name] = append(u.uses[n.Sel.Name], n.Sel.Pos())
+			u.methodUses[n.Sel.Name] = append(u.methodUses[n.Sel.Name], n.Sel.Pos())
 			u.collect(n.X)
 			return false
 		case *ast.Ident:
@@ -240,21 +262,20 @@ func (u usesCollector) collect(n ast.Node) {
 	})
 }
 
-// internalImports maps the import names of f's internal packages to their
-// directories under root.
-func internalImports(f *ast.File, root string) map[string]string {
+// fileImports maps the import names of f to their packages' directories
+// under root; a package outside root/internal maps to "".
+func fileImports(f *ast.File, root string) map[string]string {
 	dirs := map[string]string{}
 	for _, imp := range f.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
-		i := strings.Index(path, "/internal/")
-		if i < 0 {
-			continue
-		}
 		name := path[strings.LastIndex(path, "/")+1:]
 		if imp.Name != nil {
 			name = imp.Name.Name
 		}
-		dirs[name] = filepath.Join(root, filepath.FromSlash(path[i+1:]))
+		dirs[name] = ""
+		if i := strings.Index(path, "/internal/"); i >= 0 {
+			dirs[name] = filepath.Join(root, filepath.FromSlash(path[i+1:]))
+		}
 	}
 	return dirs
 }
@@ -321,7 +342,7 @@ func receiverType(e ast.Expr) string {
 func aliasedTypes(files []*ast.File, root string) map[string]bool {
 	out := map[string]bool{}
 	for _, f := range files {
-		dirs := internalImports(f, root)
+		dirs := fileImports(f, root)
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {

@@ -124,9 +124,6 @@ func (p *Predictor) Release() {
 	p.table, p.btbTag, p.btbTgt = nil, nil, nil
 }
 
-// Config returns the predictor's configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 func (p *Predictor) index(pc uint64) uint64 {
 	mask := uint64(1)<<p.cfg.TableBits - 1
 	idx := pc >> 2

@@ -155,9 +155,6 @@ func (c *Cache) Release() {
 // Name implements Level.
 func (c *Cache) Name() string { return c.cfg.Name }
 
-// Config returns the cache's geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

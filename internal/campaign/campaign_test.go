@@ -133,6 +133,7 @@ func TestValidateErrors(t *testing.T) {
 		{RunSpec{Benchmark: "gcc", LinkStyle: "tachyon"}, "link style"},
 		{RunSpec{Benchmark: "gcc", Predictor: "oracle"}, "predictor"},
 		{RunSpec{Benchmark: "gcc", DynamicDVFS: true}, "gals machine"},
+		{RunSpec{Benchmark: "gcc", Machine: "gals", FIFOCapacity: -1}, "must be non-negative"},
 	}
 	for i, c := range cases {
 		err := c.spec.Validate()
@@ -176,11 +177,7 @@ func TestExecuteMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := machine.GALS().Topology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pipeline.DefaultConfig(topo)
+	cfg := pipeline.DefaultConfig(machine.GALS().Topology())
 	cfg.WorkloadSeed = 42
 	cfg.PhaseSeed = 1
 	cfg.Slowdowns[pipeline.DomFP] = 3

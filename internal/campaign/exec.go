@@ -77,10 +77,7 @@ func ExecuteOpts(spec RunSpec, opts ExecOpts) (pipeline.Stats, error) {
 // read and checked. The options are checked before opts.TraceOut is
 // first written.
 func (r *resolved) execute(opts ExecOpts) (st pipeline.Stats, err error) {
-	cfg, err := r.config()
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
+	cfg := r.config()
 	resume, err := r.resumeSnapshot(opts)
 	if err != nil {
 		return pipeline.Stats{}, err
@@ -89,10 +86,7 @@ func (r *resolved) execute(opts ExecOpts) (st pipeline.Stats, err error) {
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	src, name, err := r.spec.source(r.trace)
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
+	src, name := r.spec.source(r.trace)
 	var rec *trace.Recorder
 	if opts.TraceOut != nil {
 		if resume != nil {

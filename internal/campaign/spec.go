@@ -213,8 +213,8 @@ func (s RunSpec) canonical(recorded uint64) RunSpec {
 	// inter-domain links: phase and link settings cannot influence the run,
 	// so normalize them away to keep its cache keys collision-rich —
 	// sweeping phase seeds over both machines must simulate the
-	// synchronous reference once, not once per seed. An unresolvable
-	// machine is left alone for Validate to report.
+	// synchronous reference once, not once per seed. A machine that cannot
+	// be looked up is left alone for resolve to report.
 	sole := "" // the lone clock domain of a synchronous machine
 	if ms, err := s.machineSpec(); err == nil && len(ms.Domains) == 1 {
 		sole = ms.Domains[0].Name
@@ -344,15 +344,13 @@ var builtinByDigest = func() map[string]string {
 
 var baseMachineDigest = machine.Base().Digest()
 
-// machineSpec resolves the spec's machine — the inline declaration, or the
-// built-in the Machine field names — validated either way.
+// machineSpec looks up the spec's machine: the inline declaration, or the
+// built-in the Machine field names. It does not check an inline
+// declaration; resolve does, once.
 func (s RunSpec) machineSpec() (machine.Spec, error) {
 	if s.MachineSpec != nil {
 		if s.Machine != "" {
 			return machine.Spec{}, fmt.Errorf("campaign: machine %q and an inline machine spec are mutually exclusive; set one", s.Machine)
-		}
-		if err := s.MachineSpec.Validate(); err != nil {
-			return machine.Spec{}, err
 		}
 		return *s.MachineSpec, nil
 	}
@@ -377,7 +375,7 @@ func (s RunSpec) MachineName() string {
 }
 
 // MachineDigest returns the canonical content digest of the spec's machine
-// ("" when the machine cannot be resolved) — the topology identity recorded
+// ("" when the machine cannot be looked up) — the topology identity recorded
 // in trace provenance headers.
 func (s RunSpec) MachineDigest() string {
 	ms, err := s.machineSpec()
@@ -540,10 +538,13 @@ func resolve(s RunSpec) (*resolved, error) {
 		}
 	}
 	ms, err := s.machineSpec()
+	if err == nil && s.MachineSpec != nil {
+		err = ms.Validate()
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := ValidateSlowdownsFor(ms, s.Slowdowns); err != nil {
+	if err := validateSlowdownsFor(ms, s.Slowdowns); err != nil {
 		return nil, err
 	}
 	if _, ok := memoryOrderings[s.MemoryOrdering]; !ok {
@@ -569,14 +570,11 @@ func resolve(s RunSpec) (*resolved, error) {
 }
 
 // config is PipelineConfig of the resolved run, built from its canonical
-// spec.
-func (r *resolved) config() (pipeline.Config, error) {
+// spec. It checks nothing: resolve did.
+func (r *resolved) config() pipeline.Config {
 	c := r.spec
-	ms, _ := c.machineSpec() // resolve vouched for it
-	topo, err := ms.Topology()
-	if err != nil {
-		return pipeline.Config{}, err
-	}
+	ms, _ := c.machineSpec()
+	topo := ms.Topology()
 	cfg := pipeline.DefaultConfig(topo)
 	cfg.WorkloadSeed = c.WorkloadSeed
 	cfg.PhaseSeed = c.PhaseSeed
@@ -590,8 +588,9 @@ func (r *resolved) config() (pipeline.Config, error) {
 	cfg.DynamicDVFS = c.DynamicDVFS
 	cfg.SampleInterval = c.SampleInterval
 	// A slowdown key names a clock domain of the machine; it stretches
-	// every structure the domain owns. Apply "all" first so a per-domain
-	// entry may refine a uniform stretch.
+	// every structure the domain owns, so structures sharing a clock carry
+	// equal factors. Apply "all" first so a per-domain entry may refine a
+	// uniform stretch.
 	if f, ok := c.Slowdowns["all"]; ok {
 		cfg.SetUniformSlowdown(f)
 	}
@@ -600,10 +599,7 @@ func (r *resolved) config() (pipeline.Config, error) {
 			cfg.Slowdowns[d] = f
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return pipeline.Config{}, err
-	}
-	return cfg, nil
+	return cfg
 }
 
 // warmKey is the run's warm-up identity: the content address of the run
@@ -618,11 +614,11 @@ func (r *resolved) warmKey() string {
 	return c.canonical(r.recorded()).key()
 }
 
-// ValidateSlowdownsFor checks a slowdown map against a machine's clock
+// validateSlowdownsFor checks a slowdown map against a machine's clock
 // structure: keys must name the machine's clock domains (or be "all" for a
 // uniform stretch) and factors must be >= 1. A single-clock machine
 // therefore accepts only "all" and its own domain's name.
-func ValidateSlowdownsFor(ms machine.Spec, slowdowns map[string]float64) error {
+func validateSlowdownsFor(ms machine.Spec, slowdowns map[string]float64) error {
 	valid := map[string]bool{"all": true}
 	for _, d := range ms.DomainNames() {
 		valid[d] = true
@@ -667,31 +663,25 @@ func (s RunSpec) NewSource() (workload.InstrSource, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return r.spec.source(r.trace)
+	src, name := r.spec.source(r.trace)
+	return src, name, nil
 }
 
-// source builds the instruction source of a canonical spec; t is the
+// source builds the instruction source of a resolved spec; t is the
 // loaded trace of a replay.
-func (s RunSpec) source(t *trace.Trace) (workload.InstrSource, string, error) {
+func (s RunSpec) source(t *trace.Trace) (workload.InstrSource, string) {
 	switch {
 	case s.Profile != nil:
-		src, err := workload.NewSpecSource(*s.Profile, s.WorkloadSeed)
-		if err != nil {
-			return nil, "", err
-		}
-		return src, s.Profile.Name, nil
+		return workload.NewSpecSource(*s.Profile, s.WorkloadSeed), s.Profile.Name
 	case s.Trace != nil:
 		name := "replay:" + t.Meta.Name
 		if t.Meta.Name == "" {
 			name = "replay:" + s.Trace.Path
 		}
-		return trace.NewReplaySource(t), name, nil
+		return trace.NewReplaySource(t), name
 	default:
-		prof, err := workload.ByName(s.Benchmark)
-		if err != nil {
-			return nil, "", err
-		}
-		return workload.NewGenerator(prof, s.WorkloadSeed), s.Benchmark, nil
+		prof, _ := workload.ByName(s.Benchmark)
+		return workload.NewGenerator(prof, s.WorkloadSeed), s.Benchmark
 	}
 }
 
@@ -703,5 +693,5 @@ func (s RunSpec) PipelineConfig() (pipeline.Config, error) {
 	if err != nil {
 		return pipeline.Config{}, err
 	}
-	return r.config()
+	return r.config(), nil
 }

@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"galsim/internal/httpjson"
+	"galsim/internal/machine"
 	"galsim/internal/workload"
 )
 
@@ -79,19 +80,6 @@ const (
 	defaultPopulation  = 16
 	defaultGenerations = 20
 	defaultSeed        = 1
-)
-
-// Frequency bounds mirrored from machine.Spec validation so a bad spec
-// fails at parse time with a spec-level error instead of mid-search.
-const (
-	minFreqGHz = 0.01
-	maxFreqGHz = 100.0
-)
-
-// Link-geometry bounds mirrored from machine.Spec validation.
-const (
-	maxLinkDepth = 4096
-	maxSyncEdges = 64
 )
 
 // LimitError reports a search spec that exceeds one of the package's
@@ -346,24 +334,24 @@ func (sp SpaceSpec) validate() error {
 		return &LimitError{What: "frequency choices", Got: len(sp.FrequenciesGHz), Max: capFrequencies}
 	}
 	for _, f := range sp.FrequenciesGHz {
-		if !(f >= minFreqGHz && f <= maxFreqGHz) {
-			return fmt.Errorf("explore: frequency %v GHz outside [%v, %v]", f, minFreqGHz, maxFreqGHz)
+		if !(f >= machine.MinFreqGHz && f <= machine.MaxFreqGHz) {
+			return fmt.Errorf("explore: frequency %v GHz outside [%v, %v]", f, machine.MinFreqGHz, machine.MaxFreqGHz)
 		}
 	}
 	if len(sp.LinkDepths) > capLinkChoices {
 		return &LimitError{What: "link depth choices", Got: len(sp.LinkDepths), Max: capLinkChoices}
 	}
 	for _, d := range sp.LinkDepths {
-		if d < 0 || d > maxLinkDepth {
-			return fmt.Errorf("explore: link depth %d outside [0, %d]", d, maxLinkDepth)
+		if d < 0 || d > machine.MaxLinkDepth {
+			return fmt.Errorf("explore: link depth %d outside [0, %d]", d, machine.MaxLinkDepth)
 		}
 	}
 	if len(sp.SyncEdges) > capLinkChoices {
 		return &LimitError{What: "sync edge choices", Got: len(sp.SyncEdges), Max: capLinkChoices}
 	}
 	for _, e := range sp.SyncEdges {
-		if e < 0 || e > maxSyncEdges {
-			return fmt.Errorf("explore: sync edges %d outside [0, %d]", e, maxSyncEdges)
+		if e < 0 || e > machine.MaxSyncEdges {
+			return fmt.Errorf("explore: sync edges %d outside [0, %d]", e, machine.MaxSyncEdges)
 		}
 	}
 	return nil

@@ -66,8 +66,8 @@ func FuzzMachineSpec(f *testing.F) {
 		if back.Digest() != s.Digest() {
 			t.Fatal("digest unstable across a canonical JSON round-trip")
 		}
-		if _, err := s.Topology(); err != nil {
-			t.Fatalf("valid spec has no topology: %v", err)
+		if topo := s.Topology(); len(topo.Domains) != len(s.Domains) {
+			t.Fatalf("valid spec with %d domains has a %d-domain topology", len(s.Domains), len(topo.Domains))
 		}
 	})
 }

@@ -58,10 +58,16 @@ const (
 const (
 	maxNameLen    = 64
 	maxVoltPoints = 64
-	maxFreqGHz    = 100.0
-	minFreqGHz    = 0.01
-	maxLinkDepth  = 4096
-	maxSyncEdges  = 64
+)
+
+// Bounds on a domain's nominal frequency and a link's geometry. Package
+// explore checks its search space against them, so a search spec fails at
+// parse time rather than on its first candidate.
+const (
+	MinFreqGHz   = 0.01
+	MaxFreqGHz   = 100.0
+	MaxLinkDepth = 4096
+	MaxSyncEdges = 64
 )
 
 // VoltPoint is one entry of a domain's voltage table.
@@ -230,9 +236,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("machine: %s: duplicate domain name %q", s.Name, d.Name)
 		}
 		domIdx[d.Name] = i
-		if f := d.FreqGHz; f != 0 && (math.IsNaN(f) || f < minFreqGHz || f > maxFreqGHz) {
+		if f := d.FreqGHz; f != 0 && (math.IsNaN(f) || f < MinFreqGHz || f > MaxFreqGHz) {
 			return fmt.Errorf("machine: %s: domain %q frequency %v GHz outside [%v, %v]",
-				s.Name, d.Name, f, minFreqGHz, maxFreqGHz)
+				s.Name, d.Name, f, MinFreqGHz, MaxFreqGHz)
 		}
 		switch d.DVFS {
 		case "", PolicyStatic, PolicyDynamic:
@@ -267,7 +273,7 @@ func (s Spec) Validate() error {
 		g, ok := domIdx[domName]
 		if !ok {
 			return fmt.Errorf("machine: %s: structure %q assigned to undeclared domain %q (declared: %v)",
-				s.Name, d.String(), domName, s.domainNames())
+				s.Name, d.String(), domName, s.DomainNames())
 		}
 		owned[g] = true
 	}
@@ -299,11 +305,11 @@ func (s Spec) Validate() error {
 		if _, err := linkClassByName(class); err != nil {
 			return fmt.Errorf("machine: %s: %w", s.Name, err)
 		}
-		if lp.Depth < 0 || lp.Depth > maxLinkDepth {
-			return fmt.Errorf("machine: %s: link %q depth %d outside [0, %d]", s.Name, class, lp.Depth, maxLinkDepth)
+		if lp.Depth < 0 || lp.Depth > MaxLinkDepth {
+			return fmt.Errorf("machine: %s: link %q depth %d outside [0, %d]", s.Name, class, lp.Depth, MaxLinkDepth)
 		}
-		if lp.SyncEdges < 0 || lp.SyncEdges > maxSyncEdges {
-			return fmt.Errorf("machine: %s: link %q sync edges %d outside [0, %d]", s.Name, class, lp.SyncEdges, maxSyncEdges)
+		if lp.SyncEdges < 0 || lp.SyncEdges > MaxSyncEdges {
+			return fmt.Errorf("machine: %s: link %q sync edges %d outside [0, %d]", s.Name, class, lp.SyncEdges, MaxSyncEdges)
 		}
 	}
 	if s.GlobalClockGrid && len(s.Domains) != 1 {
@@ -313,19 +319,16 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// domainNames returns the declared domain names in declaration order.
-func (s Spec) domainNames() []string {
+// DomainNames lists the spec's clock domain names in declaration order —
+// the keys its runs accept as per-domain slowdowns. The returned slice is a
+// fresh copy on every call.
+func (s Spec) DomainNames() []string {
 	names := make([]string, 0, len(s.Domains))
 	for _, d := range s.Domains {
 		names = append(names, d.Name)
 	}
 	return names
 }
-
-// DomainNames lists the spec's clock domain names in declaration order —
-// the keys its runs accept as per-domain slowdowns. The returned slice is a
-// fresh copy on every call.
-func (s Spec) DomainNames() []string { return s.domainNames() }
 
 // DynamicCapable reports whether any domain opts into the online DVFS
 // controller.
@@ -405,11 +408,9 @@ func Parse(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// Topology translates a validated spec into the pipeline's clock topology.
-func (s Spec) Topology() (pipeline.Topology, error) {
-	if err := s.Validate(); err != nil {
-		return pipeline.Topology{}, err
-	}
+// Topology translates a spec into the pipeline's clock topology. It checks
+// nothing: the spec must have passed Validate.
+func (s Spec) Topology() pipeline.Topology {
 	s = s.Canonical()
 	t := pipeline.Topology{
 		Domains:    make([]pipeline.TopoDomain, len(s.Domains)),
@@ -435,7 +436,7 @@ func (s Spec) Topology() (pipeline.Topology, error) {
 		cl, _ := linkClassByName(class)
 		t.Links[cl] = pipeline.LinkParams{Capacity: lp.Depth, SyncEdges: lp.SyncEdges}
 	}
-	return t, nil
+	return t
 }
 
 // periodFor converts a nominal frequency to a clock period.

@@ -32,19 +32,12 @@ func TestBuiltinsValidateAndTranslate(t *testing.T) {
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("builtin %s: %v", sp.Name, err)
 		}
-		topo, err := sp.Topology()
-		if err != nil {
-			t.Fatalf("builtin %s topology: %v", sp.Name, err)
-		}
-		if err := topo.Validate(); err != nil {
-			t.Fatalf("builtin %s pipeline topology: %v", sp.Name, err)
-		}
 	}
-	base, _ := Base().Topology()
+	base := Base().Topology()
 	if len(base.Domains) != 1 || !base.GlobalGrid || !base.Synchronous() {
 		t.Errorf("base topology = %+v, want one global-grid domain", base)
 	}
-	gals, _ := GALS().Topology()
+	gals := GALS().Topology()
 	if len(gals.Domains) != int(pipeline.NumDomains) || gals.GlobalGrid {
 		t.Errorf("gals topology = %+v, want five local-grid domains", gals)
 	}
@@ -76,10 +69,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestTriDomainTopology(t *testing.T) {
-	topo, err := triDomain().Topology()
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := triDomain().Topology()
 	if len(topo.Domains) != 3 {
 		t.Fatalf("domains = %d, want 3", len(topo.Domains))
 	}
@@ -108,6 +98,10 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"no name", mutate(func(s *Spec) { s.Name = "" }), "without name"},
 		{"no domains", Spec{Name: "x"}, "no clock domains"},
+		{"six domains", mutate(func(s *Spec) {
+			s.Domains = append(s.Domains, DomainSpec{Name: "x"}, DomainSpec{Name: "y"}, DomainSpec{Name: "z"})
+		}), "6 clock domains for 5 structures"},
+		{"unnamed domain", mutate(func(s *Spec) { s.Domains[1].Name = "" }), "domain 1 has no name"},
 		{"dup domain", mutate(func(s *Spec) { s.Domains[2].Name = "front"; s.Assign["mem"] = "front" }), "duplicate"},
 		{"reserved all", mutate(func(s *Spec) { s.Domains[2].Name = "all"; s.Assign["mem"] = "all" }), "reserved"},
 		{"unassigned structure", mutate(func(s *Spec) { delete(s.Assign, "mem") }), "not assigned"},
@@ -117,13 +111,22 @@ func TestValidateRejects(t *testing.T) {
 		{"dynamic non-exec", mutate(func(s *Spec) { s.Domains[0].DVFS = PolicyDynamic }), "only execution structures"},
 		{"bad policy", mutate(func(s *Spec) { s.Domains[1].DVFS = "warp" }), "dvfs policy"},
 		{"bad freq", mutate(func(s *Spec) { s.Domains[0].FreqGHz = 1000 }), "frequency"},
+		{"negative freq", mutate(func(s *Spec) { s.Domains[0].FreqGHz = -1 }), "frequency -1 GHz"},
 		{"bad link class", mutate(func(s *Spec) { s.Links = map[string]LinkSpec{"hyperlane": {Depth: 4}} }), "unknown link class"},
 		{"deep link", mutate(func(s *Spec) { s.Links = map[string]LinkSpec{"wakeup": {Depth: 1 << 20}} }), "depth"},
 		{"many edges", mutate(func(s *Spec) { s.Links = map[string]LinkSpec{"fetch": {SyncEdges: 1000}} }), "sync edges"},
+		{"negative depth", mutate(func(s *Spec) { s.Links = map[string]LinkSpec{"wakeup": {Depth: -1}} }), "depth -1"},
+		{"negative edges", mutate(func(s *Spec) { s.Links = map[string]LinkSpec{"fetch": {SyncEdges: -1}} }), "sync edges -1"},
 		{"grid multi-domain", mutate(func(s *Spec) { s.GlobalClockGrid = true }), "global clock grid"},
 		{"volt above nominal", mutate(func(s *Spec) {
 			s.Domains[1].Voltages = []VoltPoint{{Slowdown: 1, Voltage: 2.5}}
 		}), "voltage"},
+		{"volt at zero", mutate(func(s *Spec) {
+			s.Domains[1].Voltages = []VoltPoint{{Slowdown: 1, Voltage: 0}}
+		}), "voltage 0 outside"},
+		{"volt speedup", mutate(func(s *Spec) {
+			s.Domains[1].Voltages = []VoltPoint{{Slowdown: 0.5, Voltage: 1.2}}
+		}), "finite factor >= 1"},
 		{"volt not increasing", mutate(func(s *Spec) {
 			s.Domains[1].Voltages = []VoltPoint{{Slowdown: 2, Voltage: 1.2}, {Slowdown: 1.5, Voltage: 1.4}}
 		}), "strictly increasing"},

@@ -24,7 +24,6 @@ import (
 
 	"galsim/internal/bpred"
 	"galsim/internal/cache"
-	"galsim/internal/dvfs"
 	"galsim/internal/simtime"
 )
 
@@ -141,7 +140,7 @@ func (d DomainID) String() string {
 type Config struct {
 	// Topology assigns the five pipeline structures to clock domains and
 	// carries per-domain and per-link-class settings. It is required: the
-	// zero Topology has no clock domains and fails Validate.
+	// zero Topology has no clock domains and describes no machine.
 	Topology Topology
 
 	// Widths (instructions per cycle).
@@ -204,8 +203,8 @@ type Config struct {
 	// SampleInterval, when non-zero, snapshots the machine's internal state
 	// every that many decode cycles into Stats.Samples (see Sample). Zero —
 	// the default — disables sampling entirely and keeps the hot path
-	// allocation-free. Non-zero values below 100 cycles are rejected by
-	// Validate: they would record more sampler output than simulation.
+	// allocation-free. The campaign layer rejects non-zero values below 100
+	// cycles: they would record more sampler output than simulation.
 	SampleInterval uint64
 }
 
@@ -281,71 +280,6 @@ func DefaultConfig(topo Topology) Config {
 		cfg.Slowdowns[i] = 1.0
 	}
 	return cfg
-}
-
-// Validate reports an error for an inconsistent configuration.
-func (c Config) Validate() error {
-	pos := func(name string, v int) error {
-		if v <= 0 {
-			return fmt.Errorf("pipeline: %s = %d must be positive", name, v)
-		}
-		return nil
-	}
-	checks := []struct {
-		name string
-		v    int
-	}{
-		{"FetchWidth", c.FetchWidth}, {"CommitWidth", c.CommitWidth},
-		{"IntIQSize", c.IntIQSize}, {"FPIQSize", c.FPIQSize},
-		{"MemIQSize", c.MemIQSize}, {"ROBSize", c.ROBSize},
-		{"FIFOCapacity", c.FIFOCapacity}, {"FIFOSyncEdges", c.FIFOSyncEdges},
-	}
-	for _, ch := range checks {
-		if err := pos(ch.name, ch.v); err != nil {
-			return err
-		}
-	}
-	if c.SampleInterval != 0 && c.SampleInterval < 100 {
-		return fmt.Errorf("pipeline: SampleInterval %d cycles too short (minimum 100, or 0 to disable)", c.SampleInterval)
-	}
-	for d, s := range c.Slowdowns {
-		if s < 1 {
-			return fmt.Errorf("pipeline: slowdown[%v] = %v < 1", DomainID(d), s)
-		}
-	}
-	topo := c.Topology
-	if err := topo.Validate(); err != nil {
-		return err
-	}
-	// Structures on one clock must be stretched together.
-	for g := range topo.Domains {
-		owned := topo.structuresOf(g)
-		for _, d := range owned[1:] {
-			if c.Slowdowns[d] != c.Slowdowns[owned[0]] {
-				return fmt.Errorf("pipeline: structures %v and %v share clock domain %q; slowdown[%v]=%v differs from slowdown[%v]=%v",
-					owned[0], d, topo.Domains[g].Name, d, c.Slowdowns[d], owned[0], c.Slowdowns[owned[0]])
-			}
-		}
-	}
-	// Voltage-table ceilings: the DVFS model's nominal supply.
-	for _, dom := range topo.Domains {
-		for _, p := range dom.VoltTable {
-			if p.Voltage > dvfs.Default.VNominal {
-				return fmt.Errorf("pipeline: clock domain %q voltage %v exceeds the nominal supply %v",
-					dom.Name, p.Voltage, dvfs.Default.VNominal)
-			}
-		}
-	}
-	if c.DynamicDVFS {
-		scalable := false
-		for _, dom := range topo.Domains {
-			scalable = scalable || dom.Scalable
-		}
-		if !scalable {
-			return fmt.Errorf("pipeline: dynamic DVFS requires a machine with at least one scalable clock domain (the fully synchronous machine has a single clock)")
-		}
-	}
-	return nil
 }
 
 // SetUniformSlowdown sets every domain to the same slowdown (used for the

@@ -184,15 +184,6 @@ func (c *Core) OnCommit(fn func(*isa.Instr)) {
 	c.commitHook = fn
 }
 
-// PoolStats reports the instruction arena's counters (zero with a
-// non-pooling source).
-func (c *Core) PoolStats() isa.PoolStats {
-	if c.pool == nil {
-		return isa.PoolStats{}
-	}
-	return c.pool.Stats()
-}
-
 // Release hands the core's large tables — the instruction arena's chunks,
 // the cache tag stores, the predictor tables and the source's program pages
 // — on to later cores, which reset them in place instead of allocating.
@@ -228,11 +219,9 @@ func (c *Core) releaseInstr(in *isa.Instr) {
 
 // NewCoreWithSource builds a machine fed by an arbitrary instruction source
 // — the synthetic generator, a phased multi-profile generator, or a trace
-// replayer — identified by name in the run's statistics.
+// replayer — identified by name in the run's statistics. It does not
+// check cfg: the campaign layer builds it from a run spec it has checked.
 func NewCoreWithSource(cfg Config, name string, src workload.InstrSource) *Core {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	if src == nil {
 		panic("pipeline: nil instruction source")
 	}
@@ -366,8 +355,9 @@ func (c *Core) buildClocks() {
 	periods := make([]simtime.Duration, len(topo.Domains))
 	for g, dom := range topo.Domains {
 		d := clock.NewDomain(dom.Name, topo.nominalPeriod(g), 0, vnom)
-		// Validate guaranteed every structure of the domain carries the same
-		// slowdown; read it off the first one.
+		// Every structure of the domain carries the same slowdown: the
+		// campaign layer sets slowdowns per clock domain, never per
+		// structure. Read it off the first one.
 		if s := c.cfg.Slowdowns[topo.structuresOf(g)[0]]; s != 1 {
 			d.SetSlowdown(s)
 			if c.cfg.AutoVoltage {

@@ -44,8 +44,8 @@ const (
 // TopoDomain.Scalable): domains consisting solely of execution structures,
 // whose issue queues provide the feedback signal. Domains hosting the fetch
 // or decode structures stay at full speed (they hold the machine's
-// serialization points and have no issue queue to observe); topology
-// validation rejects marking them scalable.
+// serialization points and have no issue queue to observe); machine spec
+// validation rejects marking them dynamic.
 
 // dvfsState is the controller's bookkeeping inside Core. Occupancy counters
 // are tracked per execution structure; targets, pending retunes and freezes

@@ -57,14 +57,6 @@ func TestDynamicDVFSKeepsBusyDomainFast(t *testing.T) {
 	}
 }
 
-func TestDynamicDVFSRejectedOnBase(t *testing.T) {
-	cfg := DefaultConfig(BaseTopology())
-	cfg.DynamicDVFS = true
-	if err := cfg.Validate(); err == nil {
-		t.Error("dynamic DVFS accepted on the base machine")
-	}
-}
-
 // TestDynamicDVFSConfigValidation checks the controller's settings against
 // the bounds its logic assumes.
 func TestDynamicDVFSConfigValidation(t *testing.T) {

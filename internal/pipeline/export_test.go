@@ -1,6 +1,9 @@
 package pipeline
 
-import "galsim/internal/workload"
+import (
+	"galsim/internal/isa"
+	"galsim/internal/workload"
+)
 
 // The package's tests build the paper's two machines directly, without the
 // machine package (which imports this one).
@@ -50,4 +53,13 @@ func (c *Core) RetainInstrs() {
 	if pu, ok := c.gen.(workload.PoolUser); ok {
 		pu.UsePool(nil)
 	}
+}
+
+// PoolStats reports the instruction arena's counters (zero with a
+// non-pooling source).
+func (c *Core) PoolStats() isa.PoolStats {
+	if c.pool == nil {
+		return isa.PoolStats{}
+	}
+	return c.pool.Stats()
 }

@@ -237,30 +237,6 @@ func TestAllBenchmarksRunBothMachines(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	cfg := DefaultConfig(BaseTopology())
-	cfg.Slowdowns[DomFP] = 2.0 // base must be uniform
-	if err := cfg.Validate(); err == nil {
-		t.Error("non-uniform base slowdown accepted")
-	}
-	cfg = DefaultConfig(GALSTopology())
-	cfg.ROBSize = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("zero ROB accepted")
-	}
-	cfg = DefaultConfig(GALSTopology())
-	cfg.Slowdowns[DomInt] = 0.5
-	if err := cfg.Validate(); err == nil {
-		t.Error("overclock accepted")
-	}
-	// The zero Topology describes no machine; it must not stand for one.
-	cfg = DefaultConfig(GALSTopology())
-	cfg.Topology = Topology{}
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "no clock domains") {
-		t.Errorf("zero topology: Validate = %v, want a no-clock-domains error", err)
-	}
-}
-
 func TestRunGuards(t *testing.T) {
 	cfg := DefaultConfig(BaseTopology())
 	prof, _ := workload.ByName("compress")

@@ -103,17 +103,3 @@ func TestSamplerOffIdentical(t *testing.T) {
 		t.Error("Samples field serialized despite being empty")
 	}
 }
-
-// TestSampleIntervalValidation: non-zero intervals below the floor are
-// rejected before a run can generate pathological sample volumes.
-func TestSampleIntervalValidation(t *testing.T) {
-	cfg := DefaultConfig(GALSTopology())
-	cfg.SampleInterval = 7
-	if err := cfg.Validate(); err == nil {
-		t.Error("SampleInterval=7 validated")
-	}
-	cfg.SampleInterval = 100
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("SampleInterval=100 rejected: %v", err)
-	}
-}

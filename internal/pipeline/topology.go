@@ -150,76 +150,6 @@ func (t Topology) firingOrder() []int {
 	return order
 }
 
-// Validate reports the first structural problem with the topology. Voltage
-// ceilings are checked by Config.Validate, which knows the DVFS model.
-func (t Topology) Validate() error {
-	if len(t.Domains) == 0 {
-		return fmt.Errorf("pipeline: topology has no clock domains (the zero Topology is not a machine; start from a machine spec's topology)")
-	}
-	if len(t.Domains) > int(NumDomains) {
-		return fmt.Errorf("pipeline: topology has %d clock domains for %d structures; every domain must own at least one structure",
-			len(t.Domains), NumDomains)
-	}
-	if t.GlobalGrid && len(t.Domains) != 1 {
-		return fmt.Errorf("pipeline: a global clock grid implies a single clock domain (got %d); partitioned machines have only local grids", len(t.Domains))
-	}
-	seen := map[string]bool{}
-	for g, dom := range t.Domains {
-		if dom.Name == "" {
-			return fmt.Errorf("pipeline: clock domain %d has no name", g)
-		}
-		if seen[dom.Name] {
-			return fmt.Errorf("pipeline: duplicate clock domain name %q", dom.Name)
-		}
-		seen[dom.Name] = true
-		if dom.Nominal < 0 {
-			return fmt.Errorf("pipeline: clock domain %q nominal period %v is negative", dom.Name, dom.Nominal)
-		}
-		for i, p := range dom.VoltTable {
-			if p.Slowdown < 1 {
-				return fmt.Errorf("pipeline: clock domain %q voltage point %d: slowdown %v < 1", dom.Name, i, p.Slowdown)
-			}
-			if i > 0 && p.Slowdown <= dom.VoltTable[i-1].Slowdown {
-				return fmt.Errorf("pipeline: clock domain %q voltage table must have strictly increasing slowdowns", dom.Name)
-			}
-			if p.Voltage <= 0 {
-				return fmt.Errorf("pipeline: clock domain %q voltage point %d: voltage %v must be positive", dom.Name, i, p.Voltage)
-			}
-		}
-	}
-	used := make([]bool, len(t.Domains))
-	for d := DomainID(0); d < NumDomains; d++ {
-		g := t.Of[d]
-		if g < 0 || g >= len(t.Domains) {
-			return fmt.Errorf("pipeline: structure %v assigned to domain index %d (have %d domains)", d, g, len(t.Domains))
-		}
-		used[g] = true
-	}
-	for g, ok := range used {
-		if !ok {
-			return fmt.Errorf("pipeline: clock domain %q owns no pipeline structure", t.Domains[g].Name)
-		}
-	}
-	for g, dom := range t.Domains {
-		if !dom.Scalable {
-			continue
-		}
-		for _, d := range t.structuresOf(g) {
-			if d != DomInt && d != DomFP && d != DomMem {
-				return fmt.Errorf("pipeline: clock domain %q is marked scalable but owns structure %v; only execution structures (int, fp, mem) provide the issue-queue feedback the DVFS controller needs", dom.Name, d)
-			}
-		}
-	}
-	for cl := LinkClass(0); cl < NumLinkClasses; cl++ {
-		lp := t.Links[cl]
-		if lp.Capacity < 0 || lp.SyncEdges < 0 {
-			return fmt.Errorf("pipeline: link class %v capacity (%d) and sync edges (%d) must be non-negative",
-				cl, lp.Capacity, lp.SyncEdges)
-		}
-	}
-	return nil
-}
-
 // nominalPeriod returns domain g's full-speed period.
 func (t Topology) nominalPeriod(g int) simtime.Duration {
 	if p := t.Domains[g].Nominal; p > 0 {

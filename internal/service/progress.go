@@ -162,7 +162,7 @@ func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
 	spans := s.Spans.ForTrace(traceID)
 	if len(spans) == 0 {
 		writeError(w, http.StatusNotFound,
-			fmt.Errorf("no spans recorded for sweep %q (trace %s); the collector keeps a bounded window", id, traceID))
+			fmt.Errorf("no spans recorded for sweep %q (trace %s); the collector keeps only the most recent spans", id, traceID))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

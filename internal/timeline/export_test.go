@@ -1,6 +1,6 @@
 package timeline
 
-// Dropped is the number of spans lost to the cap.
+// Dropped is the number of spans evicted by the cap.
 func (c *SpanCollector) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

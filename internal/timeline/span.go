@@ -83,11 +83,13 @@ func isHex(s string) bool {
 const DefaultMaxSpans = 1 << 14
 
 // SpanCollector is a bounded, concurrency-safe store of finished spans,
-// shared between the service, the coordinator and in-process workers.
+// shared between the service, the coordinator and in-process workers. It
+// keeps the most recent spans: once full, each new span evicts the oldest.
 type SpanCollector struct {
 	mu      sync.Mutex
 	max     int
-	spans   []Span
+	spans   []Span // a ring once full: spans[next] is the oldest
+	next    int
 	dropped uint64
 }
 
@@ -100,39 +102,45 @@ func NewSpanCollector(max int) *SpanCollector {
 	return &SpanCollector{max: max}
 }
 
-// Add records finished spans, dropping (and counting) any beyond the cap.
+// Add records finished spans, evicting (and counting) the oldest beyond
+// the cap.
 func (c *SpanCollector) Add(spans ...Span) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, s := range spans {
-		if len(c.spans) >= c.max {
-			c.dropped += uint64(len(spans) - i)
-			return
+	for _, s := range spans {
+		if len(c.spans) < c.max {
+			c.spans = append(c.spans, s)
+			continue
 		}
-		c.spans = append(c.spans, s)
+		c.spans[c.next] = s
+		c.next = (c.next + 1) % c.max
+		c.dropped++
 	}
 }
 
-// ForTrace returns a copy of all spans recorded under the trace ID.
+// ForTrace returns a copy of the retained spans recorded under the trace
+// ID, oldest first.
 func (c *SpanCollector) ForTrace(traceID string) []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []Span
-	for _, s := range c.spans {
-		if s.TraceID == traceID {
-			out = append(out, s)
+	for _, part := range [2][]Span{c.spans[c.next:], c.spans[:c.next]} {
+		for _, s := range part {
+			if s.TraceID == traceID {
+				out = append(out, s)
+			}
 		}
 	}
 	return out
 }
 
-// Snapshot returns a copy of every retained span, across all traces.
+// Snapshot returns a copy of every retained span across all traces, oldest
+// first.
 func (c *SpanCollector) Snapshot() []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Span, len(c.spans))
-	copy(out, c.spans)
-	return out
+	out := make([]Span, 0, len(c.spans))
+	return append(append(out, c.spans[c.next:]...), c.spans[:c.next]...)
 }
 
 // Len is the number of retained spans.

@@ -159,6 +159,29 @@ func TestSpanCollectorBounds(t *testing.T) {
 	}
 }
 
+// TestSpanCollectorKeepsNewest: a full collector evicts its oldest spans,
+// so a trace that arrives after the cap is reached is still served.
+func TestSpanCollectorKeepsNewest(t *testing.T) {
+	const max = 4
+	c := NewSpanCollector(max)
+	for i := 0; i < max; i++ {
+		c.Add(Span{TraceID: "A", SpanID: fmt.Sprint("a", i), Service: "s"})
+	}
+	c.Add(Span{TraceID: "B", SpanID: "b0", Service: "s"}, Span{TraceID: "B", SpanID: "b1", Service: "s"})
+	if got := c.ForTrace("B"); len(got) != 2 || got[0].SpanID != "b0" || got[1].SpanID != "b1" {
+		t.Fatalf("ForTrace(B) = %v, want b0 and b1 in order", got)
+	}
+	if c.Len() != max {
+		t.Fatalf("Len = %d, want the cap %d", c.Len(), max)
+	}
+	if got := c.ForTrace("A"); len(got) != max-2 || got[0].SpanID != "a2" {
+		t.Fatalf("ForTrace(A) = %v, want the newest %d of A's spans", got, max-2)
+	}
+	if c.Dropped() != 2 {
+		t.Fatalf("Dropped = %d, want 2", c.Dropped())
+	}
+}
+
 // TestSpanCollectorConcurrent hammers the collector from many goroutines;
 // run under -race this is the data-race regression test for the one
 // concurrent structure in the package.

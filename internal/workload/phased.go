@@ -55,9 +55,9 @@ func (p *PhasedGenerator) Release() {
 	}
 }
 
-// NewPhasedGenerator builds a phased source. The profiles must already be
-// validated (NewSpecSource does); quotas must be positive and the two
-// slices equal-length, or the constructor panics.
+// NewPhasedGenerator builds a phased source. The profiles must pass
+// Profile.Validate (ProfileSpec.Validate checks them); quotas must be
+// positive and the two slices equal-length, or the constructor panics.
 func NewPhasedGenerator(name string, profs []Profile, quotas []uint64, seed int64) *PhasedGenerator {
 	if len(profs) == 0 || len(profs) != len(quotas) {
 		panic(fmt.Sprintf("workload: phased generator wants matching non-empty profiles/quotas, got %d/%d",

@@ -62,23 +62,24 @@ func (s ProfileSpec) Validate() error {
 		case ph.Instructions == 0:
 			return fmt.Errorf("workload: %s phase %d: instructions must be positive", s.Name, i)
 		}
-		if _, err := s.resolvePhase(i); err != nil {
-			return err
+		if ph.Benchmark != "" {
+			if _, err := ByName(ph.Benchmark); err != nil {
+				return fmt.Errorf("workload: %s phase %d: %w", s.Name, i, err)
+			}
+		} else if err := s.phaseProfile(i).Validate(); err != nil {
+			return fmt.Errorf("workload: %s phase %d: %w", s.Name, i, err)
 		}
 	}
 	return nil
 }
 
-// resolvePhase returns phase i's concrete profile, validated. Inline
-// profiles without a name or suite get defaults derived from the spec.
-func (s ProfileSpec) resolvePhase(i int) (Profile, error) {
+// phaseProfile returns phase i's concrete profile. Inline profiles without
+// a name or suite get defaults derived from the spec.
+func (s ProfileSpec) phaseProfile(i int) Profile {
 	ph := s.Phases[i]
 	if ph.Benchmark != "" {
-		prof, err := ByName(ph.Benchmark)
-		if err != nil {
-			return Profile{}, fmt.Errorf("workload: %s phase %d: %w", s.Name, i, err)
-		}
-		return prof, nil
+		prof, _ := ByName(ph.Benchmark)
+		return prof
 	}
 	prof := *ph.Profile
 	if prof.Name == "" {
@@ -87,10 +88,7 @@ func (s ProfileSpec) resolvePhase(i int) (Profile, error) {
 	if prof.Suite == "" {
 		prof.Suite = "custom"
 	}
-	if err := prof.Validate(); err != nil {
-		return Profile{}, fmt.Errorf("workload: %s phase %d: %w", s.Name, i, err)
-	}
-	return prof, nil
+	return prof
 }
 
 // ParseSpec decodes and validates a JSON profile spec, rejecting unknown
@@ -106,25 +104,19 @@ func ParseSpec(data []byte) (ProfileSpec, error) {
 	return spec, nil
 }
 
-// NewSpecSource builds the instruction source for a validated spec: a plain
-// Generator for single-phase specs, a PhasedGenerator otherwise. The source
-// is deterministic for a given (spec, seed) pair.
-func NewSpecSource(spec ProfileSpec, seed int64) (InstrSource, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
+// NewSpecSource builds the instruction source for a spec that passed
+// Validate: a plain Generator for single-phase specs, a PhasedGenerator
+// otherwise. It checks nothing. The source is deterministic for a given
+// (spec, seed) pair.
+func NewSpecSource(spec ProfileSpec, seed int64) InstrSource {
 	profs := make([]Profile, len(spec.Phases))
 	quotas := make([]uint64, len(spec.Phases))
 	for i := range spec.Phases {
-		prof, err := spec.resolvePhase(i)
-		if err != nil {
-			return nil, err
-		}
-		profs[i] = prof
+		profs[i] = spec.phaseProfile(i)
 		quotas[i] = spec.Phases[i].Instructions
 	}
 	if len(profs) == 1 {
-		return NewGenerator(profs[0], seed), nil
+		return NewGenerator(profs[0], seed)
 	}
-	return NewPhasedGenerator(spec.Name, profs, quotas, seed), nil
+	return NewPhasedGenerator(spec.Name, profs, quotas, seed)
 }

@@ -99,10 +99,7 @@ func TestSpecSourceDeterministic(t *testing.T) {
 	}
 	streams := make([][]uint64, 2)
 	for run := range streams {
-		src, err := NewSpecSource(spec, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := NewSpecSource(spec, 7)
 		for i := 0; i < 2000; i++ {
 			in := src.Next()
 			streams[run] = append(streams[run], in.PC, uint64(in.Class))
@@ -131,10 +128,7 @@ func TestPhasedGeneratorSwitchesMix(t *testing.T) {
 			{Profile: fpProf, Instructions: 2000},
 		},
 	}
-	src, err := NewSpecSource(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := NewSpecSource(spec, 1)
 	pg, ok := src.(*PhasedGenerator)
 	if !ok {
 		t.Fatalf("multi-phase spec built %T, want *PhasedGenerator", src)
@@ -166,13 +160,10 @@ func TestPhasedGeneratorSwitchesMix(t *testing.T) {
 // TestSinglePhaseSpecIsPlainGenerator pins the fast path: one phase needs
 // no phased wrapper.
 func TestSinglePhaseSpecIsPlainGenerator(t *testing.T) {
-	src, err := NewSpecSource(ProfileSpec{
+	src := NewSpecSource(ProfileSpec{
 		Name:   "solo",
 		Phases: []PhaseSpec{{Benchmark: "gcc", Instructions: 1000}},
 	}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, ok := src.(*Generator); !ok {
 		t.Errorf("single-phase spec built %T, want *Generator", src)
 	}
@@ -202,10 +193,7 @@ func FuzzProfileSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		src, err := NewSpecSource(spec, 1)
-		if err != nil {
-			t.Fatalf("validated spec %q failed to build: %v", spec.Name, err)
-		}
+		src := NewSpecSource(spec, 1)
 		for i := 0; i < 64; i++ {
 			if in := src.Next(); in == nil {
 				t.Fatal("generator produced nil instruction")
