@@ -45,25 +45,6 @@ type Config struct {
 	NextLinePrefetch bool
 }
 
-// Validate reports an error if the geometry is malformed.
-func (c Config) Validate() error {
-	switch {
-	case c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0:
-		return fmt.Errorf("cache %q: non-positive geometry %+v", c.Name, c)
-	case c.LineBytes&(c.LineBytes-1) != 0:
-		return fmt.Errorf("cache %q: line size %d not a power of two", c.Name, c.LineBytes)
-	case c.SizeBytes%(c.LineBytes*c.Assoc) != 0:
-		return fmt.Errorf("cache %q: size %d not divisible by line*assoc", c.Name, c.SizeBytes)
-	case c.HitLatency < 0:
-		return fmt.Errorf("cache %q: negative hit latency", c.Name)
-	}
-	sets := c.SizeBytes / (c.LineBytes * c.Assoc)
-	if sets&(sets-1) != 0 {
-		return fmt.Errorf("cache %q: set count %d not a power of two", c.Name, sets)
-	}
-	return nil
-}
-
 // way is one line's tag-store entry (24 bytes).
 type way struct {
 	tag        uint64
@@ -105,10 +86,10 @@ type Cache struct {
 }
 
 // New builds a cache over the given lower level (which must not be nil).
+// cfg must be well formed — positive sizes, and a power-of-two line size
+// and set count — as DefaultHierarchyConfig's caches, the only ones
+// simulated, are; New does not check it on every core it builds.
 func New(cfg Config, lower Level) *Cache {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	if lower == nil {
 		panic(fmt.Sprintf("cache %q: nil lower level", cfg.Name))
 	}

@@ -3,9 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +50,23 @@ func captureCheckpoint(t *testing.T, spec campaign.RunSpec, at uint64) []byte {
 		t.Fatalf("no checkpoint captured at %d", at)
 	}
 	return blob
+}
+
+// postCheckpoint posts blob to POST /jobs/checkpoint in its wire form, the
+// envelope as the raw body, and returns the status and the reply body.
+func postCheckpoint(t *testing.T, base, workerID string, jobID, committed uint64, blob []byte) (int, string) {
+	t.Helper()
+	target := fmt.Sprintf("%s/jobs/checkpoint?worker_id=%s&job_id=%d&committed=%d", base, workerID, jobID, committed)
+	resp, err := http.Post(target, "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
 }
 
 // TestCheckpointStateMachine pins the coordinator's checkpoint protocol with
@@ -160,15 +180,14 @@ func TestCheckpointSurvivesCoordinatorCrash(t *testing.T) {
 	// A corrupt checkpoint is rejected at the door with a typed reason.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)-1] ^= 0xFF
-	var resp CheckpointResponse
-	if code := doJSON(t, "POST", ts.URL+"/jobs/checkpoint",
-		CheckpointRequest{WorkerID: "w1", JobID: jobs[0].ID, Committed: 8_000, Snapshot: bad}, nil); code != http.StatusBadRequest {
-		t.Fatalf("corrupt checkpoint: HTTP %d, want 400", code)
+	if code, resp := postCheckpoint(t, ts.URL, "w1", jobs[0].ID, 8_000, bad); code != http.StatusBadRequest ||
+		!strings.Contains(resp, "snapshot: corrupt") {
+		t.Fatalf("corrupt checkpoint: HTTP %d %s, want 400 with the envelope's error", code, resp)
 	}
 	// The good one lands over the real endpoint and reaches the journal.
-	if code := doJSON(t, "POST", ts.URL+"/jobs/checkpoint",
-		CheckpointRequest{WorkerID: "w1", JobID: jobs[0].ID, Committed: 8_000, Snapshot: blob}, &resp); code != 200 || !resp.Accepted {
-		t.Fatalf("checkpoint post: HTTP %d accepted=%v", code, resp.Accepted)
+	if code, resp := postCheckpoint(t, ts.URL, "w1", jobs[0].ID, 8_000, blob); code != 200 ||
+		!strings.Contains(resp, `"accepted": true`) {
+		t.Fatalf("checkpoint post: HTTP %d %s", code, resp)
 	}
 
 	// Crash: the coordinator process dies (we just abandon c1) and the store
@@ -465,5 +484,44 @@ func TestJournalCheckpointLifecycle(t *testing.T) {
 	}
 	if len(rec.Completed) != 1 {
 		t.Errorf("recovered %d completions, want 1", len(rec.Completed))
+	}
+}
+
+// TestCheckpointAllocatesLittle: one checkpoint post into a journal
+// allocates less than four times the envelope's size. The body is read
+// into one buffer, its envelope checked in place, and the journal encodes
+// and frames one record.
+func TestCheckpointAllocatesLittle(t *testing.T) {
+	store, err := OpenJournal(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, Store: store})
+	spec := ckptSpec()
+	if _, err := c.submit([]campaign.RunSpec{spec}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk); err != nil {
+		t.Fatal(err)
+	}
+	jobs, _ := c.tryLease("w1", 1, campaign.CacheStats{})
+	if len(jobs) != 1 {
+		t.Fatal("lease failed")
+	}
+	blob := captureCheckpoint(t, spec, 8_000)
+	h := c.Handler()
+	target := fmt.Sprintf("/jobs/checkpoint?worker_id=w1&job_id=%d&committed=8000", jobs[0].ID)
+	req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(blob))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"accepted": true`) {
+		t.Fatalf("checkpoint post: HTTP %d %s", rec.Code, rec.Body)
+	}
+	n := uint64(len(blob))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-byte checkpoint allocated %d bytes (%.2f× its size)", n, got, float64(got)/float64(n))
+	if got >= 4*n {
+		t.Errorf("a %d-byte checkpoint allocated %d bytes, want under %d", n, got, 4*n)
 	}
 }

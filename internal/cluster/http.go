@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"galsim/internal/httpjson"
@@ -10,7 +11,8 @@ import (
 )
 
 // maxBodyBytes bounds fleet-endpoint request bodies. Completion batches
-// carry full Stats structs, but even a generous batch stays far under this.
+// carry full Stats structs and checkpoints a snapshot of a few hundred
+// kilobytes, but even a generous batch or snapshot stays far under this.
 const maxBodyBytes = 8 << 20
 
 // maxLeaseWait caps how long one lease request may long-poll; workers
@@ -22,7 +24,9 @@ const maxLeaseWait = 30 * time.Second
 //	POST /join             explicit worker registration
 //	POST /jobs/lease       lease up to N jobs (long-polls while idle)
 //	POST /jobs/complete    post finished jobs (streamed per job)
-//	POST /jobs/checkpoint  post a leased job's mid-run snapshot
+//	POST /jobs/checkpoint  post a leased job's mid-run snapshot: the envelope
+//	                       bytes as an application/octet-stream body, with
+//	                       worker_id, job_id and committed in the query
 //	GET  /stats            aggregated fleet stats (see FleetStats)
 //	GET  /metrics          Prometheus text exposition of the fleet metrics
 //
@@ -138,18 +142,33 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, CompleteResponse{Accepted: accepted})
 }
 
+// handleCheckpoint takes one snapshot envelope as the raw request body and
+// the job it belongs to from the query string (worker_id, job_id,
+// committed).
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	var req CheckpointRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
+	q := r.URL.Query()
+	req := CheckpointRequest{WorkerID: q.Get("worker_id")}
 	if req.WorkerID == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("worker_id is required"))
 		return
 	}
-	// Validate the envelope before anything is stored or journaled: a
-	// corrupt checkpoint fails typed here, never a partial restore later.
-	if _, err := snapshot.DecodeBytes(req.Snapshot); err != nil {
+	var err error
+	if req.JobID, err = strconv.ParseUint(q.Get("job_id"), 10, 64); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("job_id: %w", err))
+		return
+	}
+	if req.Committed, err = strconv.ParseUint(q.Get("committed"), 10, 64); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("committed: %w", err))
+		return
+	}
+	var ok bool
+	if req.Snapshot, ok = httpjson.ReadBody(w, r, maxBodyBytes); !ok {
+		return
+	}
+	// Check the envelope before anything is stored or journaled: a corrupt
+	// checkpoint fails typed here, never a partial restore later. The body
+	// is left to the worker that resumes from it, which decodes it anyway.
+	if err := snapshot.Check(req.Snapshot); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("checkpoint for job %d rejected: %w", req.JobID, err))
 		return
 	}

@@ -131,20 +131,22 @@ type CompleteResponse struct {
 	Accepted int `json:"accepted"`
 }
 
-// CheckpointRequest posts one job's mid-run state snapshot (POST
-// /jobs/checkpoint). The coordinator accepts it only from the job's current
-// lease holder, stores it on the job (so a re-lease after this worker dies
-// resumes from it), and journals it through a CheckpointStore when one is
-// configured — making long jobs durable across both worker and coordinator
-// loss.
+// CheckpointRequest is one job's mid-run state snapshot as POST
+// /jobs/checkpoint carries it: the envelope bytes are the request body, the
+// other fields the query string (worker_id, job_id, committed), so the
+// snapshot crosses the wire as the bytes the worker encoded. The coordinator
+// accepts it only from the job's current lease holder, stores it on the job
+// (so a re-lease after this worker dies resumes from it), and journals it
+// through a CheckpointStore when one is configured — making long jobs
+// durable across both worker and coordinator loss.
 type CheckpointRequest struct {
-	WorkerID string `json:"worker_id"`
-	JobID    uint64 `json:"job_id"`
+	WorkerID string
+	JobID    uint64
 	// Committed is the snapshot's committed-instruction count, for logs and
 	// fleet visibility; the authoritative value lives inside the snapshot.
-	Committed uint64 `json:"committed"`
+	Committed uint64
 	// Snapshot is the envelope-encoded snapshot (internal/snapshot).
-	Snapshot []byte `json:"snapshot"`
+	Snapshot []byte
 }
 
 // CheckpointResponse acknowledges a checkpoint. Accepted is false when the

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"galsim/internal/campaign"
@@ -31,7 +33,8 @@ type JobStore interface {
 	// content key (the same identity the result cache uses).
 	JobCompleted(campaignID, specKey string, stats *pipeline.Stats) error
 	// CampaignFinished marks a campaign terminal (errMsg empty on success).
-	// Stores may compact: a finished campaign's records are dead weight.
+	// Stores may compact: a finished campaign's records are dead weight
+	// (JournalStore compacts once dead bytes are at least live ones).
 	CampaignFinished(campaignID, errMsg string) error
 	// Recover returns every campaign enqueued but not finished, with
 	// whatever completions were journaled for it. Called once, before the
@@ -98,20 +101,48 @@ type walRecord struct {
 const walRecordVersion = 1
 
 // JournalStore is the WAL-backed JobStore: every transition is one
-// checksummed record in an append-only segmented log (internal/wal), and a
-// finished campaign triggers compaction — the log is rewritten to hold only
-// the still-live campaigns, so it tracks the working set instead of growing
-// with history.
+// checksummed record in an append-only segmented log (internal/wal). The
+// store keeps the payload of every live record — each unfinished
+// campaign's enqueue record, its completions, and the latest checkpoint of
+// each unit still running — and compacts by rewriting the log to exactly
+// those payloads, byte for byte, so the log tracks the working set instead
+// of growing with history.
+//
+// Compaction is log-structured cleaning: it runs when a campaign finishes
+// and the log's dead payload bytes (finished campaigns, superseded
+// checkpoints, duplicates) are at least its live ones. With no campaign
+// live that always holds, and the log resets to empty. Each rewrite copies
+// no more live bytes than the dead bytes it drops, so a journaled byte is
+// rewritten O(1) times on average, however many campaigns stay live.
 type JournalStore struct {
 	mu   sync.Mutex
 	log  *wal.Log
-	live map[string]*journalCampaign // unfinished campaigns, mirrored for compaction
+	live map[string]*journalCampaign // unfinished campaigns
+
+	// logBytes counts the payload bytes of the records in the log,
+	// liveBytes those of the live records; the difference is dead weight.
+	logBytes, liveBytes int
 }
 
+// journalCampaign is one unfinished campaign's live records, held as the
+// payloads the log holds: compaction writes them back verbatim and Recover
+// decodes them.
 type journalCampaign struct {
-	rec  walRecord // the enqueue record, replayed verbatim on compaction
-	done map[string]*pipeline.Stats
-	ckpt map[string][]byte // latest checkpoint per not-yet-done unit
+	enqueue []byte
+	done    map[string][]byte // completion record per unit
+	ckpt    map[string][]byte // latest checkpoint record per not-yet-done unit
+}
+
+// bytes is the size of the campaign's live payloads.
+func (c *journalCampaign) bytes() int {
+	n := len(c.enqueue)
+	for _, p := range c.done {
+		n += len(p)
+	}
+	for _, p := range c.ckpt {
+		n += len(p)
+	}
+	return n
 }
 
 // OpenJournal opens (or creates) a journal in dir and replays it into the
@@ -132,62 +163,112 @@ func OpenJournal(dir string, opt wal.Options) (*JournalStore, error) {
 	return s, nil
 }
 
-// apply folds one journal record into the live set. Unknown record types
-// are skipped (forward compatibility: a newer coordinator's journal should
-// degrade to re-running work, not refuse to start), malformed JSON is a
-// hard error (the WAL checksum passed, so this is a software bug, not a
-// torn write).
+// apply folds one replayed journal record into the live set. Malformed JSON
+// is a hard error (the WAL checksum passed, so this is a software bug, not
+// a torn write).
 func (s *JournalStore) apply(payload []byte) error {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("decoding journal record: %w", err)
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return err
 	}
-	switch rec.Type {
-	case "enqueue":
-		if _, ok := s.live[rec.ID]; !ok {
-			s.live[rec.ID] = &journalCampaign{rec: rec, done: map[string]*pipeline.Stats{}, ckpt: map[string][]byte{}}
-		}
-	case "done":
-		if camp, ok := s.live[rec.ID]; ok && rec.Stats != nil {
-			if _, dup := camp.done[rec.Key]; !dup {
-				camp.done[rec.Key] = rec.Stats
-			}
-			delete(camp.ckpt, rec.Key) // a completion retires the unit's checkpoint
-		}
-	case "ckpt":
-		// Latest checkpoint wins; one journaled after the unit's completion
-		// (a zombie worker's late post replayed out of order cannot happen —
-		// appends are ordered — but a dup-done replay can) stays retired.
-		if camp, ok := s.live[rec.ID]; ok && len(rec.Snap) > 0 {
-			if _, done := camp.done[rec.Key]; !done {
-				camp.ckpt[rec.Key] = rec.Snap
-			}
-		}
-	case "finish":
-		delete(s.live, rec.ID)
-	}
+	s.fold(rec, payload)
 	return nil
 }
 
-func (s *JournalStore) append(rec walRecord) error {
+func decodeRecord(payload []byte) (walRecord, error) {
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, fmt.Errorf("decoding journal record: %w", err)
+	}
+	return rec, nil
+}
+
+// fold adds one record of the log, appended or replayed, to the live set.
+// The same rules serve both, so the live set after a reopen is the one
+// before it. Records that change nothing — a duplicate enqueue or
+// completion, a completion or checkpoint for a finished campaign, a zombie
+// checkpoint for a completed unit — are dead on arrival. Unknown record
+// types are skipped too (forward compatibility: a newer coordinator's
+// journal should degrade to re-running work, not refuse to start).
+func (s *JournalStore) fold(rec walRecord, payload []byte) {
+	s.logBytes += len(payload)
+	camp, ok := s.live[rec.ID]
+	switch rec.Type {
+	case "enqueue":
+		if !ok {
+			s.live[rec.ID] = &journalCampaign{enqueue: payload, done: map[string][]byte{}, ckpt: map[string][]byte{}}
+			s.liveBytes += len(payload)
+		}
+	case "done":
+		if ok && rec.Stats != nil {
+			if _, dup := camp.done[rec.Key]; !dup {
+				camp.done[rec.Key] = payload
+				s.liveBytes += len(payload)
+			}
+			// A completion retires the unit's checkpoint.
+			s.liveBytes -= len(camp.ckpt[rec.Key])
+			delete(camp.ckpt, rec.Key)
+		}
+	case "ckpt":
+		// Latest checkpoint wins; one appended after the unit's completion
+		// (a zombie worker's late post) stays retired.
+		if !ok || len(rec.Snap) == 0 {
+			break
+		}
+		if _, done := camp.done[rec.Key]; !done {
+			s.liveBytes += len(payload) - len(camp.ckpt[rec.Key])
+			camp.ckpt[rec.Key] = payload
+		}
+	case "finish":
+		if ok {
+			s.liveBytes -= camp.bytes()
+			delete(s.live, rec.ID)
+		}
+	}
+}
+
+// record appends rec to the log and folds it into the live set.
+func (s *JournalStore) record(rec walRecord) error {
 	rec.V = walRecordVersion
-	payload, err := json.Marshal(rec)
+	payload, err := encodeRecord(rec)
 	if err != nil {
 		return fmt.Errorf("cluster: encoding journal record: %w", err)
 	}
-	return s.log.Append(payload)
+	if err := s.log.Append(payload); err != nil {
+		return err
+	}
+	s.fold(rec, payload)
+	return nil
+}
+
+// encodeRecord returns rec's payload, the bytes of json.Marshal(rec). A
+// checkpoint record is built in one buffer of its exact size instead: the
+// snapshot is nearly all of it, and json.Marshal would grow a buffer
+// around the snapshot's base64 several times and then copy it once more.
+func encodeRecord(rec walRecord) ([]byte, error) {
+	if rec.Type != "ckpt" || rec.Key == "" || len(rec.Snap) == 0 {
+		return json.Marshal(rec)
+	}
+	id, err := json.Marshal(rec.ID)
+	if err != nil {
+		return nil, err
+	}
+	key, err := json.Marshal(rec.Key)
+	if err != nil {
+		return nil, err
+	}
+	head := fmt.Sprintf(`{"v":%d,"t":"ckpt","id":%s,"key":%s,"snap":"`, rec.V, id, key)
+	b := make([]byte, 0, len(head)+base64.StdEncoding.EncodedLen(len(rec.Snap))+2)
+	b = append(b, head...)
+	b = base64.StdEncoding.AppendEncode(b, rec.Snap)
+	return append(b, `"}`...), nil
 }
 
 // CampaignEnqueued implements JobStore.
 func (s *JournalStore) CampaignEnqueued(id, requestID string, pri campaign.Priority, specs []campaign.RunSpec) error {
-	rec := walRecord{Type: "enqueue", ID: id, RequestID: requestID, Priority: int(pri), Specs: specs}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.append(rec); err != nil {
-		return err
-	}
-	s.live[id] = &journalCampaign{rec: rec, done: map[string]*pipeline.Stats{}, ckpt: map[string][]byte{}}
-	return nil
+	return s.record(walRecord{Type: "enqueue", ID: id, RequestID: requestID, Priority: int(pri), Specs: specs})
 }
 
 // JobCompleted implements JobStore.
@@ -201,19 +282,13 @@ func (s *JournalStore) JobCompleted(campaignID, specKey string, stats *pipeline.
 	if _, dup := camp.done[specKey]; dup {
 		return nil
 	}
-	if err := s.append(walRecord{Type: "done", ID: campaignID, Key: specKey, Stats: stats}); err != nil {
-		return err
-	}
-	camp.done[specKey] = stats
-	delete(camp.ckpt, specKey)
-	return nil
+	return s.record(walRecord{Type: "done", ID: campaignID, Key: specKey, Stats: stats})
 }
 
 // JobCheckpoint implements CheckpointStore: the latest checkpoint per unit
-// is kept live (superseded ones become dead log weight until the next
-// compaction rewrites the log with only the newest). A checkpoint for an
-// already-completed unit, or a finished campaign, is a stale zombie post
-// and is dropped without an append.
+// is kept live (superseded ones become dead log weight until a compaction
+// drops them). A checkpoint for an already-completed unit, or a finished
+// campaign, is a stale zombie post and is dropped without an append.
 func (s *JournalStore) JobCheckpoint(campaignID, specKey string, snap []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,101 +299,82 @@ func (s *JournalStore) JobCheckpoint(campaignID, specKey string, snap []byte) er
 	if _, done := camp.done[specKey]; done {
 		return nil
 	}
-	if err := s.append(walRecord{Type: "ckpt", ID: campaignID, Key: specKey, Snap: snap}); err != nil {
-		return err
-	}
-	camp.ckpt[specKey] = snap
-	return nil
+	return s.record(walRecord{Type: "ckpt", ID: campaignID, Key: specKey, Snap: snap})
 }
 
 // CampaignFinished implements JobStore: the terminal record is appended,
-// then the log is compacted down to the records of the remaining live
-// campaigns (or reset to empty when none remain).
+// and the log is compacted once its dead bytes are at least its live ones
+// — always when no campaign remains, which resets it to empty.
 func (s *JournalStore) CampaignFinished(campaignID, errMsg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.live[campaignID]; !ok {
 		return nil
 	}
-	if err := s.append(walRecord{Type: "finish", ID: campaignID, Error: errMsg}); err != nil {
+	if err := s.record(walRecord{Type: "finish", ID: campaignID, Error: errMsg}); err != nil {
 		return err
 	}
-	delete(s.live, campaignID)
+	if s.logBytes-s.liveBytes < s.liveBytes {
+		return nil
+	}
 	return s.compactLocked()
 }
 
-// compactLocked rewrites the log to exactly the live campaigns' records.
+// compactLocked rewrites the log to exactly the live records' payloads.
 // Idempotent-replay semantics make a crash anywhere in here safe.
 func (s *JournalStore) compactLocked() error {
-	ids := make([]string, 0, len(s.live))
-	for id := range s.live {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var records [][]byte
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(s.live)) {
 		camp := s.live[id]
-		enq, err := json.Marshal(camp.rec)
-		if err != nil {
-			return fmt.Errorf("cluster: encoding journal snapshot: %w", err)
+		records = append(records, camp.enqueue)
+		for _, k := range slices.Sorted(maps.Keys(camp.done)) {
+			records = append(records, camp.done[k])
 		}
-		records = append(records, enq)
-		keys := make([]string, 0, len(camp.done))
-		for k := range camp.done {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			done, err := json.Marshal(walRecord{V: walRecordVersion, Type: "done", ID: id, Key: k, Stats: camp.done[k]})
-			if err != nil {
-				return fmt.Errorf("cluster: encoding journal snapshot: %w", err)
-			}
-			records = append(records, done)
-		}
-		ckeys := make([]string, 0, len(camp.ckpt))
-		for k := range camp.ckpt {
-			ckeys = append(ckeys, k)
-		}
-		sort.Strings(ckeys)
-		for _, k := range ckeys {
-			ckpt, err := json.Marshal(walRecord{V: walRecordVersion, Type: "ckpt", ID: id, Key: k, Snap: camp.ckpt[k]})
-			if err != nil {
-				return fmt.Errorf("cluster: encoding journal snapshot: %w", err)
-			}
-			records = append(records, ckpt)
+		for _, k := range slices.Sorted(maps.Keys(camp.ckpt)) {
+			records = append(records, camp.ckpt[k])
 		}
 	}
-	return s.log.Rewrite(records)
+	if err := s.log.Rewrite(records); err != nil {
+		return err
+	}
+	s.logBytes = s.liveBytes
+	return nil
 }
 
 // Recover implements JobStore.
 func (s *JournalStore) Recover() ([]RecoveredCampaign, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.live))
-	for id := range s.live {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]RecoveredCampaign, 0, len(ids))
-	for _, id := range ids {
+	out := make([]RecoveredCampaign, 0, len(s.live))
+	for _, id := range slices.Sorted(maps.Keys(s.live)) {
 		camp := s.live[id]
-		done := make(map[string]*pipeline.Stats, len(camp.done))
-		for k, st := range camp.done {
-			done[k] = st
+		enq, err := decodeRecord(camp.enqueue)
+		if err != nil {
+			return nil, err
 		}
-		ckpt := make(map[string][]byte, len(camp.ckpt))
-		for k, snap := range camp.ckpt {
-			ckpt[k] = snap
-		}
-		out = append(out, RecoveredCampaign{
+		rc := RecoveredCampaign{
 			ID:          id,
-			RequestID:   camp.rec.RequestID,
-			Priority:    campaign.Priority(camp.rec.Priority),
-			Specs:       camp.rec.Specs,
-			Completed:   done,
-			Checkpoints: ckpt,
-		})
+			RequestID:   enq.RequestID,
+			Priority:    campaign.Priority(enq.Priority),
+			Specs:       enq.Specs,
+			Completed:   make(map[string]*pipeline.Stats, len(camp.done)),
+			Checkpoints: make(map[string][]byte, len(camp.ckpt)),
+		}
+		for k, p := range camp.done {
+			rec, err := decodeRecord(p)
+			if err != nil {
+				return nil, err
+			}
+			rc.Completed[k] = rec.Stats
+		}
+		for k, p := range camp.ckpt {
+			rec, err := decodeRecord(p)
+			if err != nil {
+				return nil, err
+			}
+			rc.Checkpoints[k] = rec.Snap
+		}
+		out = append(out, rc)
 	}
 	return out, nil
 }

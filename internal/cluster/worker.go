@@ -10,7 +10,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -72,12 +74,12 @@ type Worker struct {
 	// negative disables in-sim spans (execute/simulate spans still ship).
 	TimelineEvents int
 	// CheckpointEvery, when positive, makes long jobs crash-resumable: every
-	// N committed instructions the worker posts the job's full execution
-	// state to the coordinator (POST /jobs/checkpoint), and a job that
-	// arrives carrying a previous holder's checkpoint resumes from it
-	// instead of re-simulating the prefix. Results are byte-identical either
-	// way (the snapshot differential gate proves it), traced or not. Zero
-	// disables checkpointing.
+	// N committed instructions the worker encodes the job's full execution
+	// state once and posts the snapshot envelope as the raw body of POST
+	// /jobs/checkpoint, and a job that arrives carrying a previous holder's
+	// checkpoint resumes from it instead of re-simulating the prefix.
+	// Results are byte-identical either way (the snapshot differential gate
+	// proves it), traced or not. Zero disables checkpointing.
 	CheckpointEvery uint64
 
 	m struct {
@@ -324,13 +326,12 @@ func (w *Worker) checkpointOpts(ctx context.Context, jb Job) campaign.ExecOpts {
 			w.log().Warn("encoding checkpoint failed", "worker", w.ID, "job_id", jb.ID, "error", err)
 			return
 		}
-		var resp CheckpointResponse
-		err = w.post(ctx, "/jobs/checkpoint", CheckpointRequest{
+		resp, err := w.postCheckpoint(ctx, CheckpointRequest{
 			WorkerID:  w.ID,
 			JobID:     jb.ID,
 			Committed: sn.Committed,
 			Snapshot:  blob,
-		}, &resp)
+		})
 		switch {
 		case err != nil:
 			w.log().Warn("posting checkpoint failed", "worker", w.ID, "job_id", jb.ID,
@@ -446,17 +447,50 @@ func (w *Worker) postTrace(ctx context.Context, path, traceparent string, in, ou
 	if err != nil {
 		return fmt.Errorf("encoding %s request: %w", path, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(body))
+	req, err := w.newRequest(ctx, path, body)
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if w.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+w.APIKey)
-	}
 	if traceparent != "" {
 		req.Header.Set(telemetry.TraceParentHeader, traceparent)
 	}
+	return w.do(path, req, out)
+}
+
+// postCheckpoint posts one checkpoint in its wire form: the snapshot
+// envelope as the raw body, the rest as query parameters.
+func (w *Worker) postCheckpoint(ctx context.Context, ck CheckpointRequest) (CheckpointResponse, error) {
+	const path = "/jobs/checkpoint"
+	q := url.Values{
+		"worker_id": {ck.WorkerID},
+		"job_id":    {strconv.FormatUint(ck.JobID, 10)},
+		"committed": {strconv.FormatUint(ck.Committed, 10)},
+	}
+	var resp CheckpointResponse
+	req, err := w.newRequest(ctx, path+"?"+q.Encode(), ck.Snapshot)
+	if err != nil {
+		return resp, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	return resp, w.do(path, req, &resp)
+}
+
+// newRequest builds an authenticated POST of body to the coordinator.
+func (w *Worker) newRequest(ctx context.Context, target string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+target, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if w.APIKey != "" {
+		req.Header.Set("Authorization", "Bearer "+w.APIKey)
+	}
+	return req, nil
+}
+
+// do sends req and strictly decodes the coordinator's JSON reply into out;
+// path names the endpoint in errors.
+func (w *Worker) do(path string, req *http.Request, out any) error {
 	resp, err := w.Client.Do(req)
 	if err != nil {
 		return err

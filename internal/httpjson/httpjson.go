@@ -1,9 +1,10 @@
 // Package httpjson holds the JSON-over-HTTP plumbing shared by the galsimd
 // service handlers and the cluster fleet endpoints: one implementation of
-// response encoding, error bodies, and strict request decoding, so a fix
-// to any of them cannot silently miss a package. Its strict decoder,
-// DecodeStrict, also parses the hand-written JSON documents galsim reads from
-// files: machine specs, workload profiles and search specs.
+// response encoding, error bodies, strict request decoding and capped
+// reads of raw request bodies, so a fix to any of them cannot silently miss
+// a package. Its strict decoder, DecodeStrict, also parses the hand-written
+// JSON documents galsim reads from files: machine specs, workload profiles
+// and search specs.
 package httpjson
 
 import (
@@ -44,16 +45,46 @@ const CodeBodyTooLarge = "body_too_large"
 // writes a 400. Returns false when a response was written.
 func Decode(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) bool {
 	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, maxBytes), v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			ErrorCode(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
-			return false
-		}
-		Error(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+		bodyError(w, "decoding", err)
 		return false
 	}
 	return true
+}
+
+// ReadBody reads a raw request body of at most maxBytes into one buffer,
+// sized from Content-Length when the request declares it. Failures are
+// answered as Decode answers them: 413 for an oversized body, 400 for any
+// other. Returns false when a response was written.
+func ReadBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, bool) {
+	if r.ContentLength > maxBytes {
+		bodyError(w, "reading", &http.MaxBytesError{Limit: maxBytes})
+		return nil, false
+	}
+	body := http.MaxBytesReader(w, r.Body, maxBytes)
+	var b []byte
+	var err error
+	if r.ContentLength >= 0 {
+		b = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(body, b)
+	} else {
+		b, err = io.ReadAll(body)
+	}
+	if err != nil {
+		bodyError(w, "reading", err)
+		return nil, false
+	}
+	return b, true
+}
+
+// bodyError answers a failure to read or decode a request body.
+func bodyError(w http.ResponseWriter, op string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		ErrorCode(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
+		return
+	}
+	Error(w, http.StatusBadRequest, fmt.Errorf("%s request body: %w", op, err))
 }
 
 // DecodeStrict parses r, which must hold exactly one JSON value, into v. It

@@ -68,6 +68,35 @@ func TestDecodeStatus(t *testing.T) {
 	}
 }
 
+// TestReadBodyStatus: ReadBody returns a body within the limit whether or
+// not its length is declared, and answers an oversized or short body as
+// Decode would.
+func TestReadBodyStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		body     string
+		declared int64 // Content-Length; -1 for none
+		want     int
+	}{
+		{"declared, within the limit", "0123456789", 10, http.StatusOK},
+		{"undeclared, within the limit", "0123456789", -1, http.StatusOK},
+		{"declared over the limit", strings.Repeat("x", 40), 40, http.StatusRequestEntityTooLarge},
+		{"undeclared over the limit", strings.Repeat("x", 40), -1, http.StatusRequestEntityTooLarge},
+		{"shorter than declared", "0123", 10, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body))
+		req.ContentLength = tc.declared
+		b, ok := ReadBody(rec, req, 32)
+		if ok != (tc.want == http.StatusOK) || !ok && rec.Code != tc.want {
+			t.Errorf("%s: ReadBody ok=%v, answered %d %s, want %d", tc.name, ok, rec.Code, rec.Body, tc.want)
+		}
+		if ok && string(b) != tc.body {
+			t.Errorf("%s: ReadBody = %q, want %q", tc.name, b, tc.body)
+		}
+	}
+}
+
 // FuzzDecodeStrict checks DecodeStrict against json.Unmarshal: into an untyped
 // value, where no field can be unknown, both must accept exactly the same
 // inputs and produce the same value.

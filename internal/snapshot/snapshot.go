@@ -11,6 +11,12 @@
 // writer produced, under a version it understands, or a typed error; never
 // a silent partial restore.
 //
+// Check verifies the envelope alone, for a receiver that stores or forwards
+// the bytes without restoring them; DecodeBytes verifies the envelope the
+// same way and then decodes the body. EncodeBytes builds the envelope in
+// one buffer and copies the captured state into it without re-compacting
+// it, so a capture is encoded once.
+//
 // Layout:
 //
 //	offset  size  field
@@ -30,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -91,34 +96,70 @@ type Snapshot struct {
 	State json.RawMessage `json:"state"`
 }
 
-// Encode writes the snapshot in envelope form.
-func (s *Snapshot) Encode(w io.Writer) error {
-	body, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("snapshot: encoding body: %w", err)
-	}
-	if len(body) > maxBody {
-		return fmt.Errorf("snapshot: body of %d bytes exceeds the %d-byte format limit", len(body), maxBody)
-	}
-	var hdr [headerSize]byte
-	copy(hdr[0:4], magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+// head is the part of a Snapshot's JSON body before State, in the same
+// field order: EncodeBytes marshals it and splices State in after it.
+type head struct {
+	SpecKey   string          `json:"spec_key"`
+	SpecJSON  json.RawMessage `json:"spec_json,omitempty"`
+	Committed uint64          `json:"committed"`
 }
 
-// EncodeBytes returns the snapshot in envelope form.
+// EncodeBytes returns the snapshot in envelope form: the header over the
+// bytes of json.Marshal(s), so Digest does not depend on how they were
+// built. When State is already in the form json.Marshal emits (compact,
+// nothing to HTML-escape), as a capture's always is, it is copied into the
+// one output buffer without being compacted or validated again, so State
+// must hold valid JSON. Any other State goes through json.Marshal.
 func (s *Snapshot) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		return nil, err
+	if !spliceable(s.State) {
+		body, err := json.Marshal(s)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: encoding body: %w", err)
+		}
+		return seal(append(make([]byte, headerSize, headerSize+len(body)), body...))
 	}
-	return buf.Bytes(), nil
+	h, err := json.Marshal(head{SpecKey: s.SpecKey, SpecJSON: s.SpecJSON, Committed: s.Committed})
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encoding body: %w", err)
+	}
+	const stateKey = `,"state":`
+	b := make([]byte, headerSize, headerSize+len(h)+len(stateKey)+len(s.State))
+	b = append(b, h[:len(h)-1]...) // drop the closing brace
+	b = append(b, stateKey...)
+	b = append(b, s.State...)
+	b = append(b, '}')
+	return seal(b)
+}
+
+// seal fills in the header of b, whose first headerSize bytes are reserved
+// for it and the rest are the body.
+func seal(b []byte) ([]byte, error) {
+	body := b[headerSize:]
+	if len(body) > maxBody {
+		return nil, fmt.Errorf("snapshot: body of %d bytes exceeds the %d-byte format limit", len(body), maxBody)
+	}
+	copy(b[0:4], magic)
+	binary.LittleEndian.PutUint32(b[4:8], Version)
+	binary.LittleEndian.PutUint32(b[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[12:16], crc32.Checksum(body, castagnoli))
+	return b, nil
+}
+
+// spliceable reports whether json.Marshal would emit raw, which must be
+// valid JSON, unchanged as a json.RawMessage. It would when raw holds no
+// white space at all and none of the bytes HTML-safe escaping rewrites
+// (<, >, & and the lead byte of U+2028 and U+2029): compacting removes only
+// white space, and escaping rewrites only those.
+func spliceable(raw []byte) bool {
+	if len(raw) == 0 {
+		return false
+	}
+	for _, c := range []byte(" \t\n\r<>&\xe2") {
+		if bytes.IndexByte(raw, c) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Digest returns the snapshot's content identity: the hex SHA-256 of its
@@ -134,36 +175,54 @@ func (s *Snapshot) Digest() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Decode reads one snapshot, verifying magic, version and checksum. Any
-// failure is typed: ErrMagic, *VersionError, or *CorruptError. It never
-// returns a partially-filled snapshot alongside a nil error.
-func Decode(r io.Reader) (*Snapshot, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, &CorruptError{Reason: "truncated header"}
-		}
-		return nil, err
+// Check verifies b's envelope — magic, version, length, no trailing bytes
+// and the body's CRC-32C — without decoding the body. It fails with exactly
+// the error DecodeBytes returns for the same bytes; an envelope it accepts
+// can still fail DecodeBytes only on the JSON body itself.
+func Check(b []byte) error {
+	_, err := checkedBody(b)
+	return err
+}
+
+// checkedBody returns the CRC-checked body of envelope b, or Check's
+// error. It never allocates: a header claiming more bytes than b holds
+// fails before anything is read.
+func checkedBody(b []byte) ([]byte, error) {
+	if len(b) < headerSize {
+		return nil, &CorruptError{Reason: "truncated header"}
 	}
-	if string(hdr[0:4]) != magic {
+	if string(b[0:4]) != magic {
 		return nil, ErrMagic
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
+	if v := binary.LittleEndian.Uint32(b[4:8]); v != Version {
 		return nil, &VersionError{Got: v, Want: Version}
 	}
-	n := binary.LittleEndian.Uint32(hdr[8:12])
+	n := binary.LittleEndian.Uint32(b[8:12])
 	if n > maxBody {
 		return nil, &CorruptError{Reason: fmt.Sprintf("body length %d exceeds format limit", n)}
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, &CorruptError{Reason: "truncated body"}
-		}
-		return nil, err
+	rest := b[headerSize:]
+	if uint64(len(rest)) < uint64(n) {
+		return nil, &CorruptError{Reason: "truncated body"}
 	}
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(hdr[12:16]); got != want {
+	body := rest[:n]
+	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(b[12:16]); got != want {
 		return nil, &CorruptError{Reason: fmt.Sprintf("body checksum %08x, header says %08x", got, want)}
+	}
+	if extra := len(rest) - int(n); extra != 0 {
+		return nil, &CorruptError{Reason: fmt.Sprintf("%d trailing bytes after body", extra)}
+	}
+	return body, nil
+}
+
+// DecodeBytes decodes one snapshot, verifying the envelope as Check does
+// and then the body. Any failure is typed: ErrMagic, *VersionError, or
+// *CorruptError. It never returns a partially-filled snapshot alongside a
+// nil error, and the snapshot it returns shares no memory with b.
+func DecodeBytes(b []byte) (*Snapshot, error) {
+	body, err := checkedBody(b)
+	if err != nil {
+		return nil, err
 	}
 	var s Snapshot
 	if err := json.Unmarshal(body, &s); err != nil {
@@ -173,20 +232,6 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, &CorruptError{Reason: "empty state"}
 	}
 	return &s, nil
-}
-
-// DecodeBytes decodes a snapshot from memory, additionally rejecting
-// trailing garbage (a file-level concern Decode leaves to the caller).
-func DecodeBytes(b []byte) (*Snapshot, error) {
-	r := bytes.NewReader(b)
-	s, err := Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, &CorruptError{Reason: fmt.Sprintf("%d trailing bytes after body", r.Len())}
-	}
-	return s, nil
 }
 
 // WriteFile atomically-ish writes the snapshot to path (temp file + rename

@@ -3,9 +3,14 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -127,9 +132,78 @@ func TestOversizedLength(t *testing.T) {
 	}
 }
 
+// TestForgedLengthAllocatesNothing: a bare header claiming the largest body
+// the format allows is rejected before a body buffer is allocated.
+func TestForgedLengthAllocatesNothing(t *testing.T) {
+	forged := make([]byte, headerSize)
+	copy(forged, magic)
+	binary.LittleEndian.PutUint32(forged[4:8], Version)
+	binary.LittleEndian.PutUint32(forged[8:12], maxBody)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBytes(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != "snapshot: corrupt: truncated body" {
+		t.Fatalf("forged header: got %v, want the truncated-body error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting a forged header allocated %d bytes", got)
+	}
+	if err2 := Check(forged); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("Check(forged) = %v, want %v", err2, err)
+	}
+}
+
+// marshalEnvelope is the reference encoding EncodeBytes must reproduce: the
+// header over json.Marshal(s).
+func marshalEnvelope(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	body, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, headerSize, headerSize+len(body))
+	copy(hdr, magic)
+	binary.LittleEndian.PutUint32(hdr[4:8], Version)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body, castagnoli))
+	return append(hdr, body...)
+}
+
+// TestEncodeBytesMatchesMarshal: states json.Marshal would rewrite (white
+// space, HTML-escaped characters, a null state) encode exactly as
+// json.Marshal encodes them, and so do the spliced compact ones.
+func TestEncodeBytesMatchesMarshal(t *testing.T) {
+	for _, state := range []string{
+		`{"cycles":12345,"rob":[1,2,3]}`,
+		`{ "cycles": 1 }`,
+		`{"name":"a b"}`,
+		`{"op":"a<b&&c>d"}`,
+		"{\"sep\":\"\u2028\u2029\"}",
+		`[1,2,"\"<"]`,
+		``, // a nil state, which encodes as null
+	} {
+		s := sample()
+		s.State = []byte(state)
+		if state == "" {
+			s.State = nil
+		}
+		s.SpecJSON = []byte(`{ "benchmark": "gcc" }`)
+		got, err := s.EncodeBytes()
+		if err != nil {
+			t.Fatalf("state %q: %v", state, err)
+		}
+		if want := marshalEnvelope(t, s); !bytes.Equal(got, want) {
+			t.Errorf("state %q: EncodeBytes = %q, want %q", state, got[headerSize:], want[headerSize:])
+		}
+	}
+}
+
 // FuzzSnapshot feeds arbitrary bytes to the decoder: it must never panic,
-// and whenever it succeeds, re-encoding the result must decode again (the
-// envelope is canonical for what it accepts).
+// Check must fail exactly where DecodeBytes fails outside the JSON body,
+// and whenever decoding succeeds, re-encoding the result must equal the
+// header over json.Marshal of it and decode again (the envelope is
+// canonical for what it accepts).
 func FuzzSnapshot(f *testing.F) {
 	good, _ := sample().EncodeBytes()
 	f.Add(good)
@@ -138,14 +212,30 @@ func FuzzSnapshot(f *testing.F) {
 	bad := append([]byte{}, good...)
 	bad[20] ^= 0xff
 	f.Add(bad)
+	spaced := sample()
+	spaced.State = []byte(`{ "op": "a<b" }`)
+	f.Add(marshalEnvelope(f, spaced))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeBytes(data)
+		if cerr := Check(data); cerr != nil {
+			if err == nil || err.Error() != cerr.Error() || reflect.TypeOf(err) != reflect.TypeOf(cerr) {
+				t.Fatalf("Check = %v, DecodeBytes = %v", cerr, err)
+			}
+			return
+		}
 		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) || !strings.HasPrefix(ce.Reason, "undecodable body") && ce.Reason != "empty state" {
+				t.Fatalf("Check accepted an envelope DecodeBytes rejects outside the body: %v", err)
+			}
 			return
 		}
 		b, err := s.EncodeBytes()
 		if err != nil {
 			t.Fatalf("decoded snapshot fails to re-encode: %v", err)
+		}
+		if want := marshalEnvelope(t, s); !bytes.Equal(b, want) {
+			t.Fatalf("EncodeBytes differs from the envelope of json.Marshal")
 		}
 		if _, err := DecodeBytes(b); err != nil {
 			t.Fatalf("re-encoded snapshot fails to decode: %v", err)
