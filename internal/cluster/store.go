@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"galsim/internal/campaign"
 	"galsim/internal/pipeline"
@@ -55,7 +57,8 @@ type CheckpointStore interface {
 	// JobCheckpoint durably records the latest checkpoint for one in-flight
 	// unit, keyed like JobCompleted by the spec's content key. A later
 	// checkpoint for the same key supersedes the earlier one; a completion
-	// retires it.
+	// retires it. The store may keep snap itself: the caller must not
+	// modify it afterwards.
 	JobCheckpoint(campaignID, specKey string, snap []byte) error
 }
 
@@ -102,11 +105,17 @@ const walRecordVersion = 1
 
 // JournalStore is the WAL-backed JobStore: every transition is one
 // checksummed record in an append-only segmented log (internal/wal). The
-// store keeps the payload of every live record — each unfinished
-// campaign's enqueue record, its completions, and the latest checkpoint of
-// each unit still running — and compacts by rewriting the log to exactly
-// those payloads, byte for byte, so the log tracks the working set instead
-// of growing with history.
+// store keeps every live record — each unfinished campaign's enqueue
+// record, its completions, and the latest checkpoint of each unit still
+// running — and compacts by rewriting the log to exactly those records,
+// byte for byte, so the log tracks the working set instead of growing with
+// history.
+//
+// Enqueue and completion records are kept as the payloads the log holds. A
+// live checkpoint is held once, as the envelope the coordinator already
+// keeps for the job (or, after a reopen, as replay decoded it): its ckpt
+// record is encoded into one buffer the store reuses, appended, and
+// encoded again, to the same bytes, only by a compaction.
 //
 // Compaction is log-structured cleaning: it runs when a campaign finishes
 // and the log's dead payload bytes (finished campaigns, superseded
@@ -118,29 +127,37 @@ type JournalStore struct {
 	mu   sync.Mutex
 	log  *wal.Log
 	live map[string]*journalCampaign // unfinished campaigns
+	buf  []byte                      // the ckpt record being written
 
 	// logBytes counts the payload bytes of the records in the log,
 	// liveBytes those of the live records; the difference is dead weight.
 	logBytes, liveBytes int
 }
 
-// journalCampaign is one unfinished campaign's live records, held as the
-// payloads the log holds: compaction writes them back verbatim and Recover
-// decodes them.
+// journalCampaign is one unfinished campaign's live records. The enqueue
+// and completion records are the payloads the log holds: compaction writes
+// them back verbatim and Recover decodes them.
 type journalCampaign struct {
 	enqueue []byte
-	done    map[string][]byte // completion record per unit
-	ckpt    map[string][]byte // latest checkpoint record per not-yet-done unit
+	done    map[string][]byte         // completion record per unit
+	ckpt    map[string]liveCheckpoint // latest checkpoint per not-yet-done unit
 }
 
-// bytes is the size of the campaign's live payloads.
+// liveCheckpoint is a unit's latest checkpoint: the envelope itself, not
+// its record, and the size of its record in the log.
+type liveCheckpoint struct {
+	snap        []byte
+	recordBytes int
+}
+
+// bytes is the size of the campaign's live records.
 func (c *journalCampaign) bytes() int {
 	n := len(c.enqueue)
 	for _, p := range c.done {
 		n += len(p)
 	}
-	for _, p := range c.ckpt {
-		n += len(p)
+	for _, ck := range c.ckpt {
+		n += ck.recordBytes
 	}
 	return n
 }
@@ -163,9 +180,9 @@ func OpenJournal(dir string, opt wal.Options) (*JournalStore, error) {
 	return s, nil
 }
 
-// apply folds one replayed journal record into the live set. Malformed JSON
-// is a hard error (the WAL checksum passed, so this is a software bug, not
-// a torn write).
+// apply folds one replayed journal record into the live set; a ckpt
+// record's envelope is decoded here, once. Malformed JSON is a hard error
+// (the WAL checksum passed, so this is a software bug, not a torn write).
 func (s *JournalStore) apply(payload []byte) error {
 	rec, err := decodeRecord(payload)
 	if err != nil {
@@ -185,7 +202,9 @@ func decodeRecord(payload []byte) (walRecord, error) {
 
 // fold adds one record of the log, appended or replayed, to the live set.
 // The same rules serve both, so the live set after a reopen is the one
-// before it. Records that change nothing — a duplicate enqueue or
+// before it. An enqueue or completion keeps payload; a checkpoint keeps
+// rec.Snap and only the length of payload, which may be the store's
+// reused buffer. Records that change nothing — a duplicate enqueue or
 // completion, a completion or checkpoint for a finished campaign, a zombie
 // checkpoint for a completed unit — are dead on arrival. Unknown record
 // types are skipped too (forward compatibility: a newer coordinator's
@@ -196,7 +215,7 @@ func (s *JournalStore) fold(rec walRecord, payload []byte) {
 	switch rec.Type {
 	case "enqueue":
 		if !ok {
-			s.live[rec.ID] = &journalCampaign{enqueue: payload, done: map[string][]byte{}, ckpt: map[string][]byte{}}
+			s.live[rec.ID] = &journalCampaign{enqueue: payload, done: map[string][]byte{}, ckpt: map[string]liveCheckpoint{}}
 			s.liveBytes += len(payload)
 		}
 	case "done":
@@ -206,7 +225,7 @@ func (s *JournalStore) fold(rec walRecord, payload []byte) {
 				s.liveBytes += len(payload)
 			}
 			// A completion retires the unit's checkpoint.
-			s.liveBytes -= len(camp.ckpt[rec.Key])
+			s.liveBytes -= camp.ckpt[rec.Key].recordBytes
 			delete(camp.ckpt, rec.Key)
 		}
 	case "ckpt":
@@ -216,8 +235,8 @@ func (s *JournalStore) fold(rec walRecord, payload []byte) {
 			break
 		}
 		if _, done := camp.done[rec.Key]; !done {
-			s.liveBytes += len(payload) - len(camp.ckpt[rec.Key])
-			camp.ckpt[rec.Key] = payload
+			s.liveBytes += len(payload) - camp.ckpt[rec.Key].recordBytes
+			camp.ckpt[rec.Key] = liveCheckpoint{snap: rec.Snap, recordBytes: len(payload)}
 		}
 	case "finish":
 		if ok {
@@ -227,12 +246,19 @@ func (s *JournalStore) fold(rec walRecord, payload []byte) {
 	}
 }
 
-// record appends rec to the log and folds it into the live set.
+// record appends rec to the log and folds it into the live set. A
+// checkpoint record is encoded into s.buf, which the next one reuses.
 func (s *JournalStore) record(rec walRecord) error {
 	rec.V = walRecordVersion
-	payload, err := encodeRecord(rec)
-	if err != nil {
-		return fmt.Errorf("cluster: encoding journal record: %w", err)
+	var payload []byte
+	if rec.Type == "ckpt" {
+		s.buf = appendCheckpointRecord(s.buf[:0], rec)
+		payload = s.buf
+	} else {
+		var err error
+		if payload, err = json.Marshal(rec); err != nil {
+			return fmt.Errorf("cluster: encoding journal record: %w", err)
+		}
 	}
 	if err := s.log.Append(payload); err != nil {
 		return err
@@ -241,27 +267,42 @@ func (s *JournalStore) record(rec walRecord) error {
 	return nil
 }
 
-// encodeRecord returns rec's payload, the bytes of json.Marshal(rec). A
-// checkpoint record is built in one buffer of its exact size instead: the
-// snapshot is nearly all of it, and json.Marshal would grow a buffer
-// around the snapshot's base64 several times and then copy it once more.
-func encodeRecord(rec walRecord) ([]byte, error) {
-	if rec.Type != "ckpt" || rec.Key == "" || len(rec.Snap) == 0 {
-		return json.Marshal(rec)
+// appendCheckpointRecord appends the payload of a ckpt record, which
+// carries only v, t, id, key and snap, to b: the bytes of json.Marshal(rec)
+// without its allocations. The snapshot is nearly all of it; json.Marshal
+// would grow a buffer around the snapshot's base64 several times and then
+// copy it once more.
+func appendCheckpointRecord(b []byte, rec walRecord) []byte {
+	b = slices.Grow(b, 64+len(rec.ID)+len(rec.Key)+base64.StdEncoding.EncodedLen(len(rec.Snap)))
+	b = append(b, `{"v":`...)
+	b = strconv.AppendInt(b, int64(rec.V), 10)
+	b = append(b, `,"t":"ckpt","id":`...)
+	b = appendJSONString(b, rec.ID)
+	if rec.Key != "" {
+		b = append(b, `,"key":`...)
+		b = appendJSONString(b, rec.Key)
 	}
-	id, err := json.Marshal(rec.ID)
-	if err != nil {
-		return nil, err
+	if len(rec.Snap) > 0 {
+		b = append(b, `,"snap":"`...)
+		b = base64.StdEncoding.AppendEncode(b, rec.Snap)
+		b = append(b, '"')
 	}
-	key, err := json.Marshal(rec.Key)
-	if err != nil {
-		return nil, err
+	return append(b, '}')
+}
+
+// appendJSONString appends s as encoding/json writes it. A string with
+// nothing to escape, as every campaign id and content key the coordinator
+// makes is, is copied as it is; any other goes through json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
 	}
-	head := fmt.Sprintf(`{"v":%d,"t":"ckpt","id":%s,"key":%s,"snap":"`, rec.V, id, key)
-	b := make([]byte, 0, len(head)+base64.StdEncoding.EncodedLen(len(rec.Snap))+2)
-	b = append(b, head...)
-	b = base64.StdEncoding.AppendEncode(b, rec.Snap)
-	return append(b, `"}`...), nil
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // CampaignEnqueued implements JobStore.
@@ -320,18 +361,29 @@ func (s *JournalStore) CampaignFinished(campaignID, errMsg string) error {
 	return s.compactLocked()
 }
 
-// compactLocked rewrites the log to exactly the live records' payloads.
+// compactLocked rewrites the log to exactly the live records: enqueue and
+// completion payloads verbatim, each checkpoint's record encoded again
+// from its envelope into s.buf, to the bytes it was appended as.
 // Idempotent-replay semantics make a crash anywhere in here safe.
 func (s *JournalStore) compactLocked() error {
-	var records [][]byte
-	for _, id := range slices.Sorted(maps.Keys(s.live)) {
-		camp := s.live[id]
-		records = append(records, camp.enqueue)
-		for _, k := range slices.Sorted(maps.Keys(camp.done)) {
-			records = append(records, camp.done[k])
-		}
-		for _, k := range slices.Sorted(maps.Keys(camp.ckpt)) {
-			records = append(records, camp.ckpt[k])
+	records := func(yield func([]byte) bool) {
+		for _, id := range slices.Sorted(maps.Keys(s.live)) {
+			camp := s.live[id]
+			if !yield(camp.enqueue) {
+				return
+			}
+			for _, k := range slices.Sorted(maps.Keys(camp.done)) {
+				if !yield(camp.done[k]) {
+					return
+				}
+			}
+			for _, k := range slices.Sorted(maps.Keys(camp.ckpt)) {
+				rec := walRecord{V: walRecordVersion, Type: "ckpt", ID: id, Key: k, Snap: camp.ckpt[k].snap}
+				s.buf = appendCheckpointRecord(s.buf[:0], rec)
+				if !yield(s.buf) {
+					return
+				}
+			}
 		}
 	}
 	if err := s.log.Rewrite(records); err != nil {
@@ -367,12 +419,8 @@ func (s *JournalStore) Recover() ([]RecoveredCampaign, error) {
 			}
 			rc.Completed[k] = rec.Stats
 		}
-		for k, p := range camp.ckpt {
-			rec, err := decodeRecord(p)
-			if err != nil {
-				return nil, err
-			}
-			rc.Checkpoints[k] = rec.Snap
+		for k, ck := range camp.ckpt {
+			rc.Checkpoints[k] = ck.snap
 		}
 		out = append(out, rc)
 	}

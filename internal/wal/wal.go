@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,6 +46,10 @@ const headerSize = 8
 // Append and replay, so a corrupt length field cannot make recovery
 // allocate gigabytes.
 const MaxRecordBytes = 16 << 20
+
+// rewriteChunk is how many staged frame bytes Rewrite gathers before it
+// writes them out.
+const rewriteChunk = 64 << 10
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -100,6 +105,12 @@ type Stats struct {
 
 // Log is an append-only segmented record log. All methods are safe for
 // concurrent use.
+//
+// A log frames records in place: it keeps one staging buffer, reused under
+// its lock, that Append fills with one frame and Rewrite with up to 64 KiB
+// of frames before each write. The buffer never outgrows the larger of the
+// log's largest frame and 64 KiB, so it holds at most MaxRecordBytes + 8
+// bytes.
 type Log struct {
 	dir string
 	opt Options
@@ -110,6 +121,7 @@ type Log struct {
 	size      int64    // active segment's current size
 	segments  []uint64 // live segment sequences, ascending (last == seq)
 	sinceSync int      // appends since the last fsync
+	buf       []byte   // staging buffer for the frames of one write
 	closed    bool
 	stats     Stats
 }
@@ -186,14 +198,19 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 	return nil
 }
 
-// EncodeRecord frames a payload: the exact bytes Append writes. Exported
-// for the fuzz harness and for tests that build journals by hand.
-func EncodeRecord(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[headerSize:], payload)
-	return buf
+// appendFrame appends payload's frame to b, growing b to the exact size
+// needed, or to double its capacity if that is more and at most
+// rewriteChunk.
+func appendFrame(b, payload []byte) []byte {
+	n := len(b) + headerSize + len(payload)
+	if n > cap(b) {
+		b = append(make([]byte, 0, max(n, min(2*cap(b), rewriteChunk))), b...)
+	}
+	frame := b[len(b):n]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	copy(frame[headerSize:], payload)
+	return b[:n]
 }
 
 // readRecord reads one frame from r and returns its payload. ok is false at
@@ -225,24 +242,25 @@ func (l *Log) Append(payload []byte) error {
 	if len(payload) > MaxRecordBytes {
 		return ErrTooLarge
 	}
-	frame := EncodeRecord(payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if l.size > 0 && l.size+int64(len(frame)) > l.opt.SegmentBytes {
+	frameLen := int64(headerSize + len(payload))
+	if l.size > 0 && l.size+frameLen > l.opt.SegmentBytes {
 		if err := l.openSegmentLocked(l.seq + 1); err != nil {
 			return err
 		}
 		l.stats.Rotations++
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	l.buf = appendFrame(l.buf[:0], payload)
+	if _, err := l.f.Write(l.buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(frame))
+	l.size += frameLen
 	l.stats.Appends++
-	l.stats.BytesWritten += uint64(len(frame))
+	l.stats.BytesWritten += uint64(frameLen)
 	l.sinceSync++
 	if l.opt.SyncEvery > 0 && l.sinceSync >= l.opt.SyncEvery {
 		return l.syncLocked()
@@ -325,14 +343,17 @@ func scanSegment(path string, fn func([]byte) error) (valid int64, records uint6
 }
 
 // Rewrite atomically replaces the log's contents with the given records —
-// the compaction primitive. The snapshot is written to a fresh segment
+// the compaction primitive; a nil records empties the log. Each record is
+// framed into the log's staging buffer before the next is asked for, so
+// the sequence may hand every record out in one buffer it reuses; it must
+// not call into the log. The snapshot is written to a fresh segment
 // (sequence-numbered after every existing one), fsynced, and atomically
 // renamed into place before the old segments are unlinked. A crash in
 // between leaves old segments beside the snapshot; because the snapshot
 // sorts after them, replay sees old records then the snapshot — callers
 // whose records replay idempotently (the coordinator's journal does)
 // recover the identical state.
-func (l *Log) Rewrite(records [][]byte) error {
+func (l *Log) Rewrite(records iter.Seq[[]byte]) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -345,29 +366,11 @@ func (l *Log) Rewrite(records [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: rewrite: %w", err)
 	}
-	var size int64
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	for _, rec := range records {
-		if len(rec) > MaxRecordBytes {
-			tmp.Close()
-			os.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
-			return ErrTooLarge
-		}
-		frame := EncodeRecord(rec)
-		if _, err := bw.Write(frame); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
-			return fmt.Errorf("wal: rewrite: %w", err)
-		}
-		size += int64(len(frame))
-	}
-	if err := bw.Flush(); err == nil {
-		err = tmp.Sync()
-	}
+	size, err := l.writeFramesLocked(tmp, records)
 	if err != nil {
 		tmp.Close()
 		os.Remove(tmpPath) //nolint:errcheck // best-effort cleanup
-		return fmt.Errorf("wal: rewrite: %w", err)
+		return err
 	}
 	tmp.Close()
 	if err := os.Rename(tmpPath, finalPath); err != nil {
@@ -398,6 +401,41 @@ func (l *Log) Rewrite(records [][]byte) error {
 	l.stats.BytesWritten += uint64(size)
 	l.stats.Fsyncs++
 	return nil
+}
+
+// writeFramesLocked writes the frames of records to f through the staging
+// buffer, 64 KiB at a time, fsyncs f and returns the bytes written. l.mu
+// must be held.
+func (l *Log) writeFramesLocked(f *os.File, records iter.Seq[[]byte]) (int64, error) {
+	var size int64
+	flush := func() error {
+		_, err := f.Write(l.buf)
+		size += int64(len(l.buf))
+		l.buf = l.buf[:0]
+		return err
+	}
+	l.buf = l.buf[:0]
+	if records != nil {
+		for rec := range records {
+			if len(rec) > MaxRecordBytes {
+				return 0, ErrTooLarge
+			}
+			if len(l.buf) > 0 && len(l.buf)+headerSize+len(rec) > rewriteChunk {
+				if err := flush(); err != nil {
+					return 0, fmt.Errorf("wal: rewrite: %w", err)
+				}
+			}
+			l.buf = appendFrame(l.buf, rec)
+		}
+	}
+	err := flush()
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("wal: rewrite: %w", err)
+	}
+	return size, nil
 }
 
 // Stats snapshots the log's counters.

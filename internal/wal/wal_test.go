@@ -5,8 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// raceEnabled is set under the race detector, whose instrumentation
+// allocates on its own: allocation counts mean nothing there.
+var raceEnabled bool
 
 func collect(t *testing.T, l *Log) [][]byte {
 	t.Helper()
@@ -199,7 +206,7 @@ func TestRewriteCompaction(t *testing.T) {
 	}
 	before := l.Stats()
 	live := [][]byte{[]byte("live-1"), []byte("live-2")}
-	if err := l.Rewrite(live); err != nil {
+	if err := l.Rewrite(slices.Values(live)); err != nil {
 		t.Fatal(err)
 	}
 	after := l.Stats()
@@ -309,5 +316,166 @@ func TestClosedLog(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Errorf("double close = %v", err)
+	}
+}
+
+// TestAppendAllocatesNothing: once the log has written a frame at least as
+// large, an Append stages its frame in the log's buffer and allocates
+// nothing, fsync included.
+func TestAppendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	l, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	small, large := bytes.Repeat([]byte("s"), 100), bytes.Repeat([]byte("L"), 40<<10)
+	if err := l.Append(large); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		i++
+		p := small
+		if i%2 == 0 {
+			p = large
+		}
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a steady-state Append allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestRewriteAllocatesNoFramePerRecord: compacting to 2,000 records, over
+// 64 KiB of frames, allocates no more than compacting to one.
+func TestRewriteAllocatesNoFramePerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rewrite := func(records [][]byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := l.Rewrite(slices.Values(records)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	many := slices.Repeat([][]byte{bytes.Repeat([]byte("r"), 100)}, 2_000)
+	one, all := rewrite(many[:1]), rewrite(many)
+	if all > one {
+		t.Errorf("a Rewrite of %d records allocates %.1f times, of one %.1f", len(many), all, one)
+	}
+	if got := collect(t, l); len(got) != len(many) || !bytes.Equal(got[len(got)-1], many[0]) {
+		t.Fatalf("the compacted log replays %d records, want %d", len(got), len(many))
+	}
+}
+
+// TestConcurrentAppendRewriteStats: appenders, a compactor and a Stats
+// reader share one log and so its staging buffer. After a reopen the log
+// replays the last compaction's records, then appended records only, each
+// writer's in its order, including every record appended after the last
+// compaction returned.
+func TestConcurrentAppendRewriteStats(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{SegmentBytes: 32 << 10, SyncEvery: -1}
+	l, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter, rewrites = 4, 150, 20
+	var epoch atomic.Int64 // compactions that have returned
+	type ack struct {
+		seq   int
+		epoch int64 // compactions returned before the append started
+	}
+	acks := make([][]ack, writers)
+	payload := func(w, seq int) []byte {
+		// Sizes from a few bytes to 20 KiB: the staging buffer grows under
+		// both methods, and frames straddle Rewrite's 64 KiB writes.
+		return append([]byte(fmt.Sprintf("w%d-%d|", w, seq)), bytes.Repeat([]byte{byte('a' + w)}, (seq*7919)%(20<<10))...)
+	}
+	var lastRewrite [][]byte
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each writer appends at least once after the last compaction.
+			for seq := 0; seq < perWriter || epoch.Load() < rewrites; seq++ {
+				e := epoch.Load()
+				if err := l.Append(payload(w, seq)); err != nil {
+					t.Error(err)
+					return
+				}
+				acks[w] = append(acks[w], ack{seq, e})
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for r := range rewrites {
+			recs := [][]byte{[]byte(fmt.Sprintf("rw%d-a", r)), bytes.Repeat([]byte{'z'}, 70<<10), []byte(fmt.Sprintf("rw%d-b", r))}
+			if err := l.Rewrite(slices.Values(recs)); err != nil {
+				t.Error(err)
+				return
+			}
+			lastRewrite = recs
+			epoch.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var prev Stats
+		for range 200 {
+			st := l.Stats()
+			if st.Appends < prev.Appends || st.Compactions < prev.Compactions || st.BytesWritten < prev.BytesWritten {
+				t.Errorf("stats went backwards: %+v after %+v", st, prev)
+				return
+			}
+			prev = st
+		}
+	}()
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	got := collect(t, l)
+	if len(got) < len(lastRewrite) || !slices.EqualFunc(got[:len(lastRewrite)], lastRewrite, bytes.Equal) {
+		t.Fatalf("the log does not start with the last compaction's %d records", len(lastRewrite))
+	}
+	next := make([]int, writers) // lowest seq each writer may still replay
+	seen := map[string]bool{}
+	for _, p := range got[len(lastRewrite):] {
+		var w, seq int
+		if _, err := fmt.Sscanf(string(p), "w%d-%d|", &w, &seq); err != nil || w < 0 || w >= writers || !bytes.Equal(p, payload(w, seq)) {
+			t.Fatalf("the log replays a record no writer appended: %.40q", p)
+		}
+		if seq < next[w] {
+			t.Fatalf("writer %d's record %d replays after its record %d", w, seq, next[w]-1)
+		}
+		next[w] = seq + 1
+		seen[fmt.Sprintf("%d-%d", w, seq)] = true
+	}
+	for w, as := range acks {
+		for _, a := range as {
+			if a.epoch == rewrites && !seen[fmt.Sprintf("%d-%d", w, a.seq)] {
+				t.Errorf("writer %d's record %d, appended after the last compaction, is lost", w, a.seq)
+			}
+		}
 	}
 }
