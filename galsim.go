@@ -27,7 +27,6 @@
 package galsim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -408,15 +407,12 @@ func (r Result) RelativePerformance(other Result) float64 {
 // the same messages.
 func (o Options) Validate() error {
 	spec, err := o.spec()
-	if err == nil {
-		spec, err = spec.Resolve()
+	if err != nil {
+		return err
 	}
+	u, err := spec.Resolve()
 	if err == nil && o.Warmup > 0 {
-		// Run leaves this rule to ExecuteOpts, which knows the budget
-		// without another read; this is ExecuteOpts' message.
-		if budget := spec.Instructions; o.Warmup >= budget {
-			err = fmt.Errorf("campaign: warmup %d must be below the run's %d-instruction budget", o.Warmup, budget)
-		}
+		err = u.CheckWarmup(o.Warmup)
 	}
 	return err
 }
@@ -582,7 +578,7 @@ func RunManyProgressOn(ctx context.Context, b Backend, opts []Options, fn Progre
 		return nil, nil
 	}
 	specs := make([]campaign.RunSpec, len(opts))
-	names := make([]string, len(opts))
+	units := make([]*campaign.Unit, len(opts))
 	for i, o := range opts {
 		if o.OnCommit != nil {
 			return nil, fmt.Errorf("galsim: RunMany does not support Options.OnCommit; use Run for traced runs")
@@ -597,27 +593,21 @@ func RunManyProgressOn(ctx context.Context, b Backend, opts []Options, fn Progre
 			return nil, fmt.Errorf("galsim: RunMany does not support Options.Warmup/SnapshotOut; use Run to capture a snapshot (Options.SnapshotIn is fine: it is part of the run's identity)")
 		}
 		spec, err := o.spec()
-		switch {
-		case err != nil:
-		case spec.Trace != nil:
-			// A trace recorded without a name is labelled by its path, and a
-			// run of the same bytes at another path may fill the cache entry.
-			_, names[i], err = spec.NewSource()
-		default:
-			err = spec.Validate()
+		if err == nil {
+			units[i], err = spec.Resolve()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("galsim: options[%d]: %w", i, err)
 		}
 		specs[i] = spec
 	}
-	stats, err := campaign.RunAllOn(ctx, b, specs, fn)
+	stats, err := campaign.RunUnitsOn(ctx, b, units, 0, fn)
 	if err != nil {
 		return nil, err
 	}
 	results := make([]Result, len(opts))
-	for i, spec := range specs {
-		results[i] = resultFrom(cmp.Or(names[i], stats[i].Benchmark), spec, stats[i])
+	for i, u := range units {
+		results[i] = resultFrom(u.WorkloadName(), specs[i], stats[i])
 	}
 	return results, nil
 }

@@ -259,3 +259,34 @@ func TestValidateOfACaptureOpensTheTraceOnce(t *testing.T) {
 		t.Errorf("Validate opened the trace %d times, want 1", n)
 	}
 }
+
+// TestRunManyRefusesASwappedTrace: RunMany checks a replay's trace and pins
+// its digest, and the run reads the trace again; a trace that holds other
+// bytes by then fails the run with the digest mismatch instead of running
+// them.
+func TestRunManyRefusesASwappedTrace(t *testing.T) {
+	dir := t.TempDir()
+	digests := map[string]string{}
+	for _, bench := range []string{"gcc", "li"} {
+		path := filepath.Join(dir, bench+".trace")
+		if _, err := Run(Options{Benchmark: bench, Machine: GALS, Instructions: 4_000, RecordTrace: path}); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[bench] = tr.Digest()
+	}
+	path := filepath.Join(dir, "piped.trace")
+	opens := servePipe(t, path, mustRead(t, filepath.Join(dir, "gcc.trace")), mustRead(t, filepath.Join(dir, "li.trace")))
+	_, err := RunManyOn(context.Background(), campaign.NewEngine(1), []Options{{Trace: path, Machine: GALS}})
+	want := fmt.Sprintf("campaign: unit 0 (gals/replay:gcc): campaign: trace %s content digest %s does not match the requested %s (file changed?)",
+		path, digests["li"], digests["gcc"])
+	if err == nil || err.Error() != want {
+		t.Errorf("RunMany of a swapped trace:\n got %v\nwant %s", err, want)
+	}
+	if n := opens(); n != 2 {
+		t.Errorf("RunMany opened the trace %d times, want 2: once to check, once to run", n)
+	}
+}

@@ -2,6 +2,7 @@ package galsim
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -260,17 +261,60 @@ func TestRunManyValidation(t *testing.T) {
 		{Benchmark: "gcc", Instructions: 5_000},
 		{Benchmark: "nope"},
 	})
-	if err == nil || !strings.Contains(err.Error(), "options[1]") {
-		t.Errorf("bad option set not attributed to its index: %v", err)
+	want := `galsim: options[1]: workload: unknown benchmark "nope" (known: [adpcm epic g721 mpeg2 applu fpppp swim compress gcc go ijpeg li m88ksim perl vortex])`
+	if err == nil || err.Error() != want {
+		t.Errorf("bad option set:\n got %v\nwant %s", err, want)
 	}
 	_, err = RunMany(context.Background(), []Options{
 		{Benchmark: "gcc", OnCommit: func(CommitEvent) {}},
 	})
-	if err == nil || !strings.Contains(err.Error(), "OnCommit") {
-		t.Errorf("OnCommit not rejected: %v", err)
+	want = "galsim: RunMany does not support Options.OnCommit; use Run for traced runs"
+	if err == nil || err.Error() != want {
+		t.Errorf("OnCommit:\n got %v\nwant %s", err, want)
 	}
 	if res, err := RunMany(context.Background(), nil); err != nil || res != nil {
 		t.Errorf("empty input: %v, %v", res, err)
+	}
+}
+
+// TestRunManyErrorText pins the text of each refusal RunMany reports
+// before it runs anything: the option's index, then the checking layer's
+// message.
+func TestRunManyErrorText(t *testing.T) {
+	dir := t.TempDir()
+	hot, err := BuiltinMachine("gals")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot.Name = "hot"
+	hot.Domains[0].Voltages = []VoltagePoint{{Slowdown: 1, Voltage: 2.5}}
+	cases := []struct {
+		opts Options
+		want string
+	}{
+		{Options{Benchmark: "gcc", Machine: GALS, Slowdowns: map[string]float64{"warp": 2}},
+			`galsim: options[1]: campaign: unknown clock domain "warp" for machine "gals" in slowdowns (its domains: [fetch decode int fp mem], or "all" for a uniform slowdown)`},
+		{Options{Benchmark: "gcc", MachineSpec: &hot},
+			`galsim: options[1]: machine: hot: domain "fetch" voltage point 0: voltage 2.5 outside (0, 1.65] (the nominal supply)`},
+		{Options{Benchmark: "gcc", Machine: "warp"},
+			`galsim: options[1]: campaign: unknown machine "warp" (built-in machines: base, gals; or supply a full machine spec)`},
+		{Options{Trace: filepath.Join(dir, "missing.trace")},
+			`galsim: options[1]: campaign: trace: open DIR/missing.trace: no such file or directory`},
+		{Options{Benchmark: "gcc", SnapshotIn: filepath.Join(dir, "missing.snap")},
+			`galsim: options[1]: campaign: snapshot DIR/missing.snap: open DIR/missing.snap: no such file or directory`},
+		{Options{Benchmark: "gcc", Warmup: 1_000, SnapshotOut: filepath.Join(dir, "w.snap")},
+			`galsim: RunMany does not support Options.Warmup/SnapshotOut; use Run to capture a snapshot (Options.SnapshotIn is fine: it is part of the run's identity)`},
+		{Options{Benchmark: "gcc", RecordTrace: filepath.Join(dir, "r.trace")},
+			`galsim: RunMany does not support Options.RecordTrace; use Run to record a trace`},
+		{Options{Benchmark: "gcc", SampleInterval: 7},
+			`galsim: options[1]: campaign: sample_interval 7 is too short (minimum 100 decode cycles, or 0 to disable sampling)`},
+	}
+	for _, c := range cases {
+		_, err := RunMany(context.Background(), []Options{{Benchmark: "li", Instructions: 2_000}, c.opts})
+		want := strings.ReplaceAll(c.want, "DIR", dir)
+		if err == nil || err.Error() != want {
+			t.Errorf("RunMany(%+v):\n got %v\nwant %s", c.opts, err, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"log/slog"
 
 	"galsim/internal/pipeline"
 )
@@ -107,10 +108,25 @@ type WarmBackend interface {
 	RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64, fn ProgressFunc) ([]pipeline.Stats, error)
 }
 
-// RunAllOn executes specs on b, routing through RunAllProgress when fn is
-// non-nil and b supports it. A backend without progress support still runs
-// the batch; fn then only sees the terminal snapshot.
-func RunAllOn(ctx context.Context, b Backend, specs []RunSpec, fn ProgressFunc) ([]pipeline.Stats, error) {
+// RunUnitsOn executes checked units on b and returns their stats in unit
+// order, sharing warm-up prefixes when warmup is non-zero and b is a
+// WarmBackend. The local Engine runs the units as given; any other backend
+// gets their canonical specs. fn receives b's progress snapshots, or one
+// terminal snapshot from a backend without progress support.
+func RunUnitsOn(ctx context.Context, b Backend, units []*Unit, warmup uint64, fn ProgressFunc) ([]pipeline.Stats, error) {
+	if e, ok := b.(*Engine); ok {
+		return e.runUnits(ctx, len(units), func(i int) (*Unit, error) { return units[i], nil }, warmup, fn)
+	}
+	specs := make([]RunSpec, len(units))
+	for i, u := range units {
+		specs[i] = u.spec
+	}
+	if wb, ok := b.(WarmBackend); ok && warmup > 0 {
+		return wb.RunAllWarm(ctx, specs, warmup, fn)
+	} else if warmup > 0 {
+		slog.Default().Info("campaign: backend does not support warm-up sharing; running the sweep unshared",
+			"units", len(units), "warmup", warmup)
+	}
 	if pb, ok := b.(ProgressBackend); ok && fn != nil {
 		return pb.RunAllProgress(ctx, specs, fn)
 	}

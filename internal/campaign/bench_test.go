@@ -41,7 +41,7 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			sweep := benchSweep()
-			units, err := sweep.Units()
+			units, err := sweepSpecs(sweep)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func BenchmarkSweep(b *testing.B) {
 func BenchmarkSweepCached(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(0)
-	units, err := benchSweep().Units()
+	units, err := sweepSpecs(benchSweep())
 	if err != nil {
 		b.Fatal(err)
 	}

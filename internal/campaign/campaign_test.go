@@ -225,8 +225,18 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// sweepSpecs expands s and returns the canonical specs of its units.
+func sweepSpecs(s Sweep) ([]RunSpec, error) {
+	units, err := s.Units()
+	specs := make([]RunSpec, len(units))
+	for i, u := range units {
+		specs[i] = u.Spec()
+	}
+	return specs, err
+}
+
 func TestSweepUnitsExpansionOrder(t *testing.T) {
-	units, err := testSweep().Units()
+	units, err := sweepSpecs(testSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +270,7 @@ func TestSweepBaseMachineGrid(t *testing.T) {
 		SlowdownGrid: []map[string]float64{{"fp": 1.5}, {"fp": 3, "all": 1.2}},
 		Instructions: 5_000,
 	}
-	units, err := s.Units() // machines default to [base, gals]
+	units, err := sweepSpecs(s) // machines default to [base, gals]
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +297,11 @@ func TestSweepBaseMachineGrid(t *testing.T) {
 func TestEngineMemoizes(t *testing.T) {
 	e := NewEngine(2)
 	spec := RunSpec{Benchmark: "li", Instructions: 5_000}
-	first, err := e.Run(context.Background(), spec)
+	first, _, err := e.RunOpts(context.Background(), spec, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Run(context.Background(), spec)
+	second, _, err := e.RunOpts(context.Background(), spec, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +335,7 @@ func TestEngineBoundsConcurrentRuns(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			spec := RunSpec{Benchmark: "adpcm", Instructions: 4_000, WorkloadSeed: int64(1 + i%4)}
-			_, errs[i] = e.Run(context.Background(), spec)
+			_, _, errs[i] = e.RunOpts(context.Background(), spec, ExecOpts{})
 		}(i)
 	}
 	wg.Wait()
@@ -342,7 +352,7 @@ func TestEngineBoundsConcurrentRuns(t *testing.T) {
 func TestEngineDoesNotCacheFailures(t *testing.T) {
 	e := NewEngine(1)
 	spec := RunSpec{Benchmark: "gcc", Machine: "gals", FIFOSyncEdges: -1}
-	if _, err := e.Run(context.Background(), spec); err == nil {
+	if _, _, err := e.RunOpts(context.Background(), spec, ExecOpts{}); err == nil {
 		t.Fatal("invalid spec ran without error")
 	}
 	if st := e.Stats(); st.Entries != 0 {
@@ -357,7 +367,7 @@ func TestRunAllCancellation(t *testing.T) {
 		PhaseSeeds:   []int64{1, 2, 3}, // ... x 2 x 3 = 90 units
 		Instructions: 30_000,
 	}
-	units, err := sweep.Units()
+	units, err := sweepSpecs(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,13 +48,13 @@ type shard struct {
 	entries map[string]*entry
 }
 
-// Engine executes RunSpecs with bounded concurrency and memoizes every
+// Engine executes run units with bounded concurrency and memoizes every
 // completed run in a sharded in-memory cache keyed by RunSpec.Key. Every
-// execution takes one path: RunOpts per unit, and one batch loop (under
-// RunAll, RunAllProgress and RunAllWarm) that calls RunOpts. At most
-// `workers` simulations execute at any moment, across all concurrent
-// callers. It is safe for concurrent use; concurrent requests for the same
-// key share a single simulation (singleflight).
+// execution takes one path: RunUnit per unit, and one batch loop (under
+// RunAll, RunAllProgress, RunAllWarm and RunUnitsOn) that calls RunUnit.
+// At most `workers` simulations execute at any moment, across all
+// concurrent callers. It is safe for concurrent use; concurrent requests
+// for the same key share a single simulation (singleflight).
 type Engine struct {
 	workers int
 	sem     chan struct{} // global simulation-concurrency bound
@@ -122,36 +122,31 @@ func hexNibble(c byte) byte {
 	return c - '0'
 }
 
-// Run executes one unit through the cache with no taps: RunOpts with zero
-// ExecOpts.
-func (e *Engine) Run(ctx context.Context, spec RunSpec) (pipeline.Stats, error) {
-	st, _, err := e.RunOpts(ctx, spec, ExecOpts{})
-	return st, err
+// RunOpts is RunUnit of a bare spec, resolved once.
+func (e *Engine) RunOpts(ctx context.Context, spec RunSpec, opts ExecOpts) (pipeline.Stats, bool, error) {
+	u, err := resolve(spec)
+	if err != nil {
+		return pipeline.Stats{}, false, err
+	}
+	return e.RunUnit(ctx, u, opts)
 }
 
-// RunOpts is the engine's one per-unit entry point. It executes a unit
-// through the cache: a previously completed identical spec returns
-// instantly, an in-flight one is joined, and a new one is simulated on the
-// calling goroutine once a worker slot frees up, so concurrent callers never
-// exceed the engine's worker bound. hit reports a result served from a
-// completed entry or joined in flight — the signal Progress.CacheHits
-// aggregates. ctx cancellation abandons the wait (an already-started
-// simulation still completes and populates the cache).
+// RunUnit is the engine's one per-unit path. It executes a checked unit
+// through the cache, under the unit's key: a previously completed identical
+// unit returns instantly, an in-flight one is joined, and a new one is
+// simulated on the calling goroutine once a worker slot frees up, so
+// concurrent callers never exceed the engine's worker bound. hit reports a
+// result served from a completed entry or joined in flight — the signal
+// Progress.CacheHits aggregates. ctx cancellation abandons the wait (an
+// already-started simulation still completes and populates the cache).
 //
 // opts act only when this call simulates: on a hit no tap fires, no
 // snapshot is captured and Resume is unused, because the result was
 // produced elsewhere. Results are cache-grade whatever opts holds — taps
 // only observe, and the pipeline differential gate proves captured and
 // resumed executions byte-identical to cold ones.
-func (e *Engine) RunOpts(ctx context.Context, spec RunSpec, opts ExecOpts) (pipeline.Stats, bool, error) {
-	// Resolve once: the key below and the simulation both use the trace and
-	// snapshot bytes read here, so a file swapped after this point can
-	// change neither.
-	r, err := resolve(spec)
-	if err != nil {
-		return pipeline.Stats{}, false, err
-	}
-	key := r.spec.key()
+func (e *Engine) RunUnit(ctx context.Context, u *Unit, opts ExecOpts) (pipeline.Stats, bool, error) {
+	key := u.key
 	sh := e.shardFor(key)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -186,7 +181,7 @@ func (e *Engine) RunOpts(ctx context.Context, spec RunSpec, opts ExecOpts) (pipe
 		}
 		if ent.err == nil {
 			e.misses.Add(1)
-			ent.st, ent.err = r.execute(opts)
+			ent.st, ent.err = u.execute(opts)
 			<-e.sem
 		}
 		if ent.err != nil {
@@ -212,22 +207,21 @@ func (e *Engine) RunAll(ctx context.Context, specs []RunSpec) ([]pipeline.Stats,
 // receives a monotone Progress snapshot after every completed unit, from
 // the completing worker goroutines. Implements ProgressBackend.
 func (e *Engine) RunAllProgress(ctx context.Context, specs []RunSpec, fn ProgressFunc) ([]pipeline.Stats, error) {
-	return e.runBatch(ctx, specs, fn, func(int) (ExecOpts, bool) { return ExecOpts{}, true })
+	return e.RunAllWarm(ctx, specs, 0, fn)
 }
 
-// pass selects the units one stage of a batch runs: for unit i it returns
-// the options to run it with, or false to leave it to another pass.
-type pass func(i int) (ExecOpts, bool)
-
-// runBatch is the engine's one batch loop, under both RunAllProgress and
-// RunAllWarm. Passes run in order, each over at most Workers() goroutines
-// that execute the units it selects through RunOpts, so a later pass may
-// read what an earlier one captured. Results land by unit index; fn sees a
+// runBatch is the engine's one batch loop. unit(i) returns unit i and its
+// check's refusal, if any, when the unit runs; a refused unit serves only
+// to label the refusal. Each pass selects the units one stage runs: for unit i it
+// returns the options to run it with, or false to leave it to another
+// pass. Passes run in order, each over at most Workers() goroutines that
+// execute the units it selects through RunUnit, so a later pass may read
+// what an earlier one captured. Results land by unit index; fn sees a
 // Progress snapshot after every finished unit; the first error cancels the
 // rest of the batch and is returned. A unit that simulates from a Resume
 // snapshot adds the snapshot's committed count to the warm-up savings.
-func (e *Engine) runBatch(ctx context.Context, specs []RunSpec, fn ProgressFunc, passes ...pass) ([]pipeline.Stats, error) {
-	if len(specs) == 0 {
+func (e *Engine) runBatch(ctx context.Context, n int, unit func(i int) (*Unit, error), fn ProgressFunc, passes ...func(i int) (ExecOpts, bool)) ([]pipeline.Stats, error) {
+	if n == 0 {
 		if fn != nil {
 			fn(Progress{})
 		}
@@ -238,12 +232,12 @@ func (e *Engine) runBatch(ctx context.Context, specs []RunSpec, fn ProgressFunc,
 
 	var (
 		mu       sync.Mutex
-		prog     = Progress{Total: len(specs)}
+		prog     = Progress{Total: n}
 		firstErr error
-		results  = make([]pipeline.Stats, len(specs))
+		results  = make([]pipeline.Stats, n)
 	)
 	// finish records unit i's outcome; false means the worker should stop.
-	finish := func(i int, st pipeline.Stats, hit bool, err error) bool {
+	finish := func(i int, u *Unit, st pipeline.Stats, hit bool, err error) bool {
 		mu.Lock()
 		if err != nil {
 			// Only the winning (first) error counts as a failed unit; the
@@ -253,8 +247,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []RunSpec, fn ProgressFunc,
 				mu.Unlock()
 				return false
 			}
-			firstErr = fmt.Errorf("campaign: unit %d (%s/%s): %w",
-				i, specs[i].MachineName(), specs[i].WorkloadName(), err)
+			firstErr = fmt.Errorf("campaign: unit %d (%s/%s): %w", i, u.machine, u.workload, err)
 			cancel()
 			prog.Failed++
 		} else {
@@ -278,7 +271,7 @@ func (e *Engine) runBatch(ctx context.Context, specs []RunSpec, fn ProgressFunc,
 	for _, sel := range passes {
 		next := make(chan job)
 		var wg sync.WaitGroup
-		for w := 0; w < min(e.workers, len(specs)); w++ {
+		for w := 0; w < min(e.workers, n); w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -286,18 +279,22 @@ func (e *Engine) runBatch(ctx context.Context, specs []RunSpec, fn ProgressFunc,
 					if ctx.Err() != nil {
 						return
 					}
-					st, hit, err := e.RunOpts(ctx, specs[j.i], j.opts)
+					st, hit := pipeline.Stats{}, false
+					u, err := unit(j.i)
+					if err == nil {
+						st, hit, err = e.RunUnit(ctx, u, j.opts)
+					}
 					if err == nil && !hit && j.opts.Resume != nil {
 						e.warmSaved.Add(j.opts.Resume.Committed)
 					}
-					if !finish(j.i, st, hit, err) {
+					if !finish(j.i, u, st, hit, err) {
 						return
 					}
 				}
 			}()
 		}
 	feed:
-		for i := range specs {
+		for i := range n {
 			opts, ok := sel(i)
 			if !ok {
 				continue
@@ -339,29 +336,35 @@ func (e *Engine) WarmSharing() (groups, savedInstructions uint64) {
 // byte-identical to RunAll's (the pipeline differential gate proves
 // restore ≡ straight-line run) and populate the same cache.
 func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64, fn ProgressFunc) ([]pipeline.Stats, error) {
+	return e.runUnits(ctx, len(specs), func(i int) (*Unit, error) { return resolve(specs[i]) }, warmup, fn)
+}
+
+// runUnits runs the batch unit(0), ..., unit(n-1) as RunAllWarm describes.
+// With warm-up the plan takes each unit once, and both passes run it. The
+// plan holds each unit light, so a batch of replays holds at most
+// Workers() loaded traces at once: each run reads its trace again.
+func (e *Engine) runUnits(ctx context.Context, n int, unit func(i int) (*Unit, error), warmup uint64, fn ProgressFunc) ([]pipeline.Stats, error) {
 	if warmup == 0 {
-		return e.RunAllProgress(ctx, specs, fn)
+		return e.runBatch(ctx, n, unit, fn, func(int) (ExecOpts, bool) { return ExecOpts{}, true })
 	}
 	// leader[i] is the first unit of i's warm group, or i itself. A unit
-	// that cannot share a prefix — invalid, already snapshot-seeded, or its
+	// that cannot share a prefix — refused, already snapshot-seeded, or its
 	// whole budget inside the warm-up — leads a group of one and runs cold.
-	leader := make([]int, len(specs))
-	budget := make([]uint64, len(specs))
-	followed := make([]bool, len(specs))
+	// A refused unit fails at its turn in the first pass.
+	units := make([]*Unit, n)
+	errs := make([]error, n)
+	leader := make([]int, n)
+	followed := make([]bool, n)
 	first := map[string]int{}
 	shared := 0
-	// The plan resolves each unit only to group it; the batch loop resolves
-	// it again when it runs. Handing the planned units over instead would
-	// hold every replay's loaded trace from here until its run: one copy
-	// per unit at once, where the batch loop holds at most Workers().
-	for i := range specs {
+	for i := range n {
 		leader[i] = i
-		r, err := resolve(specs[i])
-		if err != nil || r.snap != nil || warmup >= r.spec.Instructions {
+		u, err := unit(i)
+		units[i], errs[i] = u.light(), err
+		if err != nil || u.spec.Snapshot != nil || warmup >= u.spec.Instructions {
 			continue
 		}
-		budget[i] = r.spec.Instructions
-		k := r.warmKey()
+		k := u.warmKey()
 		l, ok := first[k]
 		if !ok {
 			first[k] = i
@@ -374,11 +377,11 @@ func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64,
 		leader[i] = l
 	}
 	slog.Default().Info("campaign: warm-up sharing plan",
-		"units", len(specs), "shared_groups", shared, "warmup", warmup)
+		"units", n, "shared_groups", shared, "warmup", warmup)
 
 	// snaps[l] is written by leader l's simulation in the first pass and
 	// read by the second pass's feeder, after the first pass has joined.
-	snaps := make([]*snapshot.Snapshot, len(specs))
+	snaps := make([]*snapshot.Snapshot, n)
 	leaders := func(i int) (ExecOpts, bool) {
 		if leader[i] != i {
 			return ExecOpts{}, false
@@ -386,7 +389,10 @@ func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64,
 		if !followed[i] {
 			return ExecOpts{}, true
 		}
-		return ExecOpts{Warmup: warmup, OnSnapshot: func(sn *snapshot.Snapshot) { snaps[i] = sn }}, true
+		return ExecOpts{Warmup: warmup, OnSnapshot: func(sn *snapshot.Snapshot) {
+			snaps[i] = sn
+			e.warmGroups.Add(1)
+		}}, true
 	}
 	followers := func(i int) (ExecOpts, bool) {
 		l := leader[i]
@@ -397,16 +403,10 @@ func (e *Engine) RunAllWarm(ctx context.Context, specs []RunSpec, warmup uint64,
 		// warmup, so it can overshoot a budget just above warmup: such a
 		// follower runs cold.
 		sn := snaps[l]
-		if sn != nil && sn.Committed >= budget[i] {
+		if sn != nil && sn.Committed >= units[i].spec.Instructions {
 			sn = nil
 		}
 		return ExecOpts{Resume: sn}, true
 	}
-	stats, err := e.runBatch(ctx, specs, fn, leaders, followers)
-	for _, sn := range snaps {
-		if sn != nil {
-			e.warmGroups.Add(1)
-		}
-	}
-	return stats, err
+	return e.runBatch(ctx, n, func(i int) (*Unit, error) { return units[i], errs[i] }, fn, leaders, followers)
 }

@@ -22,7 +22,7 @@ import (
 // RunSpec.Snapshot file reference, whose content the engine cannot vouch
 // for, joins the spec's key.
 //
-// ExecuteOpts takes it directly; Engine.RunOpts takes it through the cache,
+// ExecuteOpts takes it directly; Engine.RunUnit takes it through the cache,
 // where it acts only when the call simulates. The engine's batch loop, the
 // cluster worker and galsimd all reach the simulator that way.
 type ExecOpts struct {
@@ -66,41 +66,45 @@ func Execute(spec RunSpec, onCommit func(*isa.Instr)) (pipeline.Stats, error) {
 // controls, bypassing any cache. It and Engine.RunOpts share one path:
 // resolve the spec, then simulate what resolve read.
 func ExecuteOpts(spec RunSpec, opts ExecOpts) (pipeline.Stats, error) {
-	r, err := resolve(spec)
+	u, err := resolve(spec)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	return r.execute(opts)
+	return u.execute(opts)
 }
 
-// execute simulates the resolved run from the trace and snapshot resolve
-// read and checked. The options are checked before opts.TraceOut is
-// first written.
-func (r *resolved) execute(opts ExecOpts) (st pipeline.Stats, err error) {
-	cfg := r.config()
-	resume, err := r.resumeSnapshot(opts)
+// execute simulates the unit from the trace and snapshot resolve read and
+// checked. The options are checked before opts.TraceOut is first written.
+func (u *Unit) execute(opts ExecOpts) (st pipeline.Stats, err error) {
+	if u.spec.Trace != nil && u.trace == nil || u.spec.Snapshot != nil && u.snap == nil {
+		if u, err = resolve(u.spec); err != nil { // a light unit: read its inputs again
+			return pipeline.Stats{}, err
+		}
+	}
+	cfg := u.config()
+	resume, err := u.resumeSnapshot(opts)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	targets, err := snapshotTargets(r.spec, opts, resume)
+	targets, err := u.snapshotTargets(opts, resume)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	src, name := r.spec.source(r.trace)
+	src, name := u.source(), u.workload
 	var rec *trace.Recorder
 	if opts.TraceOut != nil {
 		if resume != nil {
 			return pipeline.Stats{}, fmt.Errorf("campaign: cannot record a trace of a resumed run: the stream before the snapshot was consumed by the capturing run; record from a cold start")
 		}
-		specJSON, merr := json.Marshal(r.spec)
+		specJSON, merr := json.Marshal(u.spec)
 		if merr != nil {
 			return pipeline.Stats{}, fmt.Errorf("campaign: marshaling spec for trace header: %w", merr)
 		}
 		tw, werr := trace.NewWriter(opts.TraceOut, trace.Meta{
 			Name:          name,
-			Instructions:  r.spec.Instructions,
+			Instructions:  u.spec.Instructions,
 			SpecJSON:      specJSON,
-			MachineDigest: r.spec.MachineDigest(),
+			MachineDigest: u.spec.MachineDigest(),
 		})
 		if werr != nil {
 			return pipeline.Stats{}, werr
@@ -110,7 +114,7 @@ func (r *resolved) execute(opts ExecOpts) (st pipeline.Stats, err error) {
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("campaign: run %s/%s failed: %v", r.spec.MachineName(), name, p)
+			err = fmt.Errorf("campaign: run %s/%s failed: %v", u.spec.MachineName(), name, p)
 		}
 	}()
 	var core *pipeline.Core
@@ -132,7 +136,7 @@ func (r *resolved) execute(opts ExecOpts) (st pipeline.Stats, err error) {
 			if snapErr != nil {
 				return
 			}
-			snapErr = r.deliverSnapshot(opts, commits, cs)
+			snapErr = u.deliverSnapshot(opts, commits, cs)
 		}
 		if serr := core.SnapshotAt(targets, capture); serr != nil {
 			return pipeline.Stats{}, serr
@@ -144,7 +148,7 @@ func (r *resolved) execute(opts ExecOpts) (st pipeline.Stats, err error) {
 	if opts.Tap.Recorder != nil {
 		core.AttachTimeline(opts.Tap.Recorder, opts.Tap.Detail, opts.Tap.StallThreshold)
 	}
-	st = core.Run(r.spec.Instructions)
+	st = core.Run(u.spec.Instructions)
 	// Deferred past the snapshot and trace sinks below; a run that panicked
 	// never gets here, so its tables are left to the garbage collector.
 	defer core.Release()
@@ -162,30 +166,38 @@ func (r *resolved) execute(opts ExecOpts) (st pipeline.Stats, err error) {
 // resumeSnapshot returns the run's starting state: the in-memory Resume
 // snapshot, or the snapshot file resolve read, or nil for a cold start. The
 // returned snapshot carries this run's warm identity.
-func (r *resolved) resumeSnapshot(opts ExecOpts) (*snapshot.Snapshot, error) {
+func (u *Unit) resumeSnapshot(opts ExecOpts) (*snapshot.Snapshot, error) {
 	snap := opts.Resume
 	switch {
-	case snap != nil && r.snap != nil:
+	case snap != nil && u.snap != nil:
 		return nil, fmt.Errorf("campaign: both an in-memory resume snapshot and RunSpec.Snapshot are set; use one")
-	case r.snap != nil:
-		return r.snap, nil
+	case u.snap != nil:
+		return u.snap, nil
 	case snap == nil:
 		return nil, nil
 	}
-	if want := r.warmKey(); snap.SpecKey != want {
+	if want := u.warmKey(); snap.SpecKey != want {
 		return nil, fmt.Errorf("campaign: resume snapshot was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...)",
 			snap.SpecKey, want)
 	}
-	if snap.Committed >= r.spec.Instructions {
+	if snap.Committed >= u.spec.Instructions {
 		return nil, fmt.Errorf("campaign: resume snapshot already holds %d committed instructions, at or beyond this run's %d-instruction budget",
-			snap.Committed, r.spec.Instructions)
+			snap.Committed, u.spec.Instructions)
 	}
 	return snap, nil
 }
 
+// CheckWarmup reports a warm-up capture point at or beyond the budget.
+func (u *Unit) CheckWarmup(w uint64) error {
+	if w >= u.spec.Instructions {
+		return fmt.Errorf("campaign: warmup %d must be below the run's %d-instruction budget", w, u.spec.Instructions)
+	}
+	return nil
+}
+
 // snapshotTargets expands the Warmup and CheckpointEvery settings into the
 // ascending commit-count trigger list SnapshotAt takes.
-func snapshotTargets(spec RunSpec, opts ExecOpts, resume *snapshot.Snapshot) ([]uint64, error) {
+func (u *Unit) snapshotTargets(opts ExecOpts, resume *snapshot.Snapshot) ([]uint64, error) {
 	if opts.Warmup == 0 && opts.CheckpointEvery == 0 {
 		if opts.OnSnapshot != nil {
 			return nil, fmt.Errorf("campaign: OnSnapshot is set but neither Warmup nor CheckpointEvery says when to capture")
@@ -201,8 +213,8 @@ func snapshotTargets(spec RunSpec, opts ExecOpts, resume *snapshot.Snapshot) ([]
 	}
 	set := map[uint64]bool{}
 	if w := opts.Warmup; w > 0 {
-		if w >= spec.Instructions {
-			return nil, fmt.Errorf("campaign: warmup %d must be below the run's %d-instruction budget", w, spec.Instructions)
+		if err := u.CheckWarmup(w); err != nil {
+			return nil, err
 		}
 		if w > from {
 			set[w] = true
@@ -212,7 +224,7 @@ func snapshotTargets(spec RunSpec, opts ExecOpts, resume *snapshot.Snapshot) ([]
 		if opts.SnapshotOut != "" {
 			return nil, fmt.Errorf("campaign: periodic checkpoints deliver multiple snapshots; use OnSnapshot, not SnapshotOut")
 		}
-		for n := opts.CheckpointEvery; n < spec.Instructions; n += opts.CheckpointEvery {
+		for n := opts.CheckpointEvery; n < u.spec.Instructions; n += opts.CheckpointEvery {
 			if n > from {
 				set[n] = true
 			}
@@ -223,17 +235,17 @@ func snapshotTargets(spec RunSpec, opts ExecOpts, resume *snapshot.Snapshot) ([]
 
 // deliverSnapshot wraps one captured core state in the envelope and hands
 // it to the configured sinks.
-func (r *resolved) deliverSnapshot(opts ExecOpts, commits uint64, cs *pipeline.CoreState) error {
+func (u *Unit) deliverSnapshot(opts ExecOpts, commits uint64, cs *pipeline.CoreState) error {
 	stateJSON, err := json.Marshal(cs)
 	if err != nil {
 		return fmt.Errorf("encoding state: %w", err)
 	}
-	specJSON, err := json.Marshal(r.spec)
+	specJSON, err := json.Marshal(u.spec)
 	if err != nil {
 		return fmt.Errorf("encoding spec: %w", err)
 	}
 	snap := &snapshot.Snapshot{
-		SpecKey:   r.warmKey(),
+		SpecKey:   u.warmKey(),
 		SpecJSON:  specJSON,
 		Committed: commits,
 		State:     stateJSON,

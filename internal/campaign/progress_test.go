@@ -93,13 +93,16 @@ func TestEngineRunAllProgress(t *testing.T) {
 	}
 }
 
-// TestRunAllOnFallback: a Backend that lacks progress support still works
-// through RunAllOn, delivering a single terminal snapshot.
-func TestRunAllOnFallback(t *testing.T) {
+// TestRunUnitsOnFallback: a Backend that lacks progress support still
+// works through RunUnitsOn, delivering a single terminal snapshot.
+func TestRunUnitsOnFallback(t *testing.T) {
 	b := plainBackend{NewEngine(2)}
+	u, err := RunSpec{Benchmark: "gcc", Instructions: 1000}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var snaps []Progress
-	stats, err := RunAllOn(context.Background(), b,
-		[]RunSpec{{Benchmark: "gcc", Instructions: 1000}},
+	stats, err := RunUnitsOn(context.Background(), b, []*Unit{u}, 0,
 		func(p Progress) { snaps = append(snaps, p) })
 	if err != nil {
 		t.Fatal(err)

@@ -8,12 +8,14 @@
 package campaign
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"sync/atomic"
 
 	"galsim/internal/bpred"
 	"galsim/internal/machine"
@@ -138,18 +140,19 @@ const (
 // how sparsely the caller filled the struct.
 //
 // A spec with no input file, or with every digest pinned and a budget set
-// (as every spec Resolve returns without error is), needs nothing from a
-// file and is canonicalized without opening one. Any other spec is
-// Resolve's result: its digests are pinned from the bytes resolve checked.
-// A spec that fails to resolve keeps its digests as given, and a replay
-// without a budget then takes the generic default.
+// (as the spec of every Unit is), needs nothing from a file and is
+// canonicalized without opening one. Any other spec is resolved: its
+// digests are pinned from the bytes resolve checked. A spec that fails to
+// resolve keeps its digests as given, and a replay without a budget then
+// takes the generic default.
 func (s RunSpec) Canonical() RunSpec {
-	if (s.Trace == nil || s.Trace.SHA256 != "" && s.Instructions != 0) &&
-		(s.Snapshot == nil || s.Snapshot.SHA256 != "") {
-		return s.canonical(0)
+	if s.Trace != nil && (s.Trace.SHA256 == "" || s.Instructions == 0) ||
+		s.Snapshot != nil && s.Snapshot.SHA256 == "" {
+		if u, err := resolve(s); err == nil {
+			return u.spec
+		}
 	}
-	c, _ := s.Resolve()
-	return c
+	return s.canonical(0)
 }
 
 // canonical is Canonical without file access: trace and snapshot digests
@@ -405,47 +408,60 @@ func (s RunSpec) WorkloadName() string {
 // Validate reports the first problem with the spec, with errors phrased for
 // end users of the library and the HTTP API alike.
 func (s RunSpec) Validate() error {
-	_, err := s.Resolve()
+	_, err := resolve(s)
 	return err
 }
 
-// Resolve checks the spec as Validate does and returns it canonical, each
-// trace and snapshot digest pinned from the bytes it checked. It reads each
-// input file once. A caller that both checks a spec and keys it calls
-// Resolve once instead of Validate and then Canonical or Key. On error the
-// spec comes back canonicalized without file access, to label the failure.
-func (s RunSpec) Resolve() (RunSpec, error) {
-	r, err := resolve(s)
-	if err != nil {
-		return s.canonical(0), err
-	}
-	return r.spec, nil
+// Resolve checks the spec as Validate does, reading each input file once,
+// and returns the checked Unit for a caller to run, key or report. The unit
+// holds neither file: its run reads each again. A refused spec's unit only
+// names the refusal: its machine and workload.
+func (s RunSpec) Resolve() (*Unit, error) {
+	u, err := resolve(s)
+	return u.light(), err
 }
 
-// resolved is a checked run ready to key and simulate: its spec
-// canonical, its trace and snapshot files read once each. The digests in
-// spec are those of the bytes in trace and snap, so a run's key names
-// exactly what it simulates.
-type resolved struct {
-	spec  RunSpec
-	trace *trace.Trace       // the replayed trace, for a Trace run
-	snap  *snapshot.Snapshot // the starting state, for a Snapshot run
+// Unit is a checked run: its spec's one resolve, which every later step
+// uses instead of resolving the spec again. Its spec is canonical with each
+// input digest pinned from the bytes resolve checked, so its key names
+// exactly what it simulates. RunSpec.Resolve and Sweep.Units make units.
+type Unit struct {
+	spec     RunSpec
+	key      string             // the content address of spec
+	recorded uint64             // the replayed trace's recorded length
+	machine  string             // the machine's name as the spec gave it
+	workload string             // the workload's display name
+	trace    *trace.Trace       // the replayed trace, for a Trace run
+	snap     *snapshot.Snapshot // the starting state, for a Snapshot run
 }
 
-// recorded is the replayed trace's recorded length; 0 without a trace.
-func (r *resolved) recorded() uint64 {
-	if r.trace == nil {
-		return 0
-	}
-	return r.trace.Meta.Instructions
+// Spec returns the unit's canonical spec.
+func (u *Unit) Spec() RunSpec { return u.spec }
+
+// WorkloadName returns the display name of the unit's workload.
+func (u *Unit) WorkloadName() string { return u.workload }
+
+// light drops a unit's loaded inputs: its run reads each file again, and
+// fails if the bytes no longer match. The copy shares nothing with u that
+// refers to them, so a light unit never keeps a trace or snapshot alive.
+func (u *Unit) light() *Unit {
+	l := *u
+	l.trace, l.snap = nil, nil
+	return &l
 }
+
+// resolves counts resolve calls, for the tests that hold each unit to one.
+var resolves atomic.Uint64
 
 // resolve is the one place a run is checked, and the only code in this
-// package that reads a trace or snapshot body: Resolve (and so Validate and
-// Canonical), ExecuteOpts and Engine.RunOpts all go through it. It reads
+// package that reads a trace or snapshot body: each entry point that takes
+// a bare spec resolves it once, and a light unit's run once more. It reads
 // each input file once, pins or checks its digest, decodes it, and reports
-// the first problem with the spec.
-func resolve(s RunSpec) (*resolved, error) {
+// the first problem with the spec, with a unit that labels the refusal as
+// MachineName and WorkloadName would.
+func resolve(s RunSpec) (*Unit, error) {
+	resolves.Add(1)
+	r := &Unit{machine: s.MachineName(), workload: s.Benchmark}
 	sources := 0
 	for _, set := range []bool{s.Benchmark != "", s.Profile != nil, s.Trace != nil} {
 		if set {
@@ -454,30 +470,34 @@ func resolve(s RunSpec) (*resolved, error) {
 	}
 	switch {
 	case sources == 0:
-		return nil, fmt.Errorf("campaign: benchmark is required (one of %v) unless a custom profile or a trace is given", workload.Names())
+		return r, fmt.Errorf("campaign: benchmark is required (one of %v) unless a custom profile or a trace is given", workload.Names())
 	case sources > 1:
-		return nil, fmt.Errorf("campaign: benchmark, profile and trace are mutually exclusive; set exactly one")
+		r.workload = s.WorkloadName()
+		return r, fmt.Errorf("campaign: benchmark, profile and trace are mutually exclusive; set exactly one")
 	}
-	r := &resolved{}
 	switch {
 	case s.Benchmark != "":
 		if _, err := workload.ByName(s.Benchmark); err != nil {
-			return nil, err
+			return r, err
 		}
 	case s.Profile != nil:
+		r.workload = s.Profile.Name
 		if err := s.Profile.Validate(); err != nil {
-			return nil, err
+			return r, err
 		}
 	case s.Trace != nil:
+		r.workload = "replay:" + s.Trace.Path
 		if s.Trace.Path == "" {
-			return nil, fmt.Errorf("campaign: trace requires a path")
+			return r, fmt.Errorf("campaign: trace requires a path")
 		}
 		t, err := trace.Load(s.Trace.Path) // full decode: every record must parse
 		if err != nil {
-			return nil, fmt.Errorf("campaign: trace: %w", err)
+			r.workload = s.WorkloadName() // the header may still name it
+			return r, fmt.Errorf("campaign: trace: %w", err)
 		}
+		r.workload = "replay:" + cmp.Or(t.Meta.Name, s.Trace.Path)
 		if digest := t.Digest(); s.Trace.SHA256 != "" && s.Trace.SHA256 != digest {
-			return nil, fmt.Errorf("campaign: trace %s content digest %s does not match the requested %s (file changed?)",
+			return r, fmt.Errorf("campaign: trace %s content digest %s does not match the requested %s (file changed?)",
 				s.Trace.Path, digest, s.Trace.SHA256)
 		}
 		// Topology provenance: a replay that names no machine runs on the
@@ -493,12 +513,12 @@ func resolve(s RunSpec) (*resolved, error) {
 			if json.Unmarshal(t.Meta.SpecJSON, &rs) == nil && rs.MachineName() != "" {
 				on = fmt.Sprintf("machine %q", rs.MachineName())
 			}
-			return nil, fmt.Errorf("campaign: trace %s was recorded on %s (topology digest %.12s...), not the default base machine; set the machine explicitly — the recorded one to reproduce the run, or any other for a what-if replay",
+			return r, fmt.Errorf("campaign: trace %s was recorded on %s (topology digest %.12s...), not the default base machine; set the machine explicitly — the recorded one to reproduce the run, or any other for a what-if replay",
 				s.Trace.Path, on, t.Meta.MachineDigest)
 		}
-		r.trace = t
+		r.trace, r.recorded = t, t.Meta.Instructions
 	}
-	r.spec = s.canonical(r.recorded())
+	r.spec = s.canonical(r.recorded)
 	if t := r.trace; t != nil {
 		r.spec.Trace.SHA256 = t.Digest()
 		// Budget vs recorded length: under the recorded configuration an
@@ -507,33 +527,33 @@ func resolve(s RunSpec) (*resolved, error) {
 		// stream already departs from the recording). The canonical budget
 		// is what matters — a zero budget defaults to the recorded length.
 		if want, n := r.spec.Instructions, t.Meta.Instructions; n > 0 && want > n && s.replayConfigEquals(t.Meta) {
-			return nil, &TraceLengthError{Path: s.Trace.Path, Requested: want, Recorded: n}
+			return r, &TraceLengthError{Path: s.Trace.Path, Requested: want, Recorded: n}
 		}
 	}
 	if s.Snapshot != nil {
 		if s.Snapshot.Path == "" {
-			return nil, fmt.Errorf("campaign: snapshot requires a path")
+			return r, fmt.Errorf("campaign: snapshot requires a path")
 		}
 		b, err := os.ReadFile(s.Snapshot.Path)
 		if err == nil {
 			r.snap, err = snapshot.DecodeBytes(b)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("campaign: snapshot %s: %w", s.Snapshot.Path, err)
+			return r, fmt.Errorf("campaign: snapshot %s: %w", s.Snapshot.Path, err)
 		}
 		sum := sha256.Sum256(b)
 		digest := hex.EncodeToString(sum[:])
 		if s.Snapshot.SHA256 != "" && s.Snapshot.SHA256 != digest {
-			return nil, fmt.Errorf("campaign: snapshot %s content digest %s does not match the requested %s (file changed?)",
+			return r, fmt.Errorf("campaign: snapshot %s content digest %s does not match the requested %s (file changed?)",
 				s.Snapshot.Path, digest, s.Snapshot.SHA256)
 		}
 		r.spec.Snapshot.SHA256 = digest
 		if want := r.warmKey(); r.snap.SpecKey != want {
-			return nil, fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
+			return r, fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
 				s.Snapshot.Path, r.snap.SpecKey, want)
 		}
 		if budget := r.spec.Instructions; r.snap.Committed >= budget {
-			return nil, fmt.Errorf("campaign: snapshot %s already holds %d committed instructions, at or beyond this run's %d-instruction budget; raise Instructions or use an earlier snapshot",
+			return r, fmt.Errorf("campaign: snapshot %s already holds %d committed instructions, at or beyond this run's %d-instruction budget; raise Instructions or use an earlier snapshot",
 				s.Snapshot.Path, r.snap.Committed, budget)
 		}
 	}
@@ -542,37 +562,38 @@ func resolve(s RunSpec) (*resolved, error) {
 		err = ms.Validate()
 	}
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	if err := validateSlowdownsFor(ms, s.Slowdowns); err != nil {
-		return nil, err
+		return r, err
 	}
 	if _, ok := memoryOrderings[s.MemoryOrdering]; !ok {
-		return nil, fmt.Errorf("campaign: unknown memory ordering %q (want perfect, conservative or addr-match)", s.MemoryOrdering)
+		return r, fmt.Errorf("campaign: unknown memory ordering %q (want perfect, conservative or addr-match)", s.MemoryOrdering)
 	}
 	if _, ok := linkStyles[s.LinkStyle]; !ok {
-		return nil, fmt.Errorf("campaign: unknown link style %q (want fifo or stretch)", s.LinkStyle)
+		return r, fmt.Errorf("campaign: unknown link style %q (want fifo or stretch)", s.LinkStyle)
 	}
 	if _, ok := predictors[s.Predictor]; !ok {
-		return nil, fmt.Errorf("campaign: unknown predictor %q (want gshare, bimodal, taken or nottaken)", s.Predictor)
+		return r, fmt.Errorf("campaign: unknown predictor %q (want gshare, bimodal, taken or nottaken)", s.Predictor)
 	}
 	if s.FIFOSyncEdges < 0 || s.FIFOCapacity < 0 {
-		return nil, fmt.Errorf("campaign: FIFO sync edges (%d) and capacity (%d) must be non-negative",
+		return r, fmt.Errorf("campaign: FIFO sync edges (%d) and capacity (%d) must be non-negative",
 			s.FIFOSyncEdges, s.FIFOCapacity)
 	}
 	if s.SampleInterval != 0 && s.SampleInterval < 100 {
-		return nil, fmt.Errorf("campaign: sample_interval %d is too short (minimum 100 decode cycles, or 0 to disable sampling)", s.SampleInterval)
+		return r, fmt.Errorf("campaign: sample_interval %d is too short (minimum 100 decode cycles, or 0 to disable sampling)", s.SampleInterval)
 	}
 	if s.DynamicDVFS && !ms.DynamicCapable() {
-		return nil, fmt.Errorf("campaign: dynamic DVFS requires a machine with a dynamic-capable clock domain; %q has none (use the gals machine, or declare a domain with \"dvfs\": \"dynamic\")", ms.Name)
+		return r, fmt.Errorf("campaign: dynamic DVFS requires a machine with a dynamic-capable clock domain; %q has none (use the gals machine, or declare a domain with \"dvfs\": \"dynamic\")", ms.Name)
 	}
+	r.key = r.spec.key()
 	return r, nil
 }
 
-// config is PipelineConfig of the resolved run, built from its canonical
-// spec. It checks nothing: resolve did.
-func (r *resolved) config() pipeline.Config {
-	c := r.spec
+// config is PipelineConfig of the unit, built from its canonical spec. It
+// checks nothing: resolve did.
+func (u *Unit) config() pipeline.Config {
+	c := u.spec
 	ms, _ := c.machineSpec()
 	topo := ms.Topology()
 	cfg := pipeline.DefaultConfig(topo)
@@ -608,10 +629,10 @@ func (r *resolved) config() pipeline.Config {
 // captured under one resumes the other exactly — the grouping relation
 // behind sweep warm-up sharing and the compatibility check behind
 // RunSpec.Snapshot restores.
-func (r *resolved) warmKey() string {
-	c := r.spec
+func (u *Unit) warmKey() string {
+	c := u.spec
 	c.Instructions, c.Snapshot = 0, nil
-	return c.canonical(r.recorded()).key()
+	return c.canonical(u.recorded).key()
 }
 
 // validateSlowdownsFor checks a slowdown map against a machine's clock
@@ -659,29 +680,24 @@ var (
 // generator, phased profile generator, or trace replayer — along with the
 // workload's display name.
 func (s RunSpec) NewSource() (workload.InstrSource, string, error) {
-	r, err := resolve(s)
+	u, err := resolve(s)
 	if err != nil {
 		return nil, "", err
 	}
-	src, name := r.spec.source(r.trace)
-	return src, name, nil
+	return u.source(), u.workload, nil
 }
 
-// source builds the instruction source of a resolved spec; t is the
-// loaded trace of a replay.
-func (s RunSpec) source(t *trace.Trace) (workload.InstrSource, string) {
+// source builds the instruction source of a loaded unit.
+func (u *Unit) source() workload.InstrSource {
+	s := u.spec
 	switch {
 	case s.Profile != nil:
-		return workload.NewSpecSource(*s.Profile, s.WorkloadSeed), s.Profile.Name
+		return workload.NewSpecSource(*s.Profile, s.WorkloadSeed)
 	case s.Trace != nil:
-		name := "replay:" + t.Meta.Name
-		if t.Meta.Name == "" {
-			name = "replay:" + s.Trace.Path
-		}
-		return trace.NewReplaySource(t), name
+		return trace.NewReplaySource(u.trace)
 	default:
 		prof, _ := workload.ByName(s.Benchmark)
-		return workload.NewGenerator(prof, s.WorkloadSeed), s.Benchmark
+		return workload.NewGenerator(prof, s.WorkloadSeed)
 	}
 }
 
@@ -689,9 +705,9 @@ func (s RunSpec) source(t *trace.Trace) (workload.InstrSource, string) {
 // the resolved MachineSpec becomes the pipeline's clock topology, and the
 // run settings (seeds, slowdowns, link ablations) are layered on top.
 func (s RunSpec) PipelineConfig() (pipeline.Config, error) {
-	r, err := resolve(s)
+	u, err := resolve(s)
 	if err != nil {
 		return pipeline.Config{}, err
 	}
-	return r.config(), nil
+	return u.config(), nil
 }

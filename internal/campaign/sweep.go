@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"log/slog"
 
 	"galsim/internal/machine"
 	"galsim/internal/pipeline"
@@ -120,19 +119,20 @@ func (s Sweep) NumUnits() int {
 
 // Units expands the sweep into run units in deterministic order: benchmarks
 // outermost, then machines, slowdown grid points, workload seeds, phase
-// seeds, instruction budgets innermost. Every unit is validated before any
-// is returned.
-func (s Sweep) Units() ([]RunSpec, error) {
+// seeds, instruction budgets innermost. Every unit is resolved, once,
+// before any is returned.
+func (s Sweep) Units() ([]*Unit, error) {
 	if n := s.NumUnits(); n > MaxUnits {
 		return nil, fmt.Errorf("campaign: sweep expands to more than %d units; split it", MaxUnits)
 	}
 	benchmarks, machines, grid, wseeds, pseeds, instrs := s.axes()
-	units := make([]RunSpec, 0, len(benchmarks)*len(machines)*len(grid)*len(wseeds)*len(pseeds)*len(instrs))
+	units := make([]*Unit, 0, len(benchmarks)*len(machines)*len(grid)*len(wseeds)*len(pseeds)*len(instrs))
 	// Resolve each machine point once, to scope grid entries and the
 	// dynamic-DVFS flag to it; an unresolvable machine skips the scoping
-	// and fails unit validation below with the real error.
+	// and fails its units' resolve below with the real error.
 	resolved := make([]*machine.Spec, len(machines))
-	anyResolved := false
+	valid := map[string]bool{"all": true}
+	var domains []string // the resolved machines' domains, first seen first
 	for i, m := range machines {
 		if m.spec != nil {
 			if err := m.spec.Validate(); err == nil {
@@ -141,48 +141,37 @@ func (s Sweep) Units() ([]RunSpec, error) {
 		} else if sp, err := machine.ByName(m.name); err == nil {
 			resolved[i] = &sp
 		}
-		anyResolved = anyResolved || resolved[i] != nil
+		if resolved[i] == nil {
+			continue
+		}
+		for _, d := range resolved[i].DomainNames() {
+			if !valid[d] {
+				valid[d] = true
+				domains = append(domains, d)
+			}
+		}
 	}
 	// A grid key must name a clock domain of at least one swept machine (or
 	// "all"): per-machine scoping drops foreign keys silently, so a typo'd
 	// domain would otherwise vanish instead of failing loudly.
-	if anyResolved {
-		valid := map[string]bool{"all": true}
-		var domains []string
-		for _, ms := range resolved {
-			if ms == nil {
-				continue
-			}
-			for _, d := range ms.DomainNames() {
-				if !valid[d] {
-					valid[d] = true
-					domains = append(domains, d)
-				}
-			}
-		}
-		for _, slow := range grid {
-			for name := range slow {
-				if !valid[name] {
-					return nil, fmt.Errorf("campaign: sweep slowdown grid names clock domain %q, which belongs to none of the swept machines (their domains: %v, or \"all\" for a uniform slowdown)",
-						name, domains)
-				}
+	for _, slow := range grid {
+		for name := range slow {
+			if len(domains) > 0 && !valid[name] {
+				return nil, fmt.Errorf("campaign: sweep slowdown grid names clock domain %q, which belongs to none of the swept machines (their domains: %v, or \"all\" for a uniform slowdown)",
+					name, domains)
 			}
 		}
 	}
 	for _, b := range benchmarks {
 		for mi, m := range machines {
-			var ms machine.Spec
-			if resolved[mi] != nil {
-				ms = *resolved[mi]
-			}
 			for _, slow := range grid {
-				if resolved[mi] != nil {
-					slow = scopedSlowdowns(ms, slow)
+				if ms := resolved[mi]; ms != nil {
+					slow = scopedSlowdowns(*ms, slow)
 				}
 				for _, ws := range wseeds {
 					for _, ps := range pseeds {
 						for _, in := range instrs {
-							u := RunSpec{
+							u, err := resolve(RunSpec{
 								Benchmark:      b,
 								Machine:        m.name,
 								MachineSpec:    m.spec,
@@ -193,9 +182,9 @@ func (s Sweep) Units() ([]RunSpec, error) {
 								PhaseSeed:      ps,
 								MemoryOrdering: s.MemoryOrdering,
 								LinkStyle:      s.LinkStyle,
-								DynamicDVFS:    s.DynamicDVFS && resolved[mi] != nil && ms.DynamicCapable(),
-							}
-							if err := u.Validate(); err != nil {
+								DynamicDVFS:    s.DynamicDVFS && resolved[mi] != nil && resolved[mi].DynamicCapable(),
+							})
+							if err != nil {
 								return nil, fmt.Errorf("campaign: sweep unit %d: %w", len(units), err)
 							}
 							units = append(units, u)
@@ -253,12 +242,14 @@ type Summary struct {
 }
 
 // Summarize digests one unit's stats.
-func Summarize(spec RunSpec, st pipeline.Stats) Summary { return spec.Canonical().summary(st) }
+func Summarize(spec RunSpec, st pipeline.Stats) Summary {
+	return spec.Canonical().summary(spec.WorkloadName(), st)
+}
 
-// summary is Summarize of a canonical spec.
-func (s RunSpec) summary(st pipeline.Stats) Summary {
+// summary is Summarize of a canonical spec and its workload's name.
+func (s RunSpec) summary(workload string, st pipeline.Stats) Summary {
 	return Summary{
-		Benchmark:            s.WorkloadName(),
+		Benchmark:            workload,
 		Machine:              s.MachineName(),
 		Committed:            st.Committed,
 		SimSeconds:           st.SimTime.Seconds(),
@@ -283,6 +274,15 @@ type UnitResult struct {
 	Summary Summary `json:"summary"`
 }
 
+// Results pairs each unit with the digest of its stats.
+func Results(units []*Unit, stats []pipeline.Stats) []UnitResult {
+	out := make([]UnitResult, len(units))
+	for i, u := range units {
+		out[i] = UnitResult{Key: u.key, Spec: u.spec, Summary: u.spec.summary(u.workload, stats[i])}
+	}
+	return out
+}
+
 // RunSweepOn expands the sweep, executes every unit on the given backend —
 // the local engine or a distributed cluster coordinator — and returns the
 // aggregated results in expansion order. Results are merged by unit index,
@@ -302,25 +302,9 @@ func RunSweepProgress(ctx context.Context, b Backend, s Sweep, fn ProgressFunc) 
 	if err != nil {
 		return nil, err
 	}
-	var stats []pipeline.Stats
-	if s.Warmup > 0 {
-		if wb, ok := b.(WarmBackend); ok {
-			stats, err = wb.RunAllWarm(ctx, units, s.Warmup, fn)
-		} else {
-			slog.Default().Info("campaign: backend does not support warm-up sharing; running the sweep unshared",
-				"units", len(units), "warmup", s.Warmup)
-			stats, err = RunAllOn(ctx, b, units, fn)
-		}
-	} else {
-		stats, err = RunAllOn(ctx, b, units, fn)
-	}
+	stats, err := RunUnitsOn(ctx, b, units, s.Warmup, fn)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]UnitResult, len(units))
-	for i, u := range units {
-		c := u.Canonical()
-		out[i] = UnitResult{Key: c.key(), Spec: c, Summary: c.summary(stats[i])}
-	}
-	return out, nil
+	return Results(units, stats), nil
 }

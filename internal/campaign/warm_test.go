@@ -337,10 +337,11 @@ func TestCanonicalSpecReadsNoFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Snapshot = &SnapshotRef{Path: snapPath}
-	c, err := spec.Resolve()
+	u, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := u.Spec()
 	key, canon := c.Key(), c.Canonical()
 	if !reflect.DeepEqual(canon, c) || key != spec.Key() {
 		t.Fatalf("resolved spec is not canonical:\n got %+v\nwant %+v", canon, c)

@@ -35,11 +35,11 @@ func TestCustomProfileCacheHit(t *testing.T) {
 		t.Fatalf("equal profiles keyed differently: %s vs %s", specA.Key(), specB.Key())
 	}
 
-	stA, err := eng.Run(context.Background(), specA)
+	stA, _, err := eng.RunOpts(context.Background(), specA, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stB, err := eng.Run(context.Background(), specB)
+	stB, _, err := eng.RunOpts(context.Background(), specB, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

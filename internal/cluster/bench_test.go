@@ -16,7 +16,7 @@ import (
 // worker), like the campaign parallel benchmarks.
 func BenchmarkFleetSweep(b *testing.B) {
 	sweep := goldenSweep()
-	units, err := sweep.Units()
+	units, err := sweepSpecs(sweep)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,13 +29,23 @@ func goldenSweep() campaign.Sweep {
 	}
 }
 
+// sweepSpecs expands s and returns the canonical specs of its units.
+func sweepSpecs(s campaign.Sweep) ([]campaign.RunSpec, error) {
+	units, err := s.Units()
+	specs := make([]campaign.RunSpec, len(units))
+	for i, u := range units {
+		specs[i] = u.Spec()
+	}
+	return specs, err
+}
+
 // serialReference executes every unit of the sweep one at a time through
 // campaign.Execute — no engine, no cache, no concurrency — and aggregates
 // exactly like RunSweepOn. This is the seed semantics every distributed
 // configuration must reproduce byte-for-byte.
 func serialReference(t *testing.T, s campaign.Sweep) ([]campaign.RunSpec, []pipeline.Stats, []campaign.UnitResult) {
 	t.Helper()
-	units, err := s.Units()
+	units, err := sweepSpecs(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +169,7 @@ func TestFleetDifferentialDeterminism(t *testing.T) {
 // spec's full cache identity, so hits work fleet-wide.
 func TestFleetCacheHitsAcrossCampaigns(t *testing.T) {
 	f := startFleet(t, Config{}, 1, 2)
-	units, err := goldenSweep().Units()
+	units, err := sweepSpecs(goldenSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +214,7 @@ func TestRunAllValidatesUpFront(t *testing.T) {
 func TestRunAllCancellation(t *testing.T) {
 	// No workers: jobs would sit pending forever without cancellation.
 	f := startFleet(t, Config{}, 0, 0)
-	units, err := goldenSweep().Units()
+	units, err := sweepSpecs(goldenSweep())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -341,11 +341,11 @@ func (c *Coordinator) RunAllProgress(ctx context.Context, specs []campaign.RunSp
 		// Resolving here pins trace digests and profile contents before
 		// anything crosses the wire, so a job's cache identity on every
 		// worker matches the bytes the coordinator validated.
-		c, err := s.Resolve()
+		u, err := s.Resolve()
 		if err != nil {
-			return nil, fmt.Errorf("campaign: unit %d (%s/%s): %w", i, c.Machine, c.WorkloadName(), err)
+			return nil, fmt.Errorf("campaign: unit %d (%s/%s): %w", i, s.MachineName(), u.WorkloadName(), err)
 		}
-		canon[i] = c
+		canon[i] = u.Spec()
 	}
 	reqID := telemetry.RequestID(ctx)
 	if reqID == "" {

@@ -109,3 +109,21 @@ func TestFleetRunsCustomMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedInlineMachineTextMatchesEngine: the coordinator refuses an
+// invalid inline-machine unit with the text the local engine reports for
+// the same batch, the unit labelled by its machine's name.
+func TestRefusedInlineMachineTextMatchesEngine(t *testing.T) {
+	tri := triMachine()
+	specs := []campaign.RunSpec{
+		{Benchmark: "li", Machine: "gals", Instructions: 2_000},
+		{Benchmark: "gcc", MachineSpec: &tri, Instructions: 2_000, Slowdowns: map[string]float64{"bogus": 2}},
+	}
+	const want = `campaign: unit 1 (tri/gcc): campaign: unknown clock domain "bogus" for machine "tri" in slowdowns (its domains: [front exec memsys], or "all" for a uniform slowdown)`
+	f := startFleet(t, Config{}, 0, 0)
+	for name, b := range map[string]campaign.Backend{"engine": campaign.NewEngine(1), "coordinator": f.coord} {
+		if _, err := b.RunAll(context.Background(), specs); err == nil || err.Error() != want {
+			t.Errorf("%s:\n got %v\nwant %s", name, err, want)
+		}
+	}
+}

@@ -24,7 +24,7 @@ func TestFleetSpanIntegrity(t *testing.T) {
 	callerSpan := timeline.NewSpanID()
 	ctx := telemetry.ContextWithTrace(context.Background(),
 		telemetry.TraceContext{TraceID: callerTrace, SpanID: callerSpan})
-	units, err := goldenSweep().Units()
+	units, err := sweepSpecs(goldenSweep())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func runOne(cfg Config, machine, bench string, tweak func(*campaign.RunSpec)) pi
 	if tweak != nil {
 		tweak(&spec)
 	}
-	st, err := cfg.engine().Run(cfg.ctx(), spec)
+	st, _, err := cfg.engine().RunOpts(cfg.ctx(), spec, campaign.ExecOpts{})
 	if err != nil {
 		panic(err)
 	}

@@ -41,7 +41,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -224,9 +223,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // to replay) — it is a complete Chrome trace-event JSON document, ready to
 // save and open at https://ui.perfetto.dev.
 type RunResponse struct {
-	Key      string            `json:"key"`
-	Spec     campaign.RunSpec  `json:"spec"`
-	Summary  campaign.Summary  `json:"summary"`
+	campaign.UnitResult
 	Samples  []pipeline.Sample `json:"samples,omitempty"`
 	Timeline json.RawMessage   `json:"timeline,omitempty"`
 }
@@ -309,7 +306,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.resolveWorkload(&spec)
 	s.resolveMachine(&spec)
-	spec, err := spec.Resolve()
+	u, err := spec.Resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -336,50 +333,31 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.Admission.ReleaseUnits(tenant, 1)
 	}
-	var (
-		st  pipeline.Stats
-		rec *timeline.Recorder
-	)
+	var rec *timeline.Recorder
 	if wantTimeline {
 		rec = timeline.NewRecorder(timeline.Options{})
+	}
+	stats := []pipeline.Stats{{}}
+	if s.Backend != nil {
+		// A human is waiting on this response: on a priority-aware backend
+		// (the fleet coordinator) the unit jumps ahead of queued bulk sweeps.
+		stats, err = s.Backend.RunAll(campaign.WithPriority(r.Context(), campaign.PriorityInteractive), []campaign.RunSpec{u.Spec()})
+	} else {
 		var hit bool
-		st, hit, err = s.engine.RunOpts(r.Context(), spec, campaign.ExecOpts{Tap: campaign.TimelineTap{Recorder: rec}})
+		stats[0], hit, err = s.engine.RunUnit(r.Context(), u, campaign.ExecOpts{Tap: campaign.TimelineTap{Recorder: rec}})
 		if hit {
 			rec = nil // served from cache: nothing was simulated, no events
 		}
-	} else {
-		// A human is waiting on this response: on a priority-aware backend
-		// (the fleet coordinator) the unit jumps ahead of queued bulk sweeps.
-		st, err = s.runOne(campaign.WithPriority(r.Context(), campaign.PriorityInteractive), spec)
 	}
 	if err != nil {
 		writeBackendError(w, r, err)
 		return
 	}
-	resp := RunResponse{
-		Key:     spec.Key(),
-		Spec:    spec,
-		Summary: campaign.Summarize(spec, st),
-		Samples: st.Samples,
-	}
+	resp := RunResponse{UnitResult: campaign.Results([]*campaign.Unit{u}, stats)[0], Samples: stats[0].Samples}
 	if rec != nil {
 		resp.Timeline = rec.TraceJSON()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// runOne executes a single spec: through the engine's singleflight cache
-// normally, or as a one-unit batch on the installed distributed backend
-// (whose workers hold the caches).
-func (s *Server) runOne(ctx context.Context, spec campaign.RunSpec) (pipeline.Stats, error) {
-	if s.Backend == nil {
-		return s.engine.Run(ctx, spec)
-	}
-	stats, err := s.Backend.RunAll(ctx, []campaign.RunSpec{spec})
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
-	return stats[0], nil
 }
 
 // SweepResponse is the POST /sweep payload. ID names the sweep in the
@@ -460,7 +438,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		defer s.Admission.ReleaseUnits(tenant, len(units))
 	}
 	tracked := s.trackSweep(r.Context(), len(units))
-	results, err := campaign.RunSweepProgress(r.Context(), s.backend(), sweep,
+	stats, err := campaign.RunUnitsOn(r.Context(), s.backend(), units, sweep.Warmup,
 		func(p campaign.Progress) { s.sweepProgress(tracked, p) })
 	s.sweepDone(tracked, err)
 	if err != nil {
@@ -469,9 +447,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, SweepResponse{
 		ID:      tracked.ID,
-		Units:   len(results),
+		Units:   len(units),
 		Cache:   s.engine.Stats(),
-		Results: results,
+		Results: campaign.Results(units, stats),
 	})
 }
 
