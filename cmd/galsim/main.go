@@ -262,15 +262,16 @@ func checkTrace(path string) error {
 	return nil
 }
 
-// checkSnapshot re-reads the -snapshot-out file through the full decoder,
-// reports its size and content digest, and prints the command line that
-// resumes from it: this run's flags, less the capture and recording ones.
+// checkSnapshot re-reads the -snapshot-out file, checks its envelope and
+// head (the run that resumes from it decodes the state), reports its size
+// and content digest, and prints the command line that resumes from it:
+// this run's flags, less the capture and recording ones.
 func checkSnapshot(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if _, err := snapshot.DecodeBytes(b); err != nil {
+	if _, err := snapshot.Parse(b); err != nil {
 		return fmt.Errorf("written snapshot failed to validate: %w", err)
 	}
 	sum := sha256.Sum256(b)

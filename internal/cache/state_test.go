@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
+	"strings"
 	"testing"
+
+	"galsim/internal/snapshot"
 )
 
 // accessMix returns n L1D-like addresses: mostly an 8 KB hot region, the
@@ -22,8 +25,15 @@ func accessMix(seed int64, n int) ([]uint64, []bool) {
 	return addrs, writes
 }
 
-// A hierarchy restored from a capture recaptures identically, keeps the
-// [sets][ways] snapshot shape, and serves the next accesses identically.
+// capture returns a hierarchy's snapshot section.
+func capture(h *Hierarchy) []byte {
+	e := snapshot.NewEncoder(nil)
+	h.AppendState(e)
+	return e.Bytes()
+}
+
+// A hierarchy restored from a capture recaptures identically, stores only
+// its valid ways, and serves the next accesses identically.
 func TestHierarchySnapshotRoundTrip(t *testing.T) {
 	cfg := DefaultHierarchyConfig()
 	orig := NewHierarchy(cfg)
@@ -32,16 +42,28 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 		orig.L1D.Access(addrs[i], writes[i])
 		orig.L1I.Access(addrs[i]&^0xF000_0000|0x0040_0000, false)
 	}
-	st := orig.CaptureState()
-	if len(st.L1D.Sets) != 128 || len(st.L1D.Sets[0]) != 4 || len(st.L1I.Sets) != 512 || len(st.L1I.Sets[0]) != 1 {
-		t.Fatalf("snapshot shape L1D %dx%d, L1I %dx%d; want 128x4, 512x1",
-			len(st.L1D.Sets), len(st.L1D.Sets[0]), len(st.L1I.Sets), len(st.L1I.Sets[0]))
+	st := capture(orig)
+	// Three bitmaps per cache, and a tag and a stamp of at most 10 bytes
+	// each per valid way.
+	valid := 0
+	for _, c := range []*Cache{orig.L1I, orig.L1D, orig.L2} {
+		for _, w := range c.ways {
+			if w.valid {
+				valid++
+			}
+		}
+	}
+	ways := len(orig.L1I.ways) + len(orig.L1D.ways) + len(orig.L2.ways)
+	if limit := 3*ways/8 + 20*valid + 200; len(st) > limit || valid == ways {
+		t.Fatalf("section of %d bytes for %d valid of %d ways, want at most %d", len(st), valid, ways, limit)
 	}
 	restored := NewHierarchy(cfg)
-	if err := restored.RestoreState(st); err != nil {
+	d := snapshot.NewDecoder(st)
+	restored.RestoreState(d)
+	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.CaptureState(); !reflect.DeepEqual(got, st) {
+	if got := capture(restored); !bytes.Equal(got, st) {
 		t.Fatal("recapture of a restored hierarchy differs from the capture")
 	}
 	for i := 10000; i < len(addrs); i++ {
@@ -53,10 +75,12 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 		t.Errorf("stats diverged: %+v / %+v vs %+v / %+v",
 			restored.L1D.Stats(), restored.L2.Stats(), orig.L1D.Stats(), orig.L2.Stats())
 	}
-	bad := st.L1D
-	bad.Sets = bad.Sets[:len(bad.Sets)-1]
-	if err := NewHierarchy(cfg).L1D.RestoreState(bad); err == nil {
-		t.Error("restore with a missing set succeeded")
+	small := cfg
+	small.L1D.SizeBytes /= 2
+	d = snapshot.NewDecoder(st)
+	NewHierarchy(small).RestoreState(d)
+	if err := d.Err(); err == nil || !strings.Contains(err.Error(), "does not match geometry") {
+		t.Errorf("restore into a smaller L1D: %v, want the geometry mismatch", err)
 	}
 }
 

@@ -119,11 +119,7 @@ func (u *Unit) execute(opts ExecOpts) (st pipeline.Stats, err error) {
 	}()
 	var core *pipeline.Core
 	if resume != nil {
-		var cs pipeline.CoreState
-		if uerr := json.Unmarshal(resume.State, &cs); uerr != nil {
-			return pipeline.Stats{}, fmt.Errorf("campaign: decoding snapshot state: %w", uerr)
-		}
-		core, err = pipeline.RestoreCore(cfg, name, src, &cs)
+		core, err = pipeline.RestoreCore(cfg, name, src, resume.State)
 		if err != nil {
 			return pipeline.Stats{}, fmt.Errorf("campaign: restoring snapshot: %w", err)
 		}
@@ -132,11 +128,17 @@ func (u *Unit) execute(opts ExecOpts) (st pipeline.Stats, err error) {
 	}
 	var snapErr error
 	if len(targets) > 0 {
-		capture := func(commits uint64, cs *pipeline.CoreState) {
+		// Every capture of the unit carries the same identity.
+		key := u.warmKey()
+		specJSON, merr := json.Marshal(u.spec)
+		if merr != nil {
+			return pipeline.Stats{}, fmt.Errorf("campaign: marshaling spec for snapshot head: %w", merr)
+		}
+		capture := func(commits uint64, appendState func(*snapshot.Encoder)) {
 			if snapErr != nil {
 				return
 			}
-			snapErr = u.deliverSnapshot(opts, commits, cs)
+			snapErr = deliverSnapshot(opts, key, specJSON, commits, appendState)
 		}
 		if serr := core.SnapshotAt(targets, capture); serr != nil {
 			return pipeline.Stats{}, serr
@@ -233,22 +235,12 @@ func (u *Unit) snapshotTargets(opts ExecOpts, resume *snapshot.Snapshot) ([]uint
 	return slices.Sorted(maps.Keys(set)), nil
 }
 
-// deliverSnapshot wraps one captured core state in the envelope and hands
-// it to the configured sinks.
-func (u *Unit) deliverSnapshot(opts ExecOpts, commits uint64, cs *pipeline.CoreState) error {
-	stateJSON, err := json.Marshal(cs)
+// deliverSnapshot builds one capture's envelope and hands it to the
+// configured sinks.
+func deliverSnapshot(opts ExecOpts, key string, specJSON []byte, commits uint64, appendState func(*snapshot.Encoder)) error {
+	snap, err := snapshot.Capture(key, specJSON, commits, appendState)
 	if err != nil {
-		return fmt.Errorf("encoding state: %w", err)
-	}
-	specJSON, err := json.Marshal(u.spec)
-	if err != nil {
-		return fmt.Errorf("encoding spec: %w", err)
-	}
-	snap := &snapshot.Snapshot{
-		SpecKey:   u.warmKey(),
-		SpecJSON:  specJSON,
-		Committed: commits,
-		State:     stateJSON,
+		return err
 	}
 	if opts.SnapshotOut != "" {
 		if err := snapshot.WriteFile(opts.SnapshotOut, snap); err != nil {

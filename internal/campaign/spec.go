@@ -438,6 +438,9 @@ type Unit struct {
 // Spec returns the unit's canonical spec.
 func (u *Unit) Spec() RunSpec { return u.spec }
 
+// Key returns the content address of the unit's canonical spec.
+func (u *Unit) Key() string { return u.key }
+
 // WorkloadName returns the display name of the unit's workload.
 func (u *Unit) WorkloadName() string { return u.workload }
 
@@ -456,9 +459,10 @@ var resolves atomic.Uint64
 // resolve is the one place a run is checked, and the only code in this
 // package that reads a trace or snapshot body: each entry point that takes
 // a bare spec resolves it once, and a light unit's run once more. It reads
-// each input file once, pins or checks its digest, decodes it, and reports
-// the first problem with the spec, with a unit that labels the refusal as
-// MachineName and WorkloadName would.
+// each input file once, pins or checks its digest, decodes a trace and a
+// snapshot's envelope and head (the run decodes the snapshot's state), and
+// reports the first problem with the spec, with a unit that labels the
+// refusal as MachineName and WorkloadName would.
 func resolve(s RunSpec) (*Unit, error) {
 	resolves.Add(1)
 	r := &Unit{machine: s.MachineName(), workload: s.Benchmark}
@@ -530,33 +534,6 @@ func resolve(s RunSpec) (*Unit, error) {
 			return r, &TraceLengthError{Path: s.Trace.Path, Requested: want, Recorded: n}
 		}
 	}
-	if s.Snapshot != nil {
-		if s.Snapshot.Path == "" {
-			return r, fmt.Errorf("campaign: snapshot requires a path")
-		}
-		b, err := os.ReadFile(s.Snapshot.Path)
-		if err == nil {
-			r.snap, err = snapshot.DecodeBytes(b)
-		}
-		if err != nil {
-			return r, fmt.Errorf("campaign: snapshot %s: %w", s.Snapshot.Path, err)
-		}
-		sum := sha256.Sum256(b)
-		digest := hex.EncodeToString(sum[:])
-		if s.Snapshot.SHA256 != "" && s.Snapshot.SHA256 != digest {
-			return r, fmt.Errorf("campaign: snapshot %s content digest %s does not match the requested %s (file changed?)",
-				s.Snapshot.Path, digest, s.Snapshot.SHA256)
-		}
-		r.spec.Snapshot.SHA256 = digest
-		if want := r.warmKey(); r.snap.SpecKey != want {
-			return r, fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
-				s.Snapshot.Path, r.snap.SpecKey, want)
-		}
-		if budget := r.spec.Instructions; r.snap.Committed >= budget {
-			return r, fmt.Errorf("campaign: snapshot %s already holds %d committed instructions, at or beyond this run's %d-instruction budget; raise Instructions or use an earlier snapshot",
-				s.Snapshot.Path, r.snap.Committed, budget)
-		}
-	}
 	ms, err := s.machineSpec()
 	if err == nil && s.MachineSpec != nil {
 		err = ms.Validate()
@@ -585,6 +562,35 @@ func resolve(s RunSpec) (*Unit, error) {
 	}
 	if s.DynamicDVFS && !ms.DynamicCapable() {
 		return r, fmt.Errorf("campaign: dynamic DVFS requires a machine with a dynamic-capable clock domain; %q has none (use the gals machine, or declare a domain with \"dvfs\": \"dynamic\")", ms.Name)
+	}
+	// The snapshot is checked last: its warm key marshals the spec, which
+	// fails on a value the checks above refuse, such as a NaN slowdown.
+	if s.Snapshot != nil {
+		if s.Snapshot.Path == "" {
+			return r, fmt.Errorf("campaign: snapshot requires a path")
+		}
+		b, err := os.ReadFile(s.Snapshot.Path)
+		if err == nil {
+			r.snap, err = snapshot.Parse(b) // the envelope and head: the run decodes the state
+		}
+		if err != nil {
+			return r, fmt.Errorf("campaign: snapshot %s: %w", s.Snapshot.Path, err)
+		}
+		sum := sha256.Sum256(b)
+		digest := hex.EncodeToString(sum[:])
+		if s.Snapshot.SHA256 != "" && s.Snapshot.SHA256 != digest {
+			return r, fmt.Errorf("campaign: snapshot %s content digest %s does not match the requested %s (file changed?)",
+				s.Snapshot.Path, digest, s.Snapshot.SHA256)
+		}
+		r.spec.Snapshot.SHA256 = digest
+		if want := r.warmKey(); r.snap.SpecKey != want {
+			return r, fmt.Errorf("campaign: snapshot %s was captured under a different run configuration (its spec key %.12s..., this run's warm key %.12s...); restoring it here would not reproduce this run — re-capture under this configuration",
+				s.Snapshot.Path, r.snap.SpecKey, want)
+		}
+		if budget := r.spec.Instructions; r.snap.Committed >= budget {
+			return r, fmt.Errorf("campaign: snapshot %s already holds %d committed instructions, at or beyond this run's %d-instruction budget; raise Instructions or use an earlier snapshot",
+				s.Snapshot.Path, r.snap.Committed, budget)
+		}
 	}
 	r.key = r.spec.key()
 	return r, nil

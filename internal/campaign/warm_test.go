@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"galsim/internal/isa"
 	"galsim/internal/snapshot"
 )
 
@@ -229,81 +228,6 @@ func TestTraceLengthError(t *testing.T) {
 		t.Errorf("divergent over-length replay failed: %v", err)
 	} else if st.Committed != 5_000 {
 		t.Errorf("divergent replay committed %d, want 5000", st.Committed)
-	}
-}
-
-// TestRestoresSnapshotWithRASFields restores a version-1 snapshot written
-// before the predictor lost its return address stack: the predictor state
-// carries "ras" and "ras_top" and every in-flight record an "L2Hit" flag.
-// Snapshot bodies decode without rejecting unknown fields, so the keys are
-// ignored, the format version stays 1, and the resumed run must commit the
-// same stream and end with the same Stats as a straight run.
-func TestRestoresSnapshotWithRASFields(t *testing.T) {
-	spec := RunSpec{Benchmark: "gcc", Machine: "gals", Instructions: 15_000}
-	type commit struct {
-		Seq  isa.Seq
-		PC   uint64
-		Time int64
-	}
-	var straightCommits []commit
-	straight, err := ExecuteOpts(spec, ExecOpts{OnCommit: func(in *isa.Instr) {
-		straightCommits = append(straightCommits, commit{in.Seq, in.PC, int64(in.CommitTime)})
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap *snapshot.Snapshot
-	if _, err := ExecuteOpts(spec, ExecOpts{Warmup: 5_000, OnSnapshot: func(s *snapshot.Snapshot) { snap = s }}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Write the fields the old predictor and records carried into the state.
-	var state map[string]json.RawMessage
-	if err := json.Unmarshal(snap.State, &state); err != nil {
-		t.Fatal(err)
-	}
-	// RawMessage values keep every other number's exact digits.
-	var pred map[string]json.RawMessage
-	if err := json.Unmarshal(state["pred"], &pred); err != nil {
-		t.Fatal(err)
-	}
-	pred["ras"] = json.RawMessage(`[16384,16640,0,0,0,0,0,0]`)
-	pred["ras_top"] = json.RawMessage(`2`)
-	var records []map[string]json.RawMessage
-	if err := json.Unmarshal(state["records"], &records); err != nil {
-		t.Fatal(err)
-	}
-	if len(records) == 0 {
-		t.Fatal("capture holds no in-flight records")
-	}
-	for _, r := range records {
-		r["L2Hit"] = json.RawMessage(`false`)
-	}
-	state["pred"] = mustMarshal(t, pred)
-	state["records"] = mustMarshal(t, records)
-	snap.State = mustMarshal(t, state)
-	raw, err := snap.EncodeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := snapshot.DecodeBytes(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var resumedCommits []commit
-	resumed, err := ExecuteOpts(spec, ExecOpts{Resume: old, OnCommit: func(in *isa.Instr) {
-		resumedCommits = append(resumedCommits, commit{in.Seq, in.PC, int64(in.CommitTime)})
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mustMarshal(t, resumed), mustMarshal(t, straight); !bytes.Equal(got, want) {
-		t.Errorf("resumed Stats differ from the straight run's:\n%s\n%s", got, want)
-	}
-	tail := straightCommits[old.Committed:]
-	if got, want := mustMarshal(t, resumedCommits), mustMarshal(t, tail); !bytes.Equal(got, want) {
-		t.Errorf("resumed run committed %d instructions that differ from the straight run's last %d", len(resumedCommits), len(tail))
 	}
 }
 

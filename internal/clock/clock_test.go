@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"galsim/internal/simtime"
+	"galsim/internal/snapshot"
 )
 
 const ns = simtime.Nanosecond
@@ -216,14 +217,14 @@ func TestSteppedEdgesMatchClosedForm(t *testing.T) {
 				}
 				d.Retune(now, 1+2*rng.Float64(), v)
 			case x < 94:
-				st := State{
-					Period:   simtime.Duration(rng.Intn(5000) + 1),
-					Phase:    simtime.Time(rng.Int63n(int64(now) + 1)),
-					Voltage:  0.8 + 0.85*rng.Float64(),
-					Slowdown: 1 + rng.Float64(),
-				}
-				if err := d.RestoreState(st); err != nil {
-					t.Fatal(err)
+				e := snapshot.NewEncoder(nil)
+				e.Int(rng.Intn(5000) + 1)
+				e.Time(simtime.Time(rng.Int63n(int64(now) + 1)))
+				e.F64(0.8 + 0.85*rng.Float64())
+				e.F64(1 + rng.Float64())
+				dec := snapshot.NewDecoder(e.Bytes())
+				if d.RestoreState(dec); dec.Finish() != nil {
+					t.Fatal(dec.Err())
 				}
 			case x < 96:
 				d.SetVoltage(0.8 + 0.85*rng.Float64())

@@ -128,7 +128,7 @@ func TestLeaseExpiryFakeClock(t *testing.T) {
 	clock := newFakeClock()
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clock.Now})
 	spec := campaign.RunSpec{Benchmark: "gcc", Instructions: 2_000}.Canonical()
-	camp, err := c.submit([]campaign.RunSpec{spec}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
+	camp, err := c.submit([]campaign.RunSpec{spec}, nil, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestLeaseExpiryExhaustsAttempts(t *testing.T) {
 	clock := newFakeClock()
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, MaxAttempts: 2, Now: clock.Now})
 	spec := campaign.RunSpec{Benchmark: "gcc", Instructions: 2_000}.Canonical()
-	camp, err := c.submit([]campaign.RunSpec{spec}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
+	camp, err := c.submit([]campaign.RunSpec{spec}, nil, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestStaleFailureDoesNotUnwindActiveLease(t *testing.T) {
 	clock := newFakeClock()
 	c := NewCoordinator(Config{LeaseTTL: time.Minute, MaxAttempts: 2, Now: clock.Now})
 	spec := campaign.RunSpec{Benchmark: "gcc", Instructions: 2_000}.Canonical()
-	camp, err := c.submit([]campaign.RunSpec{spec}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
+	camp, err := c.submit([]campaign.RunSpec{spec}, nil, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFailedJobRetriesOnOtherWorkers(t *testing.T) {
 	c.join(JoinRequest{WorkerID: "w1"})
 	c.join(JoinRequest{WorkerID: "w2"})
 	spec := campaign.RunSpec{Benchmark: "gcc", Instructions: 2_000}.Canonical()
-	camp, err := c.submit([]campaign.RunSpec{spec}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
+	camp, err := c.submit([]campaign.RunSpec{spec}, nil, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
 	if err != nil {
 		t.Fatal(err)
 	}

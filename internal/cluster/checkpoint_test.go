@@ -82,7 +82,7 @@ func TestCheckpointStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp, err := c.submit([]campaign.RunSpec{spec}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
+	camp, err := c.submit([]campaign.RunSpec{spec}, nil, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCheckpointSurvivesCoordinatorCrash(t *testing.T) {
 	c1 := NewCoordinator(Config{LeaseTTL: time.Minute, Now: clock.Now, Store: store1})
 	ts := httptest.NewServer(c1.Handler())
 	defer ts.Close()
-	if _, err := c1.submit([]campaign.RunSpec{spec}, "req-ckpt", telemetry.TraceContext{}, nil, campaign.PriorityBulk); err != nil {
+	if _, err := c1.submit([]campaign.RunSpec{spec}, nil, "req-ckpt", telemetry.TraceContext{}, nil, campaign.PriorityBulk); err != nil {
 		t.Fatal(err)
 	}
 	jobs, _ := c1.tryLease("w1", 1, campaign.CacheStats{})
@@ -349,7 +349,7 @@ func TestCheckpointingWorkerShipsSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	traceID := timeline.NewTraceID()
-	camp, err := coord.submit([]campaign.RunSpec{spec}, "req-traced-ckpt",
+	camp, err := coord.submit([]campaign.RunSpec{spec}, nil, "req-traced-ckpt",
 		telemetry.TraceContext{TraceID: traceID, SpanID: timeline.NewSpanID()}, nil, campaign.PriorityBulk)
 	if err != nil {
 		t.Fatal(err)
@@ -500,7 +500,7 @@ func journalCheckpointPost(t *testing.T) (c *Coordinator, store *JournalStore, j
 	t.Cleanup(func() { store.Close() })
 	c = NewCoordinator(Config{LeaseTTL: time.Minute, Store: store})
 	spec := ckptSpec()
-	if _, err := c.submit([]campaign.RunSpec{spec}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk); err != nil {
+	if _, err := c.submit([]campaign.RunSpec{spec}, nil, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk); err != nil {
 		t.Fatal(err)
 	}
 	jobs, _ := c.tryLease("w1", 1, campaign.CacheStats{})

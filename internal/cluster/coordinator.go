@@ -336,7 +336,7 @@ func (c *Coordinator) RunAllProgress(ctx context.Context, specs []campaign.RunSp
 		}
 		return nil, nil
 	}
-	canon := make([]campaign.RunSpec, len(specs))
+	canon, keys := make([]campaign.RunSpec, len(specs)), make([]string, len(specs))
 	for i, s := range specs {
 		// Resolving here pins trace digests and profile contents before
 		// anything crosses the wire, so a job's cache identity on every
@@ -345,13 +345,13 @@ func (c *Coordinator) RunAllProgress(ctx context.Context, specs []campaign.RunSp
 		if err != nil {
 			return nil, fmt.Errorf("campaign: unit %d (%s/%s): %w", i, s.MachineName(), u.WorkloadName(), err)
 		}
-		canon[i] = u.Spec()
+		canon[i], keys[i] = u.Spec(), u.Key()
 	}
 	reqID := telemetry.RequestID(ctx)
 	if reqID == "" {
 		reqID = telemetry.NewRequestID()
 	}
-	camp, err := c.submit(canon, reqID, telemetry.Trace(ctx), fn, campaign.PriorityOf(ctx))
+	camp, err := c.submit(canon, keys, reqID, telemetry.Trace(ctx), fn, campaign.PriorityOf(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -409,12 +409,18 @@ type specGroup struct {
 }
 
 // groupByKey collapses a canonical batch into unique-spec groups, in first-
-// occurrence order so job creation stays deterministic.
-func groupByKey(canon []campaign.RunSpec) []specGroup {
+// occurrence order so job creation stays deterministic. keys holds each
+// spec's key when its resolve already hashed it; nil hashes each spec.
+func groupByKey(canon []campaign.RunSpec, keys []string) []specGroup {
 	idx := map[string]int{}
 	var groups []specGroup
 	for i, s := range canon {
-		k := s.Key()
+		var k string
+		if keys != nil {
+			k = keys[i]
+		} else {
+			k = s.Key()
+		}
 		if gi, ok := idx[k]; ok {
 			groups[gi].slots = append(groups[gi].slots, i)
 			continue
@@ -425,13 +431,14 @@ func groupByKey(canon []campaign.RunSpec) []specGroup {
 	return groups
 }
 
-// submit enqueues one job per unique spec key, fanning duplicate specs out
-// to all of their result slots, and wakes long-polling workers. The batch
+// submit enqueues one job per unique spec key (keys as groupByKey takes
+// them), fanning duplicate specs out to all of their result slots, and
+// wakes long-polling workers. The batch
 // is journaled through the job store (when configured) before anything is
 // enqueued, so a crash after submit returns can always resume it; a full
 // bounded queue rejects the batch with campaign.ErrBackendBusy instead.
-func (c *Coordinator) submit(canon []campaign.RunSpec, reqID string, tc telemetry.TraceContext, fn campaign.ProgressFunc, pri campaign.Priority) (*campaignRun, error) {
-	groups := groupByKey(canon)
+func (c *Coordinator) submit(canon []campaign.RunSpec, keys []string, reqID string, tc telemetry.TraceContext, fn campaign.ProgressFunc, pri campaign.Priority) (*campaignRun, error) {
+	groups := groupByKey(canon, keys)
 	if max := c.cfg.MaxQueuedJobs; max > 0 {
 		c.mu.Lock()
 		live := len(c.jobs)
@@ -584,7 +591,7 @@ func (c *Coordinator) tryLease(workerID string, slots int, cache campaign.CacheS
 				j.camp.failed += len(j.slots)
 				c.finishLocked(j.camp, fmt.Errorf(
 					"cluster: unit %d (%s/%s) failed on every live worker (%d); last error: %s",
-					j.slots[0], j.spec.Machine, j.spec.WorkloadName(), len(j.excluded), j.lastErr))
+					j.slots[0], j.spec.MachineName(), j.spec.WorkloadName(), len(j.excluded), j.lastErr))
 				continue
 			}
 			if fromPri {
@@ -652,7 +659,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			j.camp.failed += len(j.slots)
 			c.finishLocked(j.camp, fmt.Errorf(
 				"cluster: job %d (%s/%s) abandoned after %d lease expiries/failures; last worker %s went silent",
-				id, j.spec.Machine, j.spec.WorkloadName(), j.attempts, lastWorker))
+				id, j.spec.MachineName(), j.spec.WorkloadName(), j.attempts, lastWorker))
 			continue
 		}
 		c.requeueFrontLocked(j)
@@ -715,7 +722,7 @@ func (c *Coordinator) complete(workerID string, results []JobResult, cache campa
 				j.camp.failed += len(j.slots)
 				c.finishLocked(j.camp, fmt.Errorf(
 					"cluster: unit %d (%s/%s) failed on %d worker(s); last error from %s: %s",
-					j.slots[0], j.spec.Machine, j.spec.WorkloadName(), len(j.excluded), workerID, j.lastErr))
+					j.slots[0], j.spec.MachineName(), j.spec.WorkloadName(), len(j.excluded), workerID, j.lastErr))
 				continue
 			}
 			c.requeueFrontLocked(j)
@@ -1086,7 +1093,7 @@ func (c *Coordinator) resume(rec RecoveredCampaign) *Resumed {
 	prefilled := 0
 	var pending []specGroup
 	c.mu.Lock()
-	for _, g := range groupByKey(rec.Specs) {
+	for _, g := range groupByKey(rec.Specs, nil) {
 		if st, ok := rec.Completed[g.key]; ok && st != nil {
 			for _, slot := range g.slots {
 				camp.results[slot] = *st

@@ -8,6 +8,7 @@ import (
 
 	"galsim/internal/campaign"
 	"galsim/internal/machine"
+	"galsim/internal/telemetry"
 )
 
 // triMachine is the user-authored 3-domain partitioning the acceptance
@@ -125,5 +126,32 @@ func TestRefusedInlineMachineTextMatchesEngine(t *testing.T) {
 		if _, err := b.RunAll(context.Background(), specs); err == nil || err.Error() != want {
 			t.Errorf("%s:\n got %v\nwant %s", name, err, want)
 		}
+	}
+}
+
+// TestFailedInlineMachineJobLabel: a job of an inline machine that fails on
+// every worker is labelled by the machine's name, as the engine labels it.
+func TestFailedInlineMachineJobLabel(t *testing.T) {
+	clock := newFakeClock()
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, MaxAttempts: 5, Now: clock.Now})
+	c.join(JoinRequest{WorkerID: "w1"})
+	tri := triMachine()
+	u, err := campaign.RunSpec{Benchmark: "gcc", MachineSpec: &tri, Instructions: 2_000}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := c.submit([]campaign.RunSpec{u.Spec()}, []string{u.Key()}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _ := c.tryLease("w1", 1, campaign.CacheStats{})
+	if len(jobs) != 1 {
+		t.Fatal("lease failed")
+	}
+	c.complete("w1", []JobResult{{JobID: jobs[0].ID, Error: "disk on fire"}}, campaign.CacheStats{})
+	<-camp.done
+	const want = "cluster: unit 0 (tri/gcc) failed on 1 worker(s); last error from w1: disk on fire"
+	if camp.err == nil || camp.err.Error() != want {
+		t.Errorf("campaign error = %v, want %q", camp.err, want)
 	}
 }

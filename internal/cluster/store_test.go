@@ -152,7 +152,7 @@ func TestCoordinatorCrashRestartResumesSweep(t *testing.T) {
 	for i, u := range units {
 		canon[i] = u.Canonical()
 	}
-	uniqueJobs := len(groupByKey(canon))
+	uniqueJobs := len(groupByKey(canon, nil))
 	limit := uniqueJobs / 2 // journal only half the completions before "crashing"
 	if limit == 0 {
 		t.Fatal("sweep too small for a partial crash")
@@ -269,10 +269,10 @@ func TestPriorityLaneLeasesInteractiveFirst(t *testing.T) {
 	c := NewCoordinator(Config{})
 	bulk := campaign.RunSpec{Benchmark: "gcc", Instructions: 2_000}.Canonical()
 	inter := campaign.RunSpec{Benchmark: "swim", Instructions: 2_000}.Canonical()
-	if _, err := c.submit([]campaign.RunSpec{bulk}, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk); err != nil {
+	if _, err := c.submit([]campaign.RunSpec{bulk}, nil, "", telemetry.TraceContext{}, nil, campaign.PriorityBulk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.submit([]campaign.RunSpec{inter}, "", telemetry.TraceContext{}, nil, campaign.PriorityInteractive); err != nil {
+	if _, err := c.submit([]campaign.RunSpec{inter}, nil, "", telemetry.TraceContext{}, nil, campaign.PriorityInteractive); err != nil {
 		t.Fatal(err)
 	}
 	jobs, _ := c.tryLease("w1", 2, campaign.CacheStats{})

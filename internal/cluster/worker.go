@@ -302,15 +302,16 @@ func (w *Worker) lease(ctx context.Context) (LeaseResponse, error) {
 
 // checkpointOpts builds the execution options of one job under the
 // checkpoint regime: resume from the job's attached checkpoint when it has a
-// valid one (a checkpoint that fails its typed validation is discarded for
-// a cold run — never a partial restore), and post a fresh checkpoint to the
+// valid one (a checkpoint whose envelope or head fails its typed check is
+// discarded for a cold run; a state that then fails to decode fails the run
+// — never a partial restore), and post a fresh checkpoint to the
 // coordinator every CheckpointEvery committed instructions. A rejected post
 // (this worker lost the lease) or an unreachable coordinator never fails
 // the run: the completion retry path settles who wins.
 func (w *Worker) checkpointOpts(ctx context.Context, jb Job) campaign.ExecOpts {
 	opts := campaign.ExecOpts{CheckpointEvery: w.CheckpointEvery}
 	if len(jb.Checkpoint) > 0 {
-		snap, err := snapshot.DecodeBytes(jb.Checkpoint)
+		snap, err := snapshot.Parse(jb.Checkpoint)
 		if err != nil {
 			w.log().Warn("job checkpoint unusable; running cold", "worker", w.ID,
 				"job_id", jb.ID, "request_id", jb.RequestID, "error", err)

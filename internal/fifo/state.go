@@ -1,70 +1,65 @@
 package fifo
 
 import (
-	"fmt"
-
 	"galsim/internal/isa"
 	"galsim/internal/simtime"
+	"galsim/internal/snapshot"
 )
 
-// EntryState is one queued entry in snapshot form. The payload is carried
-// in a caller-chosen serialized type S (an instruction index, a wake tag —
-// whatever the link's T maps to).
-type EntryState[S any] struct {
-	Item      S            `json:"item"`
-	Seq       isa.Seq      `json:"seq"`
-	Enqueued  simtime.Time `json:"enq"`
-	VisibleAt simtime.Time `json:"vis"`
-}
-
-// LinkState is the full mutable state of a Link, in logical (head-first)
-// order. The rule-specific fields are only meaningful for the matching
-// constructor's links and zero otherwise.
-type LinkState[S any] struct {
-	Entries []EntryState[S] `json:"entries,omitempty"`
-	Stats   Stats           `json:"stats"`
-	// FreeAt is a mixed-clock FIFO's pending slot-release visibility times.
-	FreeAt []simtime.Time `json:"free_at,omitempty"`
-	// BusyUntil/InFlight are a stretch link's open-transaction state.
-	BusyUntil simtime.Time `json:"busy_until,omitempty"`
-	InFlight  int          `json:"in_flight,omitempty"`
-}
-
-// CaptureLink snapshots a link's entries (converted through conv), stats,
-// and rule-specific timing state.
-func CaptureLink[T, S any](l *Link[T], conv func(T) S) LinkState[S] {
-	st := LinkState[S]{Stats: l.stats, FreeAt: append([]simtime.Time(nil), l.freeAt...),
-		BusyUntil: l.busyUntil, InFlight: l.inFlight}
+// AppendLink appends a link's snapshot section: its entries in logical
+// (head-first) order, each payload written by put, then its counters, a
+// mixed-clock FIFO's pending slot-release times and a stretch link's open
+// transaction (zero for other rules).
+func AppendLink[T any](e *snapshot.Encoder, l *Link[T], put func(T)) {
+	e.Uvarint(uint64(l.n))
 	for i := 0; i < l.n; i++ {
-		e := &l.buf[l.slot(i)]
-		st.Entries = append(st.Entries, EntryState[S]{
-			Item: conv(e.item), Seq: e.seq, Enqueued: e.enqueued, VisibleAt: e.visibleAt,
-		})
+		en := &l.buf[l.slot(i)]
+		put(en.item)
+		e.Uvarint(uint64(en.seq))
+		e.Time(en.enqueued)
+		e.Time(en.visibleAt)
 	}
-	return st
+	e.Uvarint(l.stats.Puts)
+	e.Uvarint(l.stats.Gets)
+	e.Uvarint(l.stats.Flushed)
+	e.Int(int(l.stats.TotalWait))
+	e.Uvarint(l.stats.OccupancySum)
+	e.Uvarint(uint64(len(l.freeAt)))
+	for _, t := range l.freeAt {
+		e.Time(t)
+	}
+	e.Time(l.busyUntil)
+	e.Int(l.inFlight)
 }
 
-// RestoreLink reinstates a captured state into a freshly built, empty link
-// from the same constructor and capacity. Entries bypass Put so the
-// captured per-entry visibility times and the stats counters are carried
-// verbatim rather than recomputed.
-func RestoreLink[T, S any](l *Link[T], st LinkState[S], conv func(S) T) error {
+// RestoreLink reads a section AppendLink wrote into a freshly built, empty
+// link from the same constructor and capacity, each payload read by get.
+// Entries bypass Put so the captured per-entry visibility times and the
+// counters are carried verbatim rather than recomputed. Failures are
+// recorded in d.
+func RestoreLink[T any](d *snapshot.Decoder, l *Link[T], get func() T) {
 	if l.n != 0 {
-		return fmt.Errorf("fifo: link %q: restore into non-empty link (%d entries)", l.name, l.n)
+		d.Failf("fifo: link %q: restore into non-empty link (%d entries)", l.name, l.n)
+		return
 	}
-	if len(st.Entries) > len(l.buf) {
+	// A payload, a sequence number and two times take a byte each at least.
+	n := d.Len(4)
+	if n > len(l.buf) {
 		// The capture came from a ring that had grown past its rated
 		// capacity (a stretch link admits transient overshoot); grow to fit.
-		l.buf = make([]entry[T], len(st.Entries))
+		l.buf = make([]entry[T], n)
 	}
 	l.head = 0
-	for i, es := range st.Entries {
-		l.buf[i] = entry[T]{item: conv(es.Item), seq: es.Seq, enqueued: es.Enqueued, visibleAt: es.VisibleAt}
+	for i := 0; i < n; i++ {
+		l.buf[i] = entry[T]{item: get(), seq: isa.Seq(d.Uvarint()), enqueued: d.Time(), visibleAt: d.Time()}
 	}
-	l.n = len(st.Entries)
-	l.stats = st.Stats
-	l.freeAt = append([]simtime.Time(nil), st.FreeAt...)
-	l.busyUntil = st.BusyUntil
-	l.inFlight = st.InFlight
-	return nil
+	l.n = n
+	l.stats = Stats{Puts: d.Uvarint(), Gets: d.Uvarint(), Flushed: d.Uvarint(),
+		TotalWait: simtime.Duration(d.Int()), OccupancySum: d.Uvarint()}
+	l.freeAt = l.freeAt[:0]
+	for i, m := 0, d.Len(1); i < m; i++ {
+		l.freeAt = append(l.freeAt, d.Time())
+	}
+	l.busyUntil = d.Time()
+	l.inFlight = d.Int()
 }

@@ -1,55 +1,41 @@
 package iq
 
 import (
-	"fmt"
-
 	"galsim/internal/isa"
+	"galsim/internal/snapshot"
 )
 
-// State is an issue queue's snapshot form: waiting instructions as caller-
-// assigned record indices in insertion (program) order plus the raw
-// counters, including the occupancy accumulators the DVFS controller and
-// the interval sampler difference.
-type State struct {
-	Entries  []int  `json:"entries,omitempty"`
-	Inserts  uint64 `json:"inserts"`
-	Issues   uint64 `json:"issues"`
-	Flushes  uint64 `json:"flushes"`
-	OccSum   uint64 `json:"occ_sum"`
-	OccTicks uint64 `json:"occ_ticks"`
-}
-
-// CaptureState snapshots the queue, mapping each waiting record through
-// index.
-func (q *Queue) CaptureState(index func(*isa.Instr) int) State {
-	st := State{Inserts: q.inserts, Issues: q.issues, Flushes: q.flushes,
-		OccSum: q.occSum, OccTicks: q.occTicks}
+// AppendState appends the queue's snapshot section: its waiting
+// instructions in insertion (program) order, each written by put, then the
+// raw counters, including the occupancy accumulators the DVFS controller
+// and the interval sampler difference.
+func (q *Queue) AppendState(e *snapshot.Encoder, put func(*isa.Instr)) {
+	e.Uvarint(uint64(len(q.entries)))
 	for _, in := range q.entries {
-		st.Entries = append(st.Entries, index(in))
+		put(in)
 	}
-	return st
+	for _, v := range [...]uint64{q.inserts, q.issues, q.flushes, q.occSum, q.occTicks} {
+		e.Uvarint(v)
+	}
 }
 
-// RestoreState reinstates a captured state into a fresh, empty queue of the
-// same capacity, bypassing Insert so the counters stay exactly as captured.
-func (q *Queue) RestoreState(st State, record func(int) *isa.Instr) error {
+// RestoreState reads a section AppendState wrote into a fresh, empty queue
+// of the same capacity, each entry read by get, bypassing Insert so the
+// counters stay exactly as captured. Failures are recorded in d.
+func (q *Queue) RestoreState(d *snapshot.Decoder, get func() *isa.Instr) {
 	if len(q.entries) != 0 {
-		return fmt.Errorf("iq: queue %q: restore into non-empty queue (%d entries)", q.name, len(q.entries))
+		d.Failf("iq: queue %q: restore into non-empty queue (%d entries)", q.name, len(q.entries))
+		return
 	}
-	if len(st.Entries) > q.cap {
-		return fmt.Errorf("iq: queue %q: %d restored entries exceed capacity %d", q.name, len(st.Entries), q.cap)
+	n := d.Len(1)
+	if n > q.cap {
+		d.Failf("iq: queue %q: %d restored entries exceed capacity %d", q.name, n, q.cap)
+		return
 	}
-	for i, idx := range st.Entries {
-		in := record(idx)
-		if in == nil {
-			return fmt.Errorf("iq: queue %q: restored entry %d references unknown record %d", q.name, i, idx)
-		}
-		q.entries = append(q.entries, in)
+	for i := 0; i < n; i++ {
+		q.entries = append(q.entries, get())
 	}
-	q.inserts = st.Inserts
-	q.issues = st.Issues
-	q.flushes = st.Flushes
-	q.occSum = st.OccSum
-	q.occTicks = st.OccTicks
-	return nil
+	for _, v := range [...]*uint64{&q.inserts, &q.issues, &q.flushes, &q.occSum, &q.occTicks} {
+		*v = d.Uvarint()
+	}
 }

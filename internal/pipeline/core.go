@@ -14,6 +14,7 @@ import (
 	"galsim/internal/rename"
 	"galsim/internal/rob"
 	"galsim/internal/simtime"
+	"galsim/internal/snapshot"
 	"galsim/internal/workload"
 )
 
@@ -154,7 +155,8 @@ type Core struct {
 
 	// Snapshot triggers (SnapshotAt; see snapshot.go).
 	snapTargets []uint64
-	snapFn      func(uint64, *CoreState)
+	snapFn      func(uint64, func(*snapshot.Encoder))
+	snapRecs    map[*isa.Instr]int // a capture's record indices, reused
 
 	// Dynamic DVFS controller state and the scalable-domain scan list.
 	dvfs     dvfsState

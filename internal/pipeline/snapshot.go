@@ -14,144 +14,36 @@ package pipeline
 // the edge handler, so at capture time that slot already points one period
 // ahead — the restored run must re-execute that edge in full).
 //
-// The restored run is bit-identical to the straight-line run: same stage
-// order, same edge schedule, same RNG draws, same statistics.
+// Capture appends each owning package's section straight from its live
+// tables into one buffer, and restore reads them straight back into the
+// tables of a freshly built core; the internal/snapshot package comment
+// lays the sections out. The restored run is bit-identical to the
+// straight-line run: same stage order, same edge schedule, same RNG draws,
+// same statistics.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
-	"galsim/internal/bpred"
-	"galsim/internal/cache"
-	"galsim/internal/clock"
 	"galsim/internal/fifo"
-	"galsim/internal/iq"
 	"galsim/internal/isa"
-	"galsim/internal/power"
-	"galsim/internal/rename"
-	"galsim/internal/rob"
 	"galsim/internal/simtime"
+	"galsim/internal/snapshot"
 	"galsim/internal/workload"
 )
 
-// WakeTagState is a cross-domain wakeup tag in snapshot form.
-type WakeTagState struct {
-	Phys      int     `json:"phys"`
-	Seq       isa.Seq `json:"seq"`
-	WrongPath bool    `json:"wp,omitempty"`
-	WPID      uint64  `json:"wpid,omitempty"`
-}
-
-// InflightState is one issued-but-incomplete operation in snapshot form.
-type InflightState struct {
-	Rec    int          `json:"rec"`
-	DoneAt simtime.Time `json:"done_at"`
-}
-
-// ExecUnitState is one execution domain's machinery in snapshot form.
-type ExecUnitState struct {
-	Queue       iq.State        `json:"queue"`
-	FUBusyUntil []simtime.Time  `json:"fu_busy"`
-	Inflight    []InflightState `json:"inflight,omitempty"`
-}
-
-// FetchState is the front end's snapshot form.
-type FetchState struct {
-	NextSeq       isa.Seq      `json:"next_seq"`
-	InWrongPath   bool         `json:"in_wp,omitempty"`
-	CurrentWPID   uint64       `json:"wpid"`
-	ICacheStallTo simtime.Time `json:"icache_stall_to"`
-	LastFetchLine uint64       `json:"last_fetch_line"`
-	HistSnapshot  uint64       `json:"hist_snapshot"`
-}
-
-// SquashState is the (at most one) unresolved misprediction's snapshot form.
-// Time is the newest squash's resolve time; Since, present only after a
-// squash superseded another still in flight, holds each domain's own.
-type SquashState struct {
-	Active   bool             `json:"active,omitempty"`
-	Seq      isa.Seq          `json:"seq,omitempty"`
-	Time     simtime.Time     `json:"time,omitempty"`
-	Since    []simtime.Time   `json:"since,omitempty"`
-	Observed [NumDomains]bool `json:"observed"`
-}
-
-// DVFSControllerState is the dynamic DVFS controller's snapshot form.
-type DVFSControllerState struct {
-	LastCheck     uint64             `json:"last_check"`
-	LastOccSum    [NumDomains]uint64 `json:"last_occ_sum"`
-	LastTicks     [NumDomains]uint64 `json:"last_ticks"`
-	Target        []float64          `json:"target"`
-	Pending       []bool             `json:"pending"`
-	LastCommitted uint64             `json:"last_committed"`
-	ProbeDomain   int                `json:"probe_domain"`
-	ProbeActive   bool               `json:"probe_active,omitempty"`
-	ProbeIPC      float64            `json:"probe_ipc"`
-	Frozen        []int              `json:"frozen"`
-}
-
-// SamplerState is the interval sampler's snapshot form.
-type SamplerState struct {
-	LastCycle     uint64             `json:"last_cycle"`
-	LastFetched   uint64             `json:"last_fetched"`
-	LastCommitted uint64             `json:"last_committed"`
-	LastDomCycles [NumDomains]uint64 `json:"last_dom_cycles"`
-	LastIssues    [NumDomains]uint64 `json:"last_issues"`
-	LastOccSum    [NumDomains]uint64 `json:"last_occ_sum"`
-	LastOccTicks  [NumDomains]uint64 `json:"last_occ_ticks"`
-	LastStalls    StallSample        `json:"last_stalls"`
-}
-
-// CoreState is the complete mutable state of a Core at a decode-cycle
-// boundary. It marshals to JSON; the snapshot envelope (internal/snapshot)
-// adds versioning and integrity on top.
-type CoreState struct {
-	// Records holds every in-flight instruction once; structures reference
-	// records by index.
-	Records []isa.Instr     `json:"records,omitempty"`
-	Source  json.RawMessage `json:"source"`
-
-	Clocks     []clock.State      `json:"clocks"`
-	TickWhen   []simtime.Time     `json:"tick_when"`
-	TickPeriod []simtime.Duration `json:"tick_period"`
-
-	Pred  bpred.State          `json:"pred"`
-	Mem   cache.HierarchyState `json:"mem"`
-	Meter power.State          `json:"meter"`
-	Rat   rename.State         `json:"rat"`
-	ROB   rob.State            `json:"rob"`
-
-	FetchToDecode  fifo.LinkState[int]              `json:"fetch_to_decode"`
-	DecodeToRename fifo.LinkState[int]              `json:"decode_to_rename"`
-	Dispatch       [NumDomains]*fifo.LinkState[int] `json:"dispatch"`
-	Complete       [NumDomains]*fifo.LinkState[int] `json:"complete"`
-	WakeIntToMem   fifo.LinkState[WakeTagState]     `json:"wake_int_to_mem"`
-	WakeFPToMem    fifo.LinkState[WakeTagState]     `json:"wake_fp_to_mem"`
-	WakeMemToInt   fifo.LinkState[WakeTagState]     `json:"wake_mem_to_int"`
-	WakeMemToFP    fifo.LinkState[WakeTagState]     `json:"wake_mem_to_fp"`
-	ReadyAt        [NumDomains][]simtime.Time       `json:"ready_at"`
-	Exec           [NumDomains]*ExecUnitState       `json:"exec"`
-
-	Fetch        FetchState          `json:"fetch"`
-	Squash       SquashState         `json:"squash"`
-	ResolvedWPID uint64              `json:"resolved_wpid"`
-	DecodeCycles uint64              `json:"decode_cycles"`
-	LastProgress uint64              `json:"last_progress"`
-	DVFS         DVFSControllerState `json:"dvfs"`
-	Sampler      SamplerState        `json:"sampler"`
-
-	Stats Stats `json:"stats"`
-}
+// sampleMinBytes is the fewest bytes one encoded Sample takes.
+const sampleMinBytes = 23 + 28*int(NumDomains)
 
 // SnapshotAt registers commit-count triggers: when the number of committed
 // instructions first reaches (or passes) each target at the start of a
-// decode-domain clock edge, fn is invoked with the machine's captured state.
-// Targets must be strictly ascending and every target must lie below the
-// Run's instruction count, or the later triggers never fire (the run stops
-// first). Capture is read-only — a run with triggers produces statistics
-// identical to one without. Must be called before Run.
-func (c *Core) SnapshotAt(targets []uint64, fn func(commits uint64, st *CoreState)) error {
+// decode-domain clock edge, fn is invoked with the commit count and a
+// function that appends the machine's state sections to an encoder, valid
+// only during the call. Targets must be strictly ascending and every target
+// must lie below the Run's instruction count, or the later triggers never
+// fire (the run stops first). Capture is read-only — a run with triggers
+// produces statistics identical to one without. Must be called before Run.
+func (c *Core) SnapshotAt(targets []uint64, fn func(commits uint64, appendState func(*snapshot.Encoder))) error {
 	if c.started {
 		return fmt.Errorf("pipeline: SnapshotAt after Run")
 	}
@@ -182,356 +74,444 @@ func (c *Core) maybeSnapshot(g int, now simtime.Time) {
 	for len(c.snapTargets) > 0 && c.stats.Committed >= c.snapTargets[0] {
 		c.snapTargets = c.snapTargets[1:]
 	}
-	st, err := c.captureState(g, now)
-	if err != nil {
-		panic(fmt.Sprintf("pipeline: snapshot capture at %d commits: %v", c.stats.Committed, err))
-	}
-	c.snapFn(c.stats.Committed, st)
+	c.snapFn(c.stats.Committed, func(e *snapshot.Encoder) { c.appendState(e, g, now) })
 }
 
-// captureState serializes the machine. firing is the clock domain whose edge
-// is currently being processed; its calendar slot already advanced one
-// period, so its captured edge time is now itself.
-func (c *Core) captureState(firing int, now simtime.Time) (*CoreState, error) {
-	snapSrc, ok := c.gen.(workload.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("instruction source %T cannot be snapshotted", c.gen)
+// appendState appends the machine's state sections. firing is the clock
+// domain whose edge is being processed — its calendar slot already
+// advanced one period, so its captured edge time is now itself — or -1 for
+// a machine that is not running.
+func (c *Core) appendState(e *snapshot.Encoder, firing int, now simtime.Time) {
+	c.gen.(workload.Snapshotter).AppendSourceState(e)
+	e.Uvarint(uint64(len(c.domClocks)))
+	for _, dc := range c.domClocks {
+		dc.AppendState(e)
 	}
-	srcState, err := snapSrc.CaptureSourceState()
-	if err != nil {
-		return nil, fmt.Errorf("capturing source: %w", err)
-	}
-
-	st := &CoreState{Source: srcState}
-
-	// Record table: every in-flight *isa.Instr appears once; holders refer
-	// to records by index.
-	idx := make(map[*isa.Instr]int)
-	index := func(in *isa.Instr) int {
-		if i, ok := idx[in]; ok {
-			return i
+	e.Uvarint(uint64(len(c.tickAt)))
+	for g, t := range c.tickAt {
+		if g == firing {
+			t = now
 		}
-		i := len(st.Records)
-		idx[in] = i
-		st.Records = append(st.Records, *in)
-		return i
+		e.Time(t)
+		e.Int(int(c.tickPeriod[g]))
 	}
-	instrConv := func(in *isa.Instr) int { return index(in) }
-	tagConv := func(t wakeTag) WakeTagState {
-		return WakeTagState{Phys: t.phys, Seq: t.seq, WrongPath: t.wrongPath, WPID: t.wpid}
-	}
+	c.pred.AppendState(e)
+	c.mem.AppendState(e)
+	c.mtr.AppendState(e)
+	c.rat.AppendState(e)
 
-	st.ROB = c.rob.CaptureState(index)
-	st.FetchToDecode = fifo.CaptureLink(c.fetchToDecode, instrConv)
-	st.DecodeToRename = fifo.CaptureLink(c.decodeToRename, instrConv)
+	// Every in-flight record is written once, in place, by its first
+	// holder; later holders name its index.
+	if c.snapRecs == nil {
+		c.snapRecs = make(map[*isa.Instr]int)
+	}
+	recs := c.snapRecs
+	clear(recs)
+	put := func(in *isa.Instr) {
+		if i, ok := recs[in]; ok {
+			e.Uvarint(uint64(i))
+			return
+		}
+		recs[in] = len(recs)
+		e.Uvarint(uint64(len(recs) - 1))
+		in.AppendState(e)
+	}
+	putTag := func(t wakeTag) {
+		e.Int(t.phys)
+		e.Uvarint(uint64(t.seq))
+		e.Bool(t.wrongPath)
+		e.Uvarint(t.wpid)
+	}
+	c.rob.AppendState(e, put)
+	fifo.AppendLink(e, c.fetchToDecode, put)
+	fifo.AppendLink(e, c.decodeToRename, put)
 	for _, d := range execDomains {
-		ds := fifo.CaptureLink(c.dispatch[d], instrConv)
-		st.Dispatch[d] = &ds
-		cs := fifo.CaptureLink(c.complete[d], instrConv)
-		st.Complete[d] = &cs
+		fifo.AppendLink(e, c.dispatch[d], put)
+		fifo.AppendLink(e, c.complete[d], put)
+	}
+	for _, l := range c.wakeLinks() {
+		fifo.AppendLink(e, l, putTag)
+	}
+	for _, d := range execDomains {
 		u := c.exec[d]
-		es := &ExecUnitState{
-			Queue:       u.queue.CaptureState(index),
-			FUBusyUntil: append([]simtime.Time(nil), u.fuBusyUntil...),
-		}
+		u.queue.AppendState(e, put)
+		appendTimes(e, u.fuBusyUntil)
+		e.Uvarint(uint64(len(u.inflight)))
 		for _, op := range u.inflight {
-			es.Inflight = append(es.Inflight, InflightState{Rec: index(op.in), DoneAt: op.doneAt})
+			put(op.in)
+			e.Time(op.doneAt)
 		}
-		st.Exec[d] = es
 	}
-	st.WakeIntToMem = fifo.CaptureLink(c.wakeIntToMem, tagConv)
-	st.WakeFPToMem = fifo.CaptureLink(c.wakeFPToMem, tagConv)
-	st.WakeMemToInt = fifo.CaptureLink(c.wakeMemToInt, tagConv)
-	st.WakeMemToFP = fifo.CaptureLink(c.wakeMemToFP, tagConv)
 	for d := range c.readyAt {
-		st.ReadyAt[d] = append([]simtime.Time(nil), c.readyAt[d]...)
+		appendTimes(e, c.readyAt[d])
 	}
 
-	st.Clocks = make([]clock.State, len(c.domClocks))
-	for g, dc := range c.domClocks {
-		st.Clocks[g] = dc.State()
-	}
-	st.TickWhen = append([]simtime.Time(nil), c.tickAt...)
-	st.TickPeriod = append([]simtime.Duration(nil), c.tickPeriod...)
-	st.TickWhen[firing] = now
+	e.Uvarint(uint64(c.nextSeq))
+	e.Bool(c.inWrongPath)
+	e.Uvarint(c.currentWPID)
+	e.Time(c.icacheStallTo)
+	e.Uvarint(c.lastFetchLine)
+	e.Uvarint(c.histSnapshot)
+	e.Uvarint(c.resolvedWPID)
+	e.Uvarint(c.decodeCycles)
+	e.Uvarint(c.lastProgress)
 
-	st.Pred = c.pred.CaptureState()
-	st.Mem = c.mem.CaptureState()
-	st.Meter = c.mtr.CaptureState()
-	st.Rat = c.rat.CaptureState()
+	e.Uvarint(c.dvfs.lastCheck)
+	appendCounts(e, c.dvfs.lastOccSum[:])
+	appendCounts(e, c.dvfs.lastTicks[:])
+	e.Uvarint(uint64(len(c.dvfs.target)))
+	for _, f := range c.dvfs.target {
+		e.F64(f)
+	}
+	e.Uvarint(uint64(len(c.dvfs.pending)))
+	for _, p := range c.dvfs.pending {
+		e.Bool(p)
+	}
+	e.Uvarint(c.dvfs.lastCommitted)
+	e.Int(c.dvfs.probeDomain)
+	e.Bool(c.dvfs.probeActive)
+	e.F64(c.dvfs.probeIPC)
+	e.Uvarint(uint64(len(c.dvfs.frozen)))
+	for _, n := range c.dvfs.frozen {
+		e.Int(n)
+	}
 
-	st.Fetch = FetchState{
-		NextSeq:       c.nextSeq,
-		InWrongPath:   c.inWrongPath,
-		CurrentWPID:   c.currentWPID,
-		ICacheStallTo: c.icacheStallTo,
-		LastFetchLine: c.lastFetchLine,
-		HistSnapshot:  c.histSnapshot,
-	}
-	st.Squash = SquashState{Active: c.sq.active, Seq: c.sq.seq, Time: c.sq.time[DomInt], Observed: c.sq.observed}
-	for _, t := range c.sq.time {
-		if t != st.Squash.Time {
-			st.Squash.Since = append([]simtime.Time(nil), c.sq.time[:]...)
-			break
-		}
-	}
-	st.ResolvedWPID = c.resolvedWPID
-	st.DecodeCycles = c.decodeCycles
-	st.LastProgress = c.lastProgress
-	st.DVFS = DVFSControllerState{
-		LastCheck:     c.dvfs.lastCheck,
-		LastOccSum:    c.dvfs.lastOccSum,
-		LastTicks:     c.dvfs.lastTicks,
-		Target:        append([]float64(nil), c.dvfs.target...),
-		Pending:       append([]bool(nil), c.dvfs.pending...),
-		LastCommitted: c.dvfs.lastCommitted,
-		ProbeDomain:   c.dvfs.probeDomain,
-		ProbeActive:   c.dvfs.probeActive,
-		ProbeIPC:      c.dvfs.probeIPC,
-		Frozen:        append([]int(nil), c.dvfs.frozen...),
-	}
-	st.Sampler = SamplerState{
-		LastCycle:     c.smp.lastCycle,
-		LastFetched:   c.smp.lastFetched,
-		LastCommitted: c.smp.lastCommitted,
-		LastDomCycles: c.smp.lastDomCycles,
-		LastIssues:    c.smp.lastIssues,
-		LastOccSum:    c.smp.lastOccSum,
-		LastOccTicks:  c.smp.lastOccTicks,
-		LastStalls:    c.smp.lastStalls,
-	}
-	st.Stats = c.stats
+	e.Uvarint(c.smp.lastCycle)
+	e.Uvarint(c.smp.lastFetched)
+	e.Uvarint(c.smp.lastCommitted)
+	appendCounts(e, c.smp.lastDomCycles[:])
+	appendCounts(e, c.smp.lastIssues[:])
+	appendCounts(e, c.smp.lastOccSum[:])
+	appendCounts(e, c.smp.lastOccTicks[:])
+	appendCounts(e, c.smp.lastStalls.counts())
 
-	return st, nil
+	c.appendStats(e)
+
+	// The squash goes last. Its time is one for all domains, or each
+	// domain's own after a squash superseded another still in flight.
+	e.Bool(c.sq.active)
+	e.Uvarint(uint64(c.sq.seq))
+	for _, o := range c.sq.observed {
+		e.Bool(o)
+	}
+	times := c.sq.time[:]
+	if allEqual(times) {
+		times = times[:1]
+	}
+	appendTimes(e, times)
 }
 
-// RestoreCore builds a machine from a captured state. cfg, name and src must
-// reproduce the configuration and workload source the capture came from
-// (same spec — the campaign layer enforces this via the snapshot envelope's
-// spec key); the restored machine then continues bit-identically to the
-// machine that was captured. Run on the restored core takes the TOTAL
-// instruction count — it must exceed the snapshot's committed count.
-func RestoreCore(cfg Config, name string, src workload.InstrSource, st *CoreState) (*Core, error) {
-	c := NewCoreWithSource(cfg, name, src)
+// appendStats appends the counters a run accumulates and the samples taken
+// so far. The rest of Stats is filled in by finalize, after the last
+// capture, and is zero at every capture.
+func (c *Core) appendStats(e *snapshot.Encoder) {
+	s := &c.stats
+	appendCounts(e, []uint64{s.Committed, s.Fetched, s.WrongPathFetched, s.Mispredicts, s.Recoveries, s.SquashedROB})
+	e.Time(s.SimTime)
+	appendCounts(e, s.Cycles[:])
+	for _, d := range [...]simtime.Duration{s.SlipSum, s.FIFOSlipSum, s.ResolutionSum, s.SumFetchToDecode,
+		s.SumDecodeToDispatch, s.SumDispatchToIssue, s.SumIssueToComplete, s.SumCompleteToCommit} {
+		e.Int(int(d))
+	}
+	appendCounts(e, []uint64{s.FetchStallICache, s.FetchStallLinkFull, s.ICacheMisses, s.BTBBubbles,
+		s.RenameStallROB, s.RenameStallRegs, s.RenameStallDispatch, s.CompleteBackpressure,
+		s.LoadsBlockedByStores, s.Retunes})
+	e.Uvarint(uint64(len(s.Samples)))
+	for i := range s.Samples {
+		sm := &s.Samples[i]
+		e.Uvarint(sm.Cycle)
+		e.F64(sm.TimeNs)
+		e.Uvarint(sm.Committed)
+		e.F64(sm.IPC)
+		for j := range sm.Domains {
+			ds := &sm.Domains[j]
+			e.String(ds.Name)
+			e.Uvarint(ds.Cycles)
+			e.F64(ds.Slowdown)
+			e.F64(ds.IPC)
+			e.Int(ds.IQLen)
+			e.F64(ds.IQOcc)
+			e.Int(ds.FIFODepth)
+		}
+		appendCounts(e, sm.Stalls.counts())
+	}
+}
 
-	snapSrc, ok := c.gen.(workload.Snapshotter)
-	if !ok {
+// counts lists the stall counters in their snapshot order.
+func (s *StallSample) counts() []uint64 {
+	return []uint64{s.FetchICache, s.FetchLinkFull, s.RenameDispatchFull, s.CompleteBackpressure, s.LoadsBlockedByStores}
+}
+
+// restoreCounts reads counters appendCounts wrote, in the order counts
+// lists their fields.
+func (s *StallSample) restoreCounts(d *snapshot.Decoder) {
+	for _, v := range [...]*uint64{&s.FetchICache, &s.FetchLinkFull, &s.RenameDispatchFull, &s.CompleteBackpressure, &s.LoadsBlockedByStores} {
+		*v = d.Uvarint()
+	}
+}
+
+func appendCounts(e *snapshot.Encoder, vs []uint64) {
+	for _, v := range vs {
+		e.Uvarint(v)
+	}
+}
+
+func restoreCounts(d *snapshot.Decoder, vs []uint64) {
+	for i := range vs {
+		vs[i] = d.Uvarint()
+	}
+}
+
+// appendTimes appends a list of times, its length first.
+func appendTimes(e *snapshot.Encoder, ts []simtime.Time) {
+	e.Uvarint(uint64(len(ts)))
+	for _, t := range ts {
+		e.Time(t)
+	}
+}
+
+// restoreTimes reads a list appendTimes wrote into ts, which must be as
+// long; what names the list's entries in the error otherwise.
+func restoreTimes(d *snapshot.Decoder, ts []simtime.Time, what string) {
+	if n := d.Uvarint(); d.Err() == nil && n != uint64(len(ts)) {
+		d.Failf("pipeline: snapshot holds %d %s, this config has %d", n, what, len(ts))
+		return
+	}
+	for i := range ts {
+		ts[i] = d.Time()
+	}
+}
+
+func allEqual(ts []simtime.Time) bool {
+	for _, t := range ts {
+		if t != ts[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// wakeLinks lists the cross-domain wake-up links in snapshot order.
+func (c *Core) wakeLinks() [4]*fifo.Link[wakeTag] {
+	return [...]*fifo.Link[wakeTag]{c.wakeIntToMem, c.wakeFPToMem, c.wakeMemToInt, c.wakeMemToFP}
+}
+
+// RestoreCore builds a machine from captured state sections. cfg, name and
+// src must reproduce the configuration and workload source the capture came
+// from (same spec — the campaign layer enforces this via the snapshot
+// envelope's spec key); the restored machine then continues bit-identically
+// to the machine that was captured. Run on the restored core takes the
+// TOTAL instruction count — it must exceed the snapshot's committed count.
+// A state that fails to decode leaves no core behind: its tables go back
+// to the pools Release fills.
+func RestoreCore(cfg Config, name string, src workload.InstrSource, state []byte) (*Core, error) {
+	c := NewCoreWithSource(cfg, name, src)
+	if _, ok := c.gen.(workload.Snapshotter); !ok {
 		return nil, fmt.Errorf("pipeline: instruction source %T cannot restore a snapshot", c.gen)
 	}
-	if err := snapSrc.RestoreSourceState(st.Source); err != nil {
-		return nil, fmt.Errorf("pipeline: restoring source: %w", err)
+	d := snapshot.NewDecoder(state)
+	c.restoreState(d)
+	if err := d.Finish(); err != nil {
+		c.Release()
+		return nil, err
 	}
+	return c, nil
+}
 
-	if len(st.Clocks) != len(c.domClocks) ||
-		len(st.TickWhen) != len(c.domClocks) || len(st.TickPeriod) != len(c.domClocks) {
-		return nil, fmt.Errorf("pipeline: snapshot has %d clock domains, this topology has %d",
-			len(st.Clocks), len(c.domClocks))
+// restoreState reads the sections appendState wrote into a fresh core.
+// Failures are recorded in d; a section after a failure reads nothing.
+func (c *Core) restoreState(d *snapshot.Decoder) {
+	c.gen.(workload.Snapshotter).RestoreSourceState(d)
+	if n := d.Uvarint(); d.Err() == nil && n != uint64(len(c.domClocks)) {
+		d.Failf("pipeline: snapshot has %d clock domains, this topology has %d", n, len(c.domClocks))
+		return
 	}
-	for g, dc := range c.domClocks {
-		if err := dc.RestoreState(st.Clocks[g]); err != nil {
-			return nil, err
+	for _, dc := range c.domClocks {
+		dc.RestoreState(d)
+	}
+	if n := d.Uvarint(); d.Err() == nil && n != uint64(len(c.domClocks)) {
+		d.Failf("pipeline: snapshot calendar has %d clock domains, this topology has %d", n, len(c.domClocks))
+		return
+	}
+	for g := range c.domClocks {
+		c.tickAt[g], c.tickPeriod[g] = d.Time(), simtime.Duration(d.Int())
+		if p, w := c.tickPeriod[g], c.tickAt[g]; d.Err() == nil && p <= 0 {
+			d.Failf("pipeline: snapshot tick period %v for clock domain %d not positive", p, g)
+		} else if d.Err() == nil && w < 0 {
+			d.Failf("pipeline: snapshot tick time %v for clock domain %d is negative", w, g)
 		}
 	}
+	c.pred.RestoreState(d)
+	c.mem.RestoreState(d)
+	c.mtr.RestoreState(d)
+	c.rat.RestoreState(d)
 
-	// Validate record references and count holders, so arena refcounts can
-	// be reinstated exactly (1 per holding structure).
-	holders := make([]int, len(st.Records))
-	ref := func(i int) error {
-		if i < 0 || i >= len(st.Records) {
-			return fmt.Errorf("pipeline: snapshot references record %d of %d", i, len(st.Records))
+	// A reference one past the records read so far introduces the next
+	// record, in place; the first holder takes the arena's reference, each
+	// later one retains it again.
+	var recs []*isa.Instr
+	get := func() *isa.Instr {
+		i := d.Uvarint()
+		switch {
+		case d.Err() != nil:
+			return nil
+		case i < uint64(len(recs)):
+			c.retainInstr(recs[i])
+			return recs[i]
+		case i > uint64(len(recs)):
+			d.Failf("pipeline: snapshot references record %d of %d", i, len(recs))
+			return nil
 		}
-		holders[i]++
-		return nil
-	}
-	for _, i := range st.ROB.Entries {
-		if err := ref(i); err != nil {
-			return nil, err
-		}
-	}
-	for _, ls := range []*fifo.LinkState[int]{&st.FetchToDecode, &st.DecodeToRename,
-		st.Dispatch[DomInt], st.Dispatch[DomFP], st.Dispatch[DomMem],
-		st.Complete[DomInt], st.Complete[DomFP], st.Complete[DomMem]} {
-		if ls == nil {
-			return nil, fmt.Errorf("pipeline: snapshot missing a link state")
-		}
-		for _, e := range ls.Entries {
-			if err := ref(e.Item); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, d := range execDomains {
-		es := st.Exec[d]
-		if es == nil {
-			return nil, fmt.Errorf("pipeline: snapshot missing execution domain %v", d)
-		}
-		for _, i := range es.Queue.Entries {
-			if err := ref(i); err != nil {
-				return nil, err
-			}
-		}
-		for _, op := range es.Inflight {
-			if err := ref(op.Rec); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	recs := make([]*isa.Instr, len(st.Records))
-	for i := range st.Records {
-		r := &st.Records[i]
 		var in *isa.Instr
 		if c.pool != nil {
-			in = c.pool.Get(r.Seq, r.PC, r.Class)
+			in = c.pool.Get(0, 0, 0)
 		} else {
-			in = isa.NewInstr(r.Seq, r.PC, r.Class)
+			in = isa.NewInstr(0, 0, 0)
 		}
-		in.RestoreFrom(r)
-		recs[i] = in
+		in.RestoreState(d)
+		recs = append(recs, in)
+		return in
 	}
-	for i, n := range holders {
-		if n == 0 {
-			return nil, fmt.Errorf("pipeline: snapshot record %d held by no structure", i)
-		}
-		if c.pool != nil {
-			for h := 1; h < n; h++ {
-				c.pool.Retain(recs[i])
-			}
+	getTag := func() wakeTag {
+		return wakeTag{phys: d.Int(), seq: isa.Seq(d.Uvarint()), wrongPath: d.Bool(), wpid: d.Uvarint()}
+	}
+	c.rob.RestoreState(d, get)
+	fifo.RestoreLink(d, c.fetchToDecode, get)
+	fifo.RestoreLink(d, c.decodeToRename, get)
+	for _, dom := range execDomains {
+		fifo.RestoreLink(d, c.dispatch[dom], get)
+		fifo.RestoreLink(d, c.complete[dom], get)
+	}
+	for _, l := range c.wakeLinks() {
+		fifo.RestoreLink(d, l, getTag)
+	}
+	for _, dom := range execDomains {
+		u := c.exec[dom]
+		u.queue.RestoreState(d, get)
+		restoreTimes(d, u.fuBusyUntil, "functional units")
+		for i, n := 0, d.Len(2); i < n; i++ {
+			in := get()
+			u.inflight = append(u.inflight, inflightOp{in: in, doneAt: d.Time()})
 		}
 	}
-	rec := func(i int) *isa.Instr { return recs[i] } // bounds pre-validated
-	instrConv := func(i int) *isa.Instr { return recs[i] }
-	tagConv := func(t WakeTagState) wakeTag {
-		return wakeTag{phys: t.Phys, seq: t.Seq, wrongPath: t.WrongPath, wpid: t.WPID}
+	for dom := range c.readyAt {
+		restoreTimes(d, c.readyAt[dom], "physical registers")
 	}
 
-	if err := c.rob.RestoreState(st.ROB, rec); err != nil {
-		return nil, err
+	c.nextSeq = isa.Seq(d.Uvarint())
+	c.inWrongPath = d.Bool()
+	c.currentWPID = d.Uvarint()
+	c.icacheStallTo = d.Time()
+	c.lastFetchLine = d.Uvarint()
+	c.histSnapshot = d.Uvarint()
+	c.resolvedWPID = d.Uvarint()
+	c.decodeCycles = d.Uvarint()
+	c.lastProgress = d.Uvarint()
+
+	c.dvfs.lastCheck = d.Uvarint()
+	restoreCounts(d, c.dvfs.lastOccSum[:])
+	restoreCounts(d, c.dvfs.lastTicks[:])
+	if n := d.Uvarint(); d.Err() == nil && n != uint64(len(c.domClocks)) {
+		d.Failf("pipeline: snapshot DVFS state sized for %d clock domains, this topology has %d", n, len(c.domClocks))
+		return
 	}
-	if err := fifo.RestoreLink(c.fetchToDecode, st.FetchToDecode, instrConv); err != nil {
-		return nil, err
+	for g := range c.dvfs.target {
+		c.dvfs.target[g] = d.F64()
 	}
-	if err := fifo.RestoreLink(c.decodeToRename, st.DecodeToRename, instrConv); err != nil {
-		return nil, err
+	if n := d.Uvarint(); d.Err() == nil && n != uint64(len(c.domClocks)) {
+		d.Failf("pipeline: snapshot DVFS state sized for %d clock domains, this topology has %d", n, len(c.domClocks))
+		return
 	}
-	for _, d := range execDomains {
-		if err := fifo.RestoreLink(c.dispatch[d], *st.Dispatch[d], instrConv); err != nil {
-			return nil, err
-		}
-		if err := fifo.RestoreLink(c.complete[d], *st.Complete[d], instrConv); err != nil {
-			return nil, err
-		}
-		es, u := st.Exec[d], c.exec[d]
-		if err := u.queue.RestoreState(es.Queue, rec); err != nil {
-			return nil, err
-		}
-		if len(es.FUBusyUntil) != len(u.fuBusyUntil) {
-			return nil, fmt.Errorf("pipeline: snapshot domain %v has %d functional units, this config has %d",
-				d, len(es.FUBusyUntil), len(u.fuBusyUntil))
-		}
-		copy(u.fuBusyUntil, es.FUBusyUntil)
-		for _, op := range es.Inflight {
-			u.inflight = append(u.inflight, inflightOp{in: recs[op.Rec], doneAt: op.DoneAt})
-		}
+	for g := range c.dvfs.pending {
+		c.dvfs.pending[g] = d.Bool()
 	}
-	if err := fifo.RestoreLink(c.wakeIntToMem, st.WakeIntToMem, tagConv); err != nil {
-		return nil, err
+	c.dvfs.lastCommitted = d.Uvarint()
+	c.dvfs.probeDomain = d.Int()
+	if g := c.dvfs.probeDomain; d.Err() == nil && (g < 0 || g >= len(c.domClocks)) {
+		d.Failf("pipeline: snapshot DVFS probe domain %d outside this topology's %d clock domains", g, len(c.domClocks))
+		return
 	}
-	if err := fifo.RestoreLink(c.wakeFPToMem, st.WakeFPToMem, tagConv); err != nil {
-		return nil, err
+	c.dvfs.probeActive = d.Bool()
+	c.dvfs.probeIPC = d.F64()
+	if n := d.Uvarint(); d.Err() == nil && n != uint64(len(c.domClocks)) {
+		d.Failf("pipeline: snapshot DVFS state sized for %d clock domains, this topology has %d", n, len(c.domClocks))
+		return
 	}
-	if err := fifo.RestoreLink(c.wakeMemToInt, st.WakeMemToInt, tagConv); err != nil {
-		return nil, err
-	}
-	if err := fifo.RestoreLink(c.wakeMemToFP, st.WakeMemToFP, tagConv); err != nil {
-		return nil, err
-	}
-	for d := range c.readyAt {
-		if len(st.ReadyAt[d]) != len(c.readyAt[d]) {
-			return nil, fmt.Errorf("pipeline: snapshot domain %d has %d physical registers, this config has %d",
-				d, len(st.ReadyAt[d]), len(c.readyAt[d]))
-		}
-		copy(c.readyAt[d], st.ReadyAt[d])
+	for g := range c.dvfs.frozen {
+		c.dvfs.frozen[g] = d.Int()
 	}
 
-	if err := c.pred.RestoreState(st.Pred); err != nil {
-		return nil, err
-	}
-	if err := c.mem.RestoreState(st.Mem); err != nil {
-		return nil, err
-	}
-	if err := c.mtr.RestoreState(st.Meter); err != nil {
-		return nil, err
-	}
-	if err := c.rat.RestoreState(st.Rat); err != nil {
-		return nil, err
-	}
+	c.smp.lastCycle = d.Uvarint()
+	c.smp.lastFetched = d.Uvarint()
+	c.smp.lastCommitted = d.Uvarint()
+	restoreCounts(d, c.smp.lastDomCycles[:])
+	restoreCounts(d, c.smp.lastIssues[:])
+	restoreCounts(d, c.smp.lastOccSum[:])
+	restoreCounts(d, c.smp.lastOccTicks[:])
+	c.smp.lastStalls.restoreCounts(d)
 
-	c.nextSeq = st.Fetch.NextSeq
-	c.inWrongPath = st.Fetch.InWrongPath
-	c.currentWPID = st.Fetch.CurrentWPID
-	c.icacheStallTo = st.Fetch.ICacheStallTo
-	c.lastFetchLine = st.Fetch.LastFetchLine
-	c.histSnapshot = st.Fetch.HistSnapshot
-	c.sq.active = st.Squash.Active
-	c.sq.seq = st.Squash.Seq
-	switch len(st.Squash.Since) {
-	case 0:
-		for d := range c.sq.time {
-			c.sq.time[d] = st.Squash.Time
+	c.restoreStats(d)
+
+	c.sq.active = d.Bool()
+	c.sq.seq = isa.Seq(d.Uvarint())
+	for i := range c.sq.observed {
+		c.sq.observed[i] = d.Bool()
+	}
+	switch n := d.Uvarint(); {
+	case d.Err() != nil:
+	case n == 1:
+		t := d.Time()
+		for i := range c.sq.time {
+			c.sq.time[i] = t
 		}
-	case len(c.sq.time):
-		copy(c.sq.time[:], st.Squash.Since)
+	case n == uint64(len(c.sq.time)):
+		for i := range c.sq.time {
+			c.sq.time[i] = d.Time()
+		}
+		if allEqual(c.sq.time[:]) {
+			d.Failf("pipeline: snapshot squash holds %d equal per-domain times, the form of one", n)
+		}
 	default:
-		return nil, fmt.Errorf("pipeline: snapshot squash holds %d per-domain times, want %d", len(st.Squash.Since), NumDomains)
+		d.Failf("pipeline: snapshot squash holds %d per-domain times, want 1 or %d", n, NumDomains)
 	}
-	c.sq.observed = st.Squash.Observed
-	c.resolvedWPID = st.ResolvedWPID
-	c.decodeCycles = st.DecodeCycles
-	c.lastProgress = st.LastProgress
+}
 
-	if len(st.DVFS.Target) != len(c.domClocks) || len(st.DVFS.Pending) != len(c.domClocks) ||
-		len(st.DVFS.Frozen) != len(c.domClocks) {
-		return nil, fmt.Errorf("pipeline: snapshot DVFS state sized for %d clock domains, this topology has %d",
-			len(st.DVFS.Target), len(c.domClocks))
+// restoreStats reads what appendStats wrote.
+func (c *Core) restoreStats(d *snapshot.Decoder) {
+	s := &c.stats
+	for _, v := range [...]*uint64{&s.Committed, &s.Fetched, &s.WrongPathFetched, &s.Mispredicts, &s.Recoveries, &s.SquashedROB} {
+		*v = d.Uvarint()
 	}
-	if g := st.DVFS.ProbeDomain; g < 0 || g >= len(c.domClocks) {
-		return nil, fmt.Errorf("pipeline: snapshot DVFS probe domain %d outside this topology's %d clock domains",
-			g, len(c.domClocks))
+	s.SimTime = d.Time()
+	restoreCounts(d, s.Cycles[:])
+	for _, v := range [...]*simtime.Duration{&s.SlipSum, &s.FIFOSlipSum, &s.ResolutionSum, &s.SumFetchToDecode,
+		&s.SumDecodeToDispatch, &s.SumDispatchToIssue, &s.SumIssueToComplete, &s.SumCompleteToCommit} {
+		*v = simtime.Duration(d.Int())
 	}
-	c.dvfs.lastCheck = st.DVFS.LastCheck
-	c.dvfs.lastOccSum = st.DVFS.LastOccSum
-	c.dvfs.lastTicks = st.DVFS.LastTicks
-	copy(c.dvfs.target, st.DVFS.Target)
-	copy(c.dvfs.pending, st.DVFS.Pending)
-	c.dvfs.lastCommitted = st.DVFS.LastCommitted
-	c.dvfs.probeDomain = st.DVFS.ProbeDomain
-	c.dvfs.probeActive = st.DVFS.ProbeActive
-	c.dvfs.probeIPC = st.DVFS.ProbeIPC
-	copy(c.dvfs.frozen, st.DVFS.Frozen)
-
-	c.smp.lastCycle = st.Sampler.LastCycle
-	c.smp.lastFetched = st.Sampler.LastFetched
-	c.smp.lastCommitted = st.Sampler.LastCommitted
-	c.smp.lastDomCycles = st.Sampler.LastDomCycles
-	c.smp.lastIssues = st.Sampler.LastIssues
-	c.smp.lastOccSum = st.Sampler.LastOccSum
-	c.smp.lastOccTicks = st.Sampler.LastOccTicks
-	c.smp.lastStalls = st.Sampler.LastStalls
-
-	c.stats = st.Stats
-	c.stats.Kind = c.cfg.Topology.kind()
-	c.stats.Benchmark = name
-
-	for g := range c.domClocks {
-		if p := st.TickPeriod[g]; p <= 0 {
-			return nil, fmt.Errorf("pipeline: snapshot tick period %v for clock domain %d not positive", p, g)
+	for _, v := range [...]*uint64{&s.FetchStallICache, &s.FetchStallLinkFull, &s.ICacheMisses, &s.BTBBubbles,
+		&s.RenameStallROB, &s.RenameStallRegs, &s.RenameStallDispatch, &s.CompleteBackpressure,
+		&s.LoadsBlockedByStores, &s.Retunes} {
+		*v = d.Uvarint()
+	}
+	if n := d.Len(sampleMinBytes); n > 0 {
+		s.Samples = make([]Sample, n)
+	}
+	for i := range s.Samples {
+		sm := &s.Samples[i]
+		sm.Cycle = d.Uvarint()
+		sm.TimeNs = d.F64()
+		sm.Committed = d.Uvarint()
+		sm.IPC = d.F64()
+		for j := range sm.Domains {
+			ds := &sm.Domains[j]
+			ds.Name = d.String()
+			ds.Cycles = d.Uvarint()
+			ds.Slowdown = d.F64()
+			ds.IPC = d.F64()
+			ds.IQLen = d.Int()
+			ds.IQOcc = d.F64()
+			ds.FIFODepth = d.Int()
 		}
-		if w := st.TickWhen[g]; w < 0 {
-			return nil, fmt.Errorf("pipeline: snapshot tick time %v for clock domain %d is negative", w, g)
-		}
+		sm.Stalls.restoreCounts(d)
 	}
-	copy(c.tickAt, st.TickWhen)
-	copy(c.tickPeriod, st.TickPeriod)
-	return c, nil
 }

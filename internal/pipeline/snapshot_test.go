@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"galsim/internal/simtime"
+	"galsim/internal/snapshot"
 	"galsim/internal/workload"
 )
 
@@ -50,6 +50,20 @@ func snapConfig(t *testing.T, topo Topology, dvfs bool, sample uint64) Config {
 	return cfg
 }
 
+// stateOf returns the state sections a capture's appendState writes.
+func stateOf(appendState func(*snapshot.Encoder)) []byte {
+	e := snapshot.NewEncoder(nil)
+	appendState(e)
+	return e.Bytes()
+}
+
+// recapture returns the state sections of a core that is not running.
+func recapture(c *Core) []byte {
+	e := snapshot.NewEncoder(nil)
+	c.appendState(e, -1, 0)
+	return e.Bytes()
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -81,9 +95,9 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 			capCore := NewCore(snapConfig(t, tc.topo, tc.dvfs, tc.sample), prof)
 			var raw []byte
 			var atCommits uint64
-			if err := capCore.SnapshotAt([]uint64{warm}, func(commits uint64, st *CoreState) {
+			if err := capCore.SnapshotAt([]uint64{warm}, func(commits uint64, appendState func(*snapshot.Encoder)) {
 				atCommits = commits
-				raw = mustJSON(t, st)
+				raw = stateOf(appendState)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -98,15 +112,15 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 				t.Errorf("taking a snapshot perturbed the run:\n%s", diffHint(wantJSON, got))
 			}
 
-			// Restored run: decode the state, rebuild, run to the same total.
-			var st CoreState
-			if err := json.Unmarshal(raw, &st); err != nil {
-				t.Fatal(err)
-			}
+			// Restored run: decode the state into a fresh core, which
+			// recaptures the same bytes, and run it to the same total.
 			restored, err := RestoreCore(snapConfig(t, tc.topo, tc.dvfs, tc.sample), prof.Name,
-				workload.NewGenerator(prof, snapConfig(t, tc.topo, tc.dvfs, tc.sample).WorkloadSeed), &st)
+				workload.NewGenerator(prof, snapConfig(t, tc.topo, tc.dvfs, tc.sample).WorkloadSeed), raw)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := recapture(restored); !bytes.Equal(got, raw) {
+				t.Error("a restored core recaptures other bytes than it was restored from")
 			}
 			resStats := restored.Run(total)
 			if got := mustJSON(t, resStats); !bytes.Equal(got, wantJSON) {
@@ -134,8 +148,8 @@ func TestSnapshotPeriodicCheckpoints(t *testing.T) {
 		raw     []byte
 	}
 	var ckpts []ckpt
-	if err := core.SnapshotAt([]uint64{4_000, 9_000, 14_000}, func(commits uint64, st *CoreState) {
-		ckpts = append(ckpts, ckpt{commits, mustJSON(t, st)})
+	if err := core.SnapshotAt([]uint64{4_000, 9_000, 14_000}, func(commits uint64, appendState func(*snapshot.Encoder)) {
+		ckpts = append(ckpts, ckpt{commits, stateOf(appendState)})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +164,8 @@ func TestSnapshotPeriodicCheckpoints(t *testing.T) {
 		}
 	}
 	// Resume from the middle checkpoint and confirm the final Stats match.
-	var st CoreState
-	if err := json.Unmarshal(ckpts[1].raw, &st); err != nil {
-		t.Fatal(err)
-	}
 	cfg := snapConfig(t, GALSTopology(), false, 0)
-	restored, err := RestoreCore(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed), &st)
+	restored, err := RestoreCore(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed), ckpts[1].raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +184,7 @@ func TestSnapshotRejectsNonSnapshottableSource(t *testing.T) {
 	cfg := DefaultConfig(BaseTopology())
 	src := struct{ workload.InstrSource }{workload.NewGenerator(prof, cfg.WorkloadSeed)}
 	core := NewCoreWithSource(cfg, "gcc", src)
-	if err := core.SnapshotAt([]uint64{100}, func(uint64, *CoreState) {}); err == nil {
+	if err := core.SnapshotAt([]uint64{100}, func(uint64, func(*snapshot.Encoder)) {}); err == nil {
 		t.Fatal("SnapshotAt accepted a non-snapshottable source")
 	}
 }
@@ -183,7 +193,8 @@ func TestSnapshotRejectsNonSnapshottableSource(t *testing.T) {
 // clock-edge calendar (one edge time and one positive period per clock
 // domain, and no edge before time zero), on the DVFS probe domain, which
 // the controller indexes per-domain state with, and on the squash's
-// per-domain times.
+// per-domain times. Each case restores a good capture, breaks the restored
+// core, and captures it again.
 func TestRestoreRejectsBadSchedule(t *testing.T) {
 	prof, err := workload.ByName("gcc")
 	if err != nil {
@@ -192,32 +203,50 @@ func TestRestoreRejectsBadSchedule(t *testing.T) {
 	cfg := snapConfig(t, GALSTopology(), false, 0)
 	core := NewCore(cfg, prof)
 	var raw []byte
-	if err := core.SnapshotAt([]uint64{1_000}, func(_ uint64, st *CoreState) {
-		raw = mustJSON(t, st)
+	if err := core.SnapshotAt([]uint64{1_000}, func(_ uint64, appendState func(*snapshot.Encoder)) {
+		raw = stateOf(appendState)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	core.Run(2_000)
+	restore := func(state []byte) (*Core, error) {
+		return RestoreCore(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed), state)
+	}
 
 	for _, tc := range []struct {
 		name    string
-		mutate  func(*CoreState)
+		mutate  func(*Core) []byte
 		wantErr string
 	}{
-		{"length_mismatch", func(st *CoreState) { st.TickWhen = st.TickWhen[1:] }, "clock domains"},
-		{"zero_period", func(st *CoreState) { st.TickPeriod[2] = 0 }, "not positive"},
-		{"negative_time", func(st *CoreState) { st.TickWhen[2] = -1 }, "negative"},
-		{"probe_domain", func(st *CoreState) { st.DVFS.ProbeActive, st.DVFS.ProbeDomain = true, 7 }, "probe domain"},
-		{"negative_probe_domain", func(st *CoreState) { st.DVFS.ProbeActive, st.DVFS.ProbeDomain = true, -1 }, "probe domain"},
-		{"squash_since_length", func(st *CoreState) { st.Squash.Since = []simtime.Time{1, 2} }, "per-domain times"},
+		{"length_mismatch", func(c *Core) []byte { c.tickAt = c.tickAt[1:]; return recapture(c) }, "clock domains"},
+		{"zero_period", func(c *Core) []byte { c.tickPeriod[2] = 0; return recapture(c) }, "not positive"},
+		{"negative_time", func(c *Core) []byte { c.tickAt[2] = -1; return recapture(c) }, "negative"},
+		{"probe_domain", func(c *Core) []byte { c.dvfs.probeActive, c.dvfs.probeDomain = true, 7; return recapture(c) }, "probe domain"},
+		{"negative_probe_domain", func(c *Core) []byte { c.dvfs.probeActive, c.dvfs.probeDomain = true, -1; return recapture(c) }, "probe domain"},
+		{"squash_since_length", func(c *Core) []byte {
+			// The squash times end the state: one time for every domain.
+			// Claim two instead.
+			st := recapture(c)
+			e := snapshot.NewEncoder(nil)
+			e.Uvarint(1)
+			e.Time(c.sq.time[0])
+			tail := e.Bytes()
+			if !bytes.HasSuffix(st, tail) {
+				t.Fatalf("capture does not end with the one squash time %x", tail)
+			}
+			e = snapshot.NewEncoder(st[:len(st)-len(tail)])
+			e.Uvarint(2)
+			e.Time(1)
+			e.Time(2)
+			return e.Bytes()
+		}, "per-domain times"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var st CoreState
-			if err := json.Unmarshal(raw, &st); err != nil {
+			c, err := restore(raw)
+			if err != nil {
 				t.Fatal(err)
 			}
-			tc.mutate(&st)
-			_, err := RestoreCore(cfg, prof.Name, workload.NewGenerator(prof, cfg.WorkloadSeed), &st)
+			_, err = restore(tc.mutate(c))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("RestoreCore error = %v, want one containing %q", err, tc.wantErr)
 			}

@@ -1,37 +1,32 @@
 package power
 
-import "fmt"
+import "galsim/internal/snapshot"
 
-// State is the meter's snapshot form: accumulated energies, cycle and idle
-// counts, and the accesses recorded but not yet closed by an EndCycle.
-type State struct {
-	Pending []float64 `json:"pending"`
-	Energy  []float64 `json:"energy"`
-	Cycles  []uint64  `json:"cycles"`
-	Idle    []uint64  `json:"idle"`
-}
-
-// CaptureState snapshots the meter.
-func (m *Meter) CaptureState() State {
-	return State{
-		Pending: append([]float64(nil), m.pending[:]...),
-		Energy:  append([]float64(nil), m.energy[:]...),
-		Cycles:  append([]uint64(nil), m.cycles[:]...),
-		Idle:    append([]uint64(nil), m.idle[:]...),
+// AppendState appends the meter's snapshot section: the block count, then
+// per block the accesses recorded but not yet closed by an EndCycle, the
+// accumulated energy, and the cycle and idle counts.
+func (m *Meter) AppendState(e *snapshot.Encoder) {
+	e.Uvarint(uint64(NumBlocks))
+	for b := range NumBlocks {
+		e.F64(m.pending[b])
+		e.F64(m.energy[b])
+		e.Uvarint(m.cycles[b])
+		e.Uvarint(m.idle[b])
 	}
 }
 
-// RestoreState reinstates a captured state. The block count must match —
-// a snapshot from a build with a different block set cannot be applied.
-func (m *Meter) RestoreState(st State) error {
-	if len(st.Pending) != NumBlocks || len(st.Energy) != NumBlocks ||
-		len(st.Cycles) != NumBlocks || len(st.Idle) != NumBlocks {
-		return fmt.Errorf("power: restored state has %d/%d/%d/%d entries, this build accounts %d blocks",
-			len(st.Pending), len(st.Energy), len(st.Cycles), len(st.Idle), NumBlocks)
+// RestoreState reads a section AppendState wrote. The block count must
+// match — a snapshot from a build with a different block set cannot be
+// applied. Failures are recorded in d.
+func (m *Meter) RestoreState(d *snapshot.Decoder) {
+	if n := d.Uvarint(); n != uint64(NumBlocks) {
+		d.Failf("power: restored state has %d blocks, this build accounts %d", n, NumBlocks)
+		return
 	}
-	copy(m.pending[:], st.Pending)
-	copy(m.energy[:], st.Energy)
-	copy(m.cycles[:], st.Cycles)
-	copy(m.idle[:], st.Idle)
-	return nil
+	for b := range NumBlocks {
+		m.pending[b] = d.F64()
+		m.energy[b] = d.F64()
+		m.cycles[b] = d.Uvarint()
+		m.idle[b] = d.Uvarint()
+	}
 }

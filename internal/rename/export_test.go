@@ -38,3 +38,9 @@ func (t *Table) CheckInvariant(inFlightOld map[int]bool) {
 		panic(fmt.Sprintf("rename: %d of %d physical registers accounted for", len(seen), t.NumPhys()))
 	}
 }
+
+// FreeInt returns the number of free integer physical registers.
+func (t *Table) FreeInt() int { return len(t.freeInt) }
+
+// FreeFP returns the number of free FP physical registers.
+func (t *Table) FreeFP() int { return len(t.freeFP) }

@@ -63,12 +63,6 @@ func New(numInt, numFP int) *Table {
 // NumPhys returns the total size of the unified physical register space.
 func (t *Table) NumPhys() int { return t.numInt + t.numFP }
 
-// FreeInt returns the number of free integer physical registers.
-func (t *Table) FreeInt() int { return len(t.freeInt) }
-
-// FreeFP returns the number of free FP physical registers.
-func (t *Table) FreeFP() int { return len(t.freeFP) }
-
 // Lookup returns the current physical mapping of an architectural register,
 // or -1 for invalid/zero registers.
 func (t *Table) Lookup(r isa.Reg) int {

@@ -1,61 +1,66 @@
 package rename
 
 import (
-	"fmt"
-
 	"galsim/internal/isa"
+	"galsim/internal/snapshot"
 )
 
-// State is the alias table's snapshot form. Free lists are captured in LIFO
-// order — allocation order determines which physical register each future
-// rename receives, so the order is as much machine state as the contents.
-type State struct {
-	IntMap       [isa.NumArchRegs]int `json:"int_map"`
-	FPMap        [isa.NumArchRegs]int `json:"fp_map"`
-	FreeInt      []int                `json:"free_int"`
-	FreeFP       []int                `json:"free_fp"`
-	IntAllocated int                  `json:"int_alloc"`
-	FPAllocated  int                  `json:"fp_alloc"`
-	Samples      uint64               `json:"samples"`
-	IntOccSum    uint64               `json:"int_occ_sum"`
-	FPOccSum     uint64               `json:"fp_occ_sum"`
-}
-
-// CaptureState snapshots the table.
-func (t *Table) CaptureState() State {
-	return State{
-		IntMap:       t.intMap,
-		FPMap:        t.fpMap,
-		FreeInt:      append([]int(nil), t.freeInt...),
-		FreeFP:       append([]int(nil), t.freeFP...),
-		IntAllocated: t.intAllocated,
-		FPAllocated:  t.fpAllocated,
-		Samples:      t.samples,
-		IntOccSum:    t.intOccSum,
-		FPOccSum:     t.fpOccSum,
+// AppendState appends the alias table's snapshot section: both maps, both
+// free lists in LIFO order — allocation order determines which physical
+// register each future rename receives, so the order is as much machine
+// state as the contents — and the counters.
+func (t *Table) AppendState(e *snapshot.Encoder) {
+	for _, p := range t.intMap {
+		e.Int(p)
 	}
-}
-
-// RestoreState reinstates a captured state into a table built with the same
-// register file sizes.
-func (t *Table) RestoreState(st State) error {
-	if len(st.FreeInt) > t.numInt-isa.NumArchRegs || len(st.FreeFP) > t.numFP-isa.NumArchRegs {
-		return fmt.Errorf("rename: restored free lists (%d int, %d fp) exceed this table's rename registers (%d int, %d fp)",
-			len(st.FreeInt), len(st.FreeFP), t.numInt-isa.NumArchRegs, t.numFP-isa.NumArchRegs)
+	for _, p := range t.fpMap {
+		e.Int(p)
 	}
-	for _, p := range append(append([]int{}, st.FreeInt...), st.FreeFP...) {
-		if p < 0 || p >= t.NumPhys() {
-			return fmt.Errorf("rename: restored free register %d outside physical space [0, %d)", p, t.NumPhys())
+	for _, free := range [...][]int{t.freeInt, t.freeFP} {
+		e.Uvarint(uint64(len(free)))
+		for _, p := range free {
+			e.Int(p)
 		}
 	}
-	t.intMap = st.IntMap
-	t.fpMap = st.FPMap
-	t.freeInt = append(t.freeInt[:0], st.FreeInt...)
-	t.freeFP = append(t.freeFP[:0], st.FreeFP...)
-	t.intAllocated = st.IntAllocated
-	t.fpAllocated = st.FPAllocated
-	t.samples = st.Samples
-	t.intOccSum = st.IntOccSum
-	t.fpOccSum = st.FPOccSum
-	return nil
+	e.Int(t.intAllocated)
+	e.Int(t.fpAllocated)
+	for _, v := range [...]uint64{t.samples, t.intOccSum, t.fpOccSum} {
+		e.Uvarint(v)
+	}
+}
+
+// RestoreState reads a section AppendState wrote into a table built with
+// the same register file sizes. Failures are recorded in d.
+func (t *Table) RestoreState(d *snapshot.Decoder) {
+	phys := func(p int) int {
+		if p < 0 || p >= t.NumPhys() {
+			d.Failf("rename: restored register %d outside physical space [0, %d)", p, t.NumPhys())
+		}
+		return p
+	}
+	for i := range t.intMap {
+		t.intMap[i] = phys(d.Int())
+	}
+	for i := range t.fpMap {
+		t.fpMap[i] = phys(d.Int())
+	}
+	for _, f := range [...]struct {
+		list *[]int
+		max  int
+	}{{&t.freeInt, t.numInt - isa.NumArchRegs}, {&t.freeFP, t.numFP - isa.NumArchRegs}} {
+		n := d.Len(1)
+		if n > f.max {
+			d.Failf("rename: restored free list of %d registers exceeds this table's %d rename registers", n, f.max)
+			return
+		}
+		*f.list = (*f.list)[:0]
+		for i := 0; i < n; i++ {
+			*f.list = append(*f.list, phys(d.Int()))
+		}
+	}
+	t.intAllocated = d.Int()
+	t.fpAllocated = d.Int()
+	for _, v := range [...]*uint64{&t.samples, &t.intOccSum, &t.fpOccSum} {
+		*v = d.Uvarint()
+	}
 }

@@ -1,57 +1,44 @@
 package rob
 
 import (
-	"fmt"
-
 	"galsim/internal/isa"
+	"galsim/internal/snapshot"
 )
 
-// State is the ROB's snapshot form: in-flight instructions as caller-
-// assigned record indices (oldest first) plus the raw activity counters.
-type State struct {
-	Entries  []int  `json:"entries,omitempty"`
-	Pushes   uint64 `json:"pushes"`
-	Commits  uint64 `json:"commits"`
-	Squashes uint64 `json:"squashes"`
-	OccSum   uint64 `json:"occ_sum"`
-	OccTicks uint64 `json:"occ_ticks"`
-}
-
-// CaptureState snapshots the buffer, mapping each in-flight record through
-// index.
-func (r *ROB) CaptureState(index func(*isa.Instr) int) State {
-	st := State{Pushes: r.pushes, Commits: r.commits, Squashes: r.squashes,
-		OccSum: r.occSum, OccTicks: r.occTicks}
+// AppendState appends the ROB's snapshot section: its in-flight
+// instructions oldest first, each written by put, then the raw activity
+// counters.
+func (r *ROB) AppendState(e *snapshot.Encoder, put func(*isa.Instr)) {
+	e.Uvarint(uint64(r.n))
 	for i := 0; i < r.n; i++ {
-		st.Entries = append(st.Entries, index(r.buf[r.slot(i)]))
+		put(r.buf[r.slot(i)])
 	}
-	return st
+	for _, v := range [...]uint64{r.pushes, r.commits, r.squashes, r.occSum, r.occTicks} {
+		e.Uvarint(v)
+	}
 }
 
-// RestoreState reinstates a captured state into a fresh, empty buffer of
-// the same capacity. Entries bypass Push so counters (and each record's
-// historical ROBIndex, carried on the record itself) stay exactly as
-// captured.
-func (r *ROB) RestoreState(st State, record func(int) *isa.Instr) error {
+// RestoreState reads a section AppendState wrote into a fresh, empty
+// buffer of at least the captured occupancy, each entry read by get.
+// Entries bypass Push so counters (and each record's historical ROBIndex,
+// carried on the record itself) stay exactly as captured. Failures are
+// recorded in d.
+func (r *ROB) RestoreState(d *snapshot.Decoder, get func() *isa.Instr) {
 	if r.n != 0 {
-		return fmt.Errorf("rob: restore into non-empty buffer (%d entries)", r.n)
+		d.Failf("rob: restore into non-empty buffer (%d entries)", r.n)
+		return
 	}
-	if len(st.Entries) > len(r.buf) {
-		return fmt.Errorf("rob: %d restored entries exceed capacity %d", len(st.Entries), len(r.buf))
+	n := d.Len(1)
+	if n > len(r.buf) {
+		d.Failf("rob: %d restored entries exceed capacity %d", n, len(r.buf))
+		return
 	}
 	r.head = 0
-	for i, idx := range st.Entries {
-		in := record(idx)
-		if in == nil {
-			return fmt.Errorf("rob: restored entry %d references unknown record %d", i, idx)
-		}
-		r.buf[i] = in
+	for i := 0; i < n; i++ {
+		r.buf[i] = get()
 	}
-	r.n = len(st.Entries)
-	r.pushes = st.Pushes
-	r.commits = st.Commits
-	r.squashes = st.Squashes
-	r.occSum = st.OccSum
-	r.occTicks = st.OccTicks
-	return nil
+	r.n = n
+	for _, v := range [...]*uint64{&r.pushes, &r.commits, &r.squashes, &r.occSum, &r.occTicks} {
+		*v = d.Uvarint()
+	}
 }

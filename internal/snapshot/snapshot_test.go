@@ -3,15 +3,16 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
+
+	"galsim/internal/simtime"
 )
 
 func sample() *Snapshot {
@@ -19,7 +20,7 @@ func sample() *Snapshot {
 		SpecKey:   "abc123",
 		SpecJSON:  []byte(`{"benchmark":"gcc"}`),
 		Committed: 50_000,
-		State:     []byte(`{"cycles":12345,"rob":[1,2,3]}`),
+		State:     []byte{0x01, 0x80, 0x02, 0x00, 0x7f, 0x55},
 	}
 }
 
@@ -154,56 +155,132 @@ func TestForgedLengthAllocatesNothing(t *testing.T) {
 	}
 }
 
-// marshalEnvelope is the reference encoding EncodeBytes must reproduce: the
-// header over json.Marshal(s).
-func marshalEnvelope(t testing.TB, s *Snapshot) []byte {
-	t.Helper()
-	body, err := json.Marshal(s)
+// TestEncodeBytesIsTheCapturedEnvelope: a capture's envelope is built once,
+// and EncodeBytes hands that buffer back for as long as the fields hold
+// what it says; a changed field encodes anew, as a snapshot built from the
+// fields alone would.
+func TestEncodeBytesIsTheCapturedEnvelope(t *testing.T) {
+	want := sample()
+	s, err := Capture(want.SpecKey, want.SpecJSON, want.Committed, func(e *Encoder) { e.b = append(e.b, want.State...) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := make([]byte, headerSize, headerSize+len(body))
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body, castagnoli))
-	return append(hdr, body...)
+	b1, err := s.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, _ := s.EncodeBytes()
+	if &b1[0] != &b2[0] || &s.State[0] != &b1[len(b1)-len(s.State)] {
+		t.Fatal("EncodeBytes copied the captured envelope")
+	}
+	if ref, _ := want.EncodeBytes(); !bytes.Equal(b1, ref) {
+		t.Fatalf("captured envelope %x, want %x", b1, ref)
+	}
+	s.Committed++
+	want.Committed++
+	b3, _ := s.EncodeBytes()
+	if ref, _ := want.EncodeBytes(); !bytes.Equal(b3, ref) || &b3[0] == &b1[0] {
+		t.Fatal("a changed snapshot did not encode anew")
+	}
 }
 
-// TestEncodeBytesMatchesMarshal: states json.Marshal would rewrite (white
-// space, HTML-escaped characters, a null state) encode exactly as
-// json.Marshal encodes them, and so do the spliced compact ones.
-func TestEncodeBytesMatchesMarshal(t *testing.T) {
-	for _, state := range []string{
-		`{"cycles":12345,"rob":[1,2,3]}`,
-		`{ "cycles": 1 }`,
-		`{"name":"a b"}`,
-		`{"op":"a<b&&c>d"}`,
-		"{\"sep\":\"\u2028\u2029\"}",
-		`[1,2,"\"<"]`,
-		``, // a nil state, which encodes as null
+// TestVersion1Refused: a version-1 snapshot (a JSON body) fails every
+// reader with VersionError's text, before its body is looked at.
+func TestVersion1Refused(t *testing.T) {
+	body := []byte(`{"spec_key":"abc123","committed":50000,"state":{"records":[]}}`)
+	v1 := make([]byte, headerSize, headerSize+len(body))
+	copy(v1, magic)
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	binary.LittleEndian.PutUint32(v1[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(v1[12:16], crc32.Checksum(body, castagnoli))
+	v1 = append(v1, body...)
+	const want = "snapshot: format version 1 not supported (this build reads version 2); re-capture the snapshot"
+	for name, read := range map[string]func([]byte) error{
+		"Check":       Check,
+		"Parse":       func(b []byte) error { _, err := Parse(b); return err },
+		"DecodeBytes": func(b []byte) error { _, err := DecodeBytes(b); return err },
 	} {
-		s := sample()
-		s.State = []byte(state)
-		if state == "" {
-			s.State = nil
-		}
-		s.SpecJSON = []byte(`{ "benchmark": "gcc" }`)
-		got, err := s.EncodeBytes()
-		if err != nil {
-			t.Fatalf("state %q: %v", state, err)
-		}
-		if want := marshalEnvelope(t, s); !bytes.Equal(got, want) {
-			t.Errorf("state %q: EncodeBytes = %q, want %q", state, got[headerSize:], want[headerSize:])
+		var ve *VersionError
+		if err := read(v1); !errors.As(err, &ve) || err.Error() != want {
+			t.Errorf("%s(version 1) = %v, want %q", name, err, want)
 		}
 	}
 }
 
-// FuzzSnapshot feeds arbitrary bytes to the decoder: it must never panic,
-// Check must fail exactly where DecodeBytes fails outside the JSON body,
-// and whenever decoding succeeds, re-encoding the result must equal the
-// header over json.Marshal of it and decode again (the envelope is
-// canonical for what it accepts).
+// TestDecoderIsStrict: each field has one encoding, and a count larger than
+// the bytes left fails before anything is sized by it.
+func TestDecoderIsStrict(t *testing.T) {
+	e := NewEncoder(nil)
+	e.Uvarint(300)
+	e.Int(-5)
+	e.Time(simtime.Never)
+	e.Time(0)
+	e.Time(-7)
+	e.F64(math.Copysign(0, -1))
+	e.Bool(true)
+	e.String("fetch")
+	e.Bitmap(11, func(i int) bool { return i%3 == 0 })
+	d := NewDecoder(e.Bytes())
+	if v := d.Uvarint(); v != 300 {
+		t.Fatalf("Uvarint = %d", v)
+	}
+	if v := d.Int(); v != -5 {
+		t.Fatalf("Int = %d", v)
+	}
+	if a, b, c := d.Time(), d.Time(), d.Time(); a != simtime.Never || b != 0 || c != -7 {
+		t.Fatalf("times = %v, %v, %v", a, b, c)
+	}
+	if v := d.F64(); math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("F64 = %v", v)
+	}
+	if !d.Bool() || d.String() != "fetch" {
+		t.Fatal("Bool or String mismatch")
+	}
+	bm := d.Bitmap(11)
+	for i := range 11 {
+		if Bit(bm, i) != (i%3 == 0) {
+			t.Fatalf("bit %d wrong", i)
+		}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, read := range map[string]struct {
+		b    []byte
+		read func(*Decoder)
+	}{
+		"overlong varint":    {[]byte{0x80, 0x00}, func(d *Decoder) { d.Uvarint() }},
+		"bool 2":             {[]byte{2}, func(d *Decoder) { d.Bool() }},
+		"never spelled long": {binary.AppendUvarint(nil, zigzag(int64(simtime.Never))+1), func(d *Decoder) { d.Time() }},
+		"bitmap padding":     {[]byte{0xff, 0x08}, func(d *Decoder) { d.Bitmap(11) }},
+		"count past the end": {[]byte{0x05, 1, 2, 3, 4}, func(d *Decoder) { d.Len(1) }},
+		"trailing bytes":     {[]byte{0x01, 0x02}, func(d *Decoder) { d.Uvarint() }},
+	} {
+		d := NewDecoder(read.b)
+		read.read(d)
+		if err := d.Finish(); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+
+	// A count claiming the largest varint allocates nothing.
+	forged := binary.AppendUvarint(nil, math.MaxUint64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d = NewDecoder(forged)
+	n := d.Len(1)
+	runtime.ReadMemStats(&after)
+	if n != 0 || d.Err() == nil || after.TotalAlloc-before.TotalAlloc >= 1<<20 {
+		t.Fatalf("forged count: n=%d err=%v, %d bytes allocated", n, d.Err(), after.TotalAlloc-before.TotalAlloc)
+	}
+}
+
+// FuzzSnapshot feeds arbitrary bytes to the envelope readers: they must
+// never panic, Check must fail exactly where Parse fails outside the head,
+// and whenever parsing succeeds, a snapshot built from the parsed fields
+// alone must encode to the same bytes (the envelope is canonical for what
+// it accepts) and parse again.
 func FuzzSnapshot(f *testing.F) {
 	good, _ := sample().EncodeBytes()
 	f.Add(good)
@@ -212,9 +289,10 @@ func FuzzSnapshot(f *testing.F) {
 	bad := append([]byte{}, good...)
 	bad[20] ^= 0xff
 	f.Add(bad)
-	spaced := sample()
-	spaced.State = []byte(`{ "op": "a<b" }`)
-	f.Add(marshalEnvelope(f, spaced))
+	nospec := sample()
+	nospec.SpecJSON = nil
+	b, _ := nospec.EncodeBytes()
+	f.Add(b)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeBytes(data)
 		if cerr := Check(data); cerr != nil {
@@ -225,20 +303,21 @@ func FuzzSnapshot(f *testing.F) {
 		}
 		if err != nil {
 			var ce *CorruptError
-			if !errors.As(err, &ce) || !strings.HasPrefix(ce.Reason, "undecodable body") && ce.Reason != "empty state" {
-				t.Fatalf("Check accepted an envelope DecodeBytes rejects outside the body: %v", err)
+			if !errors.As(err, &ce) || ce.Reason != "truncated head" && ce.Reason != "empty state" {
+				t.Fatalf("Check accepted an envelope DecodeBytes rejects outside the head: %v", err)
 			}
 			return
 		}
-		b, err := s.EncodeBytes()
+		fresh := &Snapshot{SpecKey: s.SpecKey, SpecJSON: s.SpecJSON, Committed: s.Committed, State: s.State}
+		b, err := fresh.EncodeBytes()
 		if err != nil {
 			t.Fatalf("decoded snapshot fails to re-encode: %v", err)
 		}
-		if want := marshalEnvelope(t, s); !bytes.Equal(b, want) {
-			t.Fatalf("EncodeBytes differs from the envelope of json.Marshal")
+		if !bytes.Equal(b, data) {
+			t.Fatalf("re-encoding differs from the parsed envelope")
 		}
-		if _, err := DecodeBytes(b); err != nil {
-			t.Fatalf("re-encoded snapshot fails to decode: %v", err)
+		if _, err := Parse(b); err != nil {
+			t.Fatalf("re-encoded snapshot fails to parse: %v", err)
 		}
 	})
 }

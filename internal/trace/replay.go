@@ -366,12 +366,6 @@ func (s *ReplaySource) CurrentPC() uint64 {
 	return rec.PC
 }
 
-// Served returns the number of correct-path instructions delivered.
-func (s *ReplaySource) Served() uint64 { return s.served }
-
-// Wrapped returns how many times the replay restarted the stream.
-func (s *ReplaySource) Wrapped() uint64 { return s.wrapped }
-
 // String implements fmt.Stringer.
 func (s *ReplaySource) String() string {
 	return fmt.Sprintf("trace replay %s: %d/%d instrs served, %d wraps",

@@ -47,6 +47,12 @@ type staticInstr struct {
 	// correct-path walk). Folded into the static record so branch outcome
 	// tracking needs no separate map.
 	lastTaken bool
+
+	// order is the record's place in materialization order, which a
+	// snapshot stores the program as (see state.go). It fills the padding
+	// after the bools: the record stays 32 bytes.
+	order uint32
+
 	loopCount int
 }
 
@@ -111,6 +117,9 @@ type Generator struct {
 	// srand is the reusable lazily-seeded RNG for static-instruction
 	// materialization (see staticRng).
 	srand staticRand
+
+	// materialized counts the materialized static instructions.
+	materialized uint32
 
 	// Data address state.
 	seqCursor uint64
@@ -187,9 +196,6 @@ func (g *Generator) classAt(pc uint64) isa.Class {
 
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
-
-// Generated returns the number of correct-path instructions produced.
-func (g *Generator) Generated() uint64 { return g.generated }
 
 // codeEnd returns the first address past the code footprint.
 func (g *Generator) codeEnd() uint64 { return CodeBase + uint64(g.prof.CodeFootprint) }
@@ -285,6 +291,8 @@ func (g *Generator) materialize(pc uint64) *staticInstr {
 	}
 	rng := g.staticRng(pc)
 	si.made = true
+	si.order = g.materialized
+	g.materialized++
 	si.class = g.classAt(pc)
 	switch si.class {
 	case isa.ClassBranch:

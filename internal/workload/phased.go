@@ -119,9 +119,6 @@ func (p *PhasedGenerator) CurrentPC() uint64 { return p.cur().CurrentPC() }
 // Phase returns the current phase index.
 func (p *PhasedGenerator) Phase() int { return p.idx }
 
-// Switches returns the number of phase transitions so far.
-func (p *PhasedGenerator) Switches() uint64 { return p.switches }
-
 // String implements fmt.Stringer.
 func (p *PhasedGenerator) String() string {
 	return fmt.Sprintf("workload %s: %d phases, %d instrs generated, %d switches",

@@ -1,11 +1,12 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"galsim/internal/isa"
+	"galsim/internal/snapshot"
 )
 
 // Snapshotter is implemented by instruction sources whose position can be
@@ -14,12 +15,13 @@ import (
 // determinism: after RestoreSourceState, the restored source must produce
 // exactly the stream the captured one would have produced from that point.
 type Snapshotter interface {
-	// CaptureSourceState serializes the source's position.
-	CaptureSourceState() (json.RawMessage, error)
-	// RestoreSourceState reinstates a captured position into this source,
-	// which must be freshly constructed (nothing produced yet) with the same
-	// configuration the capture came from.
-	RestoreSourceState(raw json.RawMessage) error
+	// AppendSourceState appends the source's snapshot section.
+	AppendSourceState(e *snapshot.Encoder)
+	// RestoreSourceState reads a section AppendSourceState wrote into this
+	// source, which must be freshly constructed (nothing produced yet) with
+	// the same configuration the capture came from. Failures are recorded
+	// in d.
+	RestoreSourceState(d *snapshot.Decoder)
 }
 
 var (
@@ -66,213 +68,192 @@ func (c *countingSource) fastForward(target uint64) error {
 	return nil
 }
 
-// StaticInstrState is one materialized static instruction in snapshot form.
-// The full record is serialized rather than re-materialized on restore: the
-// register recency rings feeding dependency sampling advance with each
-// materialization, so the static program depends on the order PCs were
-// first visited — state that only the capture knows.
-type StaticInstrState struct {
-	PC          uint64     `json:"pc"`
-	Class       isa.Class  `json:"class"`
-	Dest        isa.Reg    `json:"dest"`
-	Src         [2]isa.Reg `json:"src"`
-	Pattern     uint8      `json:"pattern,omitempty"`
-	Target      uint64     `json:"target,omitempty"`
-	BiasedTaken bool       `json:"biased_taken,omitempty"`
-	SeqStream   bool       `json:"seq_stream,omitempty"`
-	LoopCount   int        `json:"loop_count,omitempty"`
-	LastTaken   bool       `json:"last_taken,omitempty"`
-}
+// maxDrawsPerInstr bounds the RNG draws a restore accepts per instruction
+// produced: an instruction draws at most three values but for the rare
+// retries of rejection sampling.
+const maxDrawsPerInstr = 64
 
-// GeneratorState is a Generator's snapshot form.
-type GeneratorState struct {
-	RNGDraws  uint64 `json:"rng_draws"`
-	WPDraws   uint64 `json:"wp_draws"`
-	PC        uint64 `json:"pc"`
-	WpPC      uint64 `json:"wp_pc"`
-	InWP      bool   `json:"in_wp,omitempty"`
-	SeqCursor uint64 `json:"seq_cursor"`
-	Generated uint64 `json:"generated"`
-	WrongGen  uint64 `json:"wrong_gen"`
-	DestCtr   int    `json:"dest_ctr"`
-	FPDestCtr int    `json:"fp_dest_ctr"`
-	// RecentInt/RecentFP are the register recency rings, oldest first.
-	RecentInt []isa.Reg          `json:"recent_int"`
-	RecentFP  []isa.Reg          `json:"recent_fp"`
-	Program   []StaticInstrState `json:"program,omitempty"`
-}
+// orderPool holds the scratch tables captures put a program's visit order
+// in.
+var orderPool sync.Pool
 
-// CaptureState snapshots the generator.
-func (g *Generator) CaptureState() GeneratorState {
-	st := GeneratorState{
-		RNGDraws:  g.rngSrc.n,
-		WPDraws:   g.wpSrc.n,
-		PC:        g.pc,
-		WpPC:      g.wpPC,
-		InWP:      g.inWrongPath,
-		SeqCursor: g.seqCursor,
-		Generated: g.generated,
-		WrongGen:  g.wrongGen,
-		DestCtr:   g.destCtr,
-		FPDestCtr: g.fpDestCtr,
+// AppendSourceState implements Snapshotter. The section holds the RNG
+// streams' draw counts, the walk state, and the static program as the
+// order in which its PCs were first visited: the zigzag delta of each
+// pc/4 from the previous one, then the branches whose loop count or last
+// direction is not zero, in PC order. The records themselves are not
+// stored: restore materializes the PCs again in the same order, and since
+// materialization alone advances the register recency rings and the
+// destination counters, that rebuilds them and every record exactly.
+func (g *Generator) AppendSourceState(e *snapshot.Encoder) {
+	e.Uvarint(g.rngSrc.n)
+	e.Uvarint(g.wpSrc.n)
+	e.Uvarint(g.pc)
+	e.Uvarint(g.wpPC)
+	e.Bool(g.inWrongPath)
+	e.Uvarint(g.seqCursor)
+	e.Uvarint(g.generated)
+	e.Uvarint(g.wrongGen)
+
+	// Place each made PC at its visit index: one pass, no sort.
+	op, _ := orderPool.Get().(*[]uint32)
+	if op == nil {
+		op = new([]uint32)
 	}
-	for i := 0; i < g.recentInt.len(); i++ {
-		st.RecentInt = append(st.RecentInt, g.recentInt.at(i))
-	}
-	for i := 0; i < g.recentFP.len(); i++ {
-		st.RecentFP = append(st.RecentFP, g.recentFP.at(i))
-	}
-	// The table is in PC order, so the program comes out sorted.
+	order := (*op)[:0]
+	order = append(order, make([]uint32, g.materialized)...)
+	live := 0
 	for p, page := range g.program {
 		if page == nil {
 			continue
 		}
 		for i := range page {
-			si := &page[i]
-			if !si.made {
-				continue
+			if si := &page[i]; si.made {
+				order[si.order] = uint32(p*pageLen + i)
+				if si.loopCount != 0 || si.lastTaken {
+					live++
+				}
 			}
-			st.Program = append(st.Program, StaticInstrState{
-				PC: CodeBase + uint64(p*pageLen+i)*4, Class: si.class, Dest: si.dest, Src: si.src,
-				Pattern: uint8(si.pattern), Target: si.target, BiasedTaken: si.biasedTaken,
-				SeqStream: si.seqStream, LoopCount: si.loopCount, LastTaken: si.lastTaken,
-			})
 		}
 	}
-	return st
-}
+	e.Uvarint(uint64(len(order)))
+	prev := 0
+	for _, idx := range order {
+		e.Int(int(idx) - prev)
+		prev = int(idx)
+	}
+	*op = order
+	orderPool.Put(op)
 
-// RestoreState reinstates a captured state into this generator, which must
-// be freshly constructed with the same (Profile, seed) pair.
-func (g *Generator) RestoreState(st GeneratorState) error {
-	if g.generated != 0 || g.wrongGen != 0 {
-		return fmt.Errorf("workload: restore into generator that has already produced instructions")
-	}
-	for _, page := range g.program {
-		if page != nil {
-			return fmt.Errorf("workload: restore into generator that has already produced instructions")
-		}
-	}
-	if len(st.RecentInt) > recentWindow || len(st.RecentFP) > recentWindow {
-		return fmt.Errorf("workload: restored recency rings (%d int, %d fp) exceed window %d",
-			len(st.RecentInt), len(st.RecentFP), recentWindow)
-	}
-	if err := g.rngSrc.fastForward(st.RNGDraws); err != nil {
-		return err
-	}
-	if err := g.wpSrc.fastForward(st.WPDraws); err != nil {
-		return err
-	}
-	for _, ss := range st.Program {
-		if ss.PC < CodeBase || ss.PC >= g.codeEnd() || ss.PC%4 != 0 {
-			return fmt.Errorf("workload: restored static instruction at pc %#x outside the code [%#x, %#x) or not 4-aligned",
-				ss.PC, CodeBase, g.codeEnd())
-		}
-		si := g.slot(ss.PC)
-		if si.made {
-			return fmt.Errorf("workload: restored static instruction at pc %#x repeated", ss.PC)
-		}
-		si.made = true
-		si.class = ss.Class
-		si.dest = ss.Dest
-		si.src = ss.Src
-		si.pattern = branchPattern(ss.Pattern)
-		si.target = ss.Target
-		si.biasedTaken = ss.BiasedTaken
-		si.seqStream = ss.SeqStream
-		si.loopCount = ss.LoopCount
-		si.lastTaken = ss.LastTaken
-	}
-	g.recentInt = regRing{}
-	for _, r := range st.RecentInt {
-		g.recentInt.push(r)
-	}
-	g.recentFP = regRing{}
-	for _, r := range st.RecentFP {
-		g.recentFP.push(r)
-	}
-	g.pc = st.PC
-	g.wpPC = st.WpPC
-	g.inWrongPath = st.InWP
-	g.seqCursor = st.SeqCursor
-	g.generated = st.Generated
-	g.wrongGen = st.WrongGen
-	g.destCtr = st.DestCtr
-	g.fpDestCtr = st.FPDestCtr
-	return nil
-}
-
-// CaptureSourceState implements Snapshotter.
-func (g *Generator) CaptureSourceState() (json.RawMessage, error) {
-	return json.Marshal(g.CaptureState())
-}
-
-// RestoreSourceState implements Snapshotter.
-func (g *Generator) RestoreSourceState(raw json.RawMessage) error {
-	var st GeneratorState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("workload: decoding generator state: %w", err)
-	}
-	return g.RestoreState(st)
-}
-
-// PhasedState is a PhasedGenerator's snapshot form. Phases holds one entry
-// per phase; nil marks a phase whose generator was never constructed.
-type PhasedState struct {
-	Idx       int               `json:"idx"`
-	CurCount  uint64            `json:"cur_count"`
-	Generated uint64            `json:"generated"`
-	Switches  uint64            `json:"switches"`
-	Phases    []*GeneratorState `json:"phases"`
-}
-
-// CaptureSourceState implements Snapshotter.
-func (p *PhasedGenerator) CaptureSourceState() (json.RawMessage, error) {
-	st := PhasedState{
-		Idx:       p.idx,
-		CurCount:  p.curCount,
-		Generated: p.generated,
-		Switches:  p.switches,
-		Phases:    make([]*GeneratorState, len(p.gens)),
-	}
-	for i, g := range p.gens {
-		if g != nil {
-			gs := g.CaptureState()
-			st.Phases[i] = &gs
-		}
-	}
-	return json.Marshal(st)
-}
-
-// RestoreSourceState implements Snapshotter.
-func (p *PhasedGenerator) RestoreSourceState(raw json.RawMessage) error {
-	var st PhasedState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("workload: decoding phased state: %w", err)
-	}
-	if p.generated != 0 {
-		return fmt.Errorf("workload: restore into phased generator that has already produced instructions")
-	}
-	if len(st.Phases) != len(p.gens) {
-		return fmt.Errorf("workload: restored state has %d phases, this source has %d", len(st.Phases), len(p.gens))
-	}
-	if st.Idx < 0 || st.Idx >= len(p.gens) {
-		return fmt.Errorf("workload: restored phase index %d outside [0, %d)", st.Idx, len(p.gens))
-	}
-	for i, gs := range st.Phases {
-		if gs == nil {
+	e.Uvarint(uint64(live))
+	next := 0
+	for p, page := range g.program {
+		if page == nil {
 			continue
 		}
-		g := NewGenerator(p.profs[i], p.seed+int64(i)*0x9E3779B9)
-		g.UsePool(p.pool)
-		if err := g.RestoreState(*gs); err != nil {
-			return fmt.Errorf("workload: phase %d: %w", i, err)
+		for i := range page {
+			if si := &page[i]; si.made && (si.loopCount != 0 || si.lastTaken) {
+				idx := p*pageLen + i
+				e.Uvarint(uint64(idx - next))
+				e.Int(si.loopCount)
+				e.Bool(si.lastTaken)
+				next = idx + 1
+			}
 		}
-		p.gens[i] = g
 	}
-	p.idx = st.Idx
-	p.curCount = st.CurCount
-	p.generated = st.Generated
-	p.switches = st.Switches
-	return nil
+}
+
+// RestoreSourceState implements Snapshotter.
+func (g *Generator) RestoreSourceState(d *snapshot.Decoder) {
+	if g.generated != 0 || g.wrongGen != 0 || g.materialized != 0 {
+		d.Failf("workload: restore into generator that has already produced instructions")
+		return
+	}
+	rngDraws, wpDraws := d.Uvarint(), d.Uvarint()
+	g.pc, g.wpPC, g.inWrongPath = d.Uvarint(), d.Uvarint(), d.Bool()
+	g.seqCursor, g.generated, g.wrongGen = d.Uvarint(), d.Uvarint(), d.Uvarint()
+	if d.Err() != nil {
+		return
+	}
+	if g.pc < CodeBase || g.pc >= g.codeEnd() || g.pc%4 != 0 {
+		d.Failf("workload: restored pc %#x outside the code [%#x, %#x) or not 4-aligned", g.pc, CodeBase, g.codeEnd())
+		return
+	}
+	// A correct-path instruction draws a few values of the main stream and
+	// a wrong-path one of the other; a count far beyond that is corrupt,
+	// and fast-forwarding to it would spin for as long as it claims.
+	if rngDraws > g.rngSrc.n+maxDrawsPerInstr*(g.generated+1) || wpDraws > maxDrawsPerInstr*(g.wrongGen+1) {
+		d.Failf("workload: restored RNG draw counts (%d, %d) implausible for %d correct-path and %d wrong-path instructions",
+			rngDraws, wpDraws, g.generated, g.wrongGen)
+		return
+	}
+	if err := g.rngSrc.fastForward(rngDraws); err != nil {
+		d.Failf("%w", err)
+		return
+	}
+	if err := g.wpSrc.fastForward(wpDraws); err != nil {
+		d.Failf("%w", err)
+		return
+	}
+	size := (g.codeEnd() - CodeBase) / 4
+	idx := 0
+	for k, n := 0, d.Len(1); k < n; k++ {
+		idx += d.Int()
+		if d.Err() != nil {
+			return
+		}
+		if idx < 0 || uint64(idx) >= size {
+			d.Failf("workload: restored static instruction %d outside the code's %d instructions", idx, size)
+			return
+		}
+		pc := CodeBase + uint64(idx)*4
+		if g.slot(pc).made {
+			d.Failf("workload: restored static instruction at pc %#x repeated", pc)
+			return
+		}
+		g.materialize(pc)
+	}
+	next := uint64(0)
+	for k, n := 0, d.Len(2); k < n; k++ {
+		gap := d.Uvarint()
+		if d.Err() != nil {
+			return
+		}
+		if gap >= size-next {
+			d.Failf("workload: restored branch state past the code's %d instructions", size)
+			return
+		}
+		i := next + gap
+		si := g.slot(CodeBase + i*4)
+		if !si.made || si.class != isa.ClassBranch {
+			d.Failf("workload: restored branch state for pc %#x, which holds no materialized branch", CodeBase+i*4)
+			return
+		}
+		if si.loopCount, si.lastTaken = d.Int(), d.Bool(); si.loopCount == 0 && !si.lastTaken {
+			d.Failf("workload: restored branch state for pc %#x is all zero", CodeBase+i*4)
+		}
+		next = i + 1
+	}
+}
+
+// AppendSourceState implements Snapshotter: the phase cursor and counters,
+// then, per phase, whether its generator was built and that generator's
+// section.
+func (p *PhasedGenerator) AppendSourceState(e *snapshot.Encoder) {
+	e.Int(p.idx)
+	e.Uvarint(p.curCount)
+	e.Uvarint(p.generated)
+	e.Uvarint(p.switches)
+	e.Uvarint(uint64(len(p.gens)))
+	for _, g := range p.gens {
+		e.Bool(g != nil)
+		if g != nil {
+			g.AppendSourceState(e)
+		}
+	}
+}
+
+// RestoreSourceState implements Snapshotter.
+func (p *PhasedGenerator) RestoreSourceState(d *snapshot.Decoder) {
+	if p.generated != 0 {
+		d.Failf("workload: restore into phased generator that has already produced instructions")
+		return
+	}
+	p.idx, p.curCount, p.generated, p.switches = d.Int(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+	if n := d.Uvarint(); d.Err() == nil && n != uint64(len(p.gens)) {
+		d.Failf("workload: restored state has %d phases, this source has %d", n, len(p.gens))
+		return
+	}
+	if d.Err() == nil && (p.idx < 0 || p.idx >= len(p.gens)) {
+		d.Failf("workload: restored phase index %d outside [0, %d)", p.idx, len(p.gens))
+		return
+	}
+	for i := range p.gens {
+		p.gens[i] = nil
+		if d.Bool() {
+			p.gens[i] = NewGenerator(p.profs[i], p.seed+int64(i)*0x9E3779B9)
+			p.gens[i].UsePool(p.pool)
+			p.gens[i].RestoreSourceState(d)
+		}
+	}
 }

@@ -1,9 +1,12 @@
 package workload
 
 import (
-	"reflect"
+	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
+
+	"galsim/internal/snapshot"
 )
 
 func gccGenerator(t *testing.T) *Generator {
@@ -36,8 +39,24 @@ func TestNewGeneratorLargeFootprintAllocatesLittle(t *testing.T) {
 	g.Next()
 }
 
-// The capture lists the static program in PC order, and a restored
-// generator recaptures identically and continues the same stream.
+func captureSource(s Snapshotter) []byte {
+	e := snapshot.NewEncoder(nil)
+	s.AppendSourceState(e)
+	return e.Bytes()
+}
+
+// A static-program record stays 32 bytes with its visit order in it: the
+// order fills the padding after the bools.
+func TestStaticInstrIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(staticInstr{}); n != 32 {
+		t.Fatalf("staticInstr is %d bytes, want 32", n)
+	}
+}
+
+// A restored generator recaptures identically, holds the same static
+// program, recency rings and destination counters (rebuilt by
+// materializing the captured visit order again), and continues the same
+// stream.
 func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 	orig := gccGenerator(t)
 	for i := 0; i < 5000; i++ {
@@ -48,21 +67,26 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 		orig.NextWrongPath()
 	}
 	orig.EndWrongPath()
-	st := orig.CaptureState()
-	if len(st.Program) == 0 {
+	if orig.materialized == 0 {
 		t.Fatal("empty static program after 5000 instructions")
 	}
-	for i := 1; i < len(st.Program); i++ {
-		if st.Program[i].PC <= st.Program[i-1].PC {
-			t.Fatalf("program entry %d at pc %#x follows %#x", i, st.Program[i].PC, st.Program[i-1].PC)
-		}
-	}
+	st := captureSource(orig)
 	restored := gccGenerator(t)
-	if err := restored.RestoreState(st); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewDecoder(st)
+	if restored.RestoreSourceState(d); d.Finish() != nil {
+		t.Fatal(d.Err())
 	}
-	if got := restored.CaptureState(); !reflect.DeepEqual(got, st) {
+	if got := captureSource(restored); !bytes.Equal(got, st) {
 		t.Fatal("recapture of a restored generator differs from the capture")
+	}
+	if restored.recentInt != orig.recentInt || restored.recentFP != orig.recentFP ||
+		restored.destCtr != orig.destCtr || restored.fpDestCtr != orig.fpDestCtr {
+		t.Fatal("re-materialization did not rebuild the recency rings and destination counters")
+	}
+	for p, page := range orig.program {
+		if page != nil && *page != *restored.program[p] {
+			t.Fatalf("static program page %d differs after restore", p)
+		}
 	}
 	for i := 0; i < 5000; i++ {
 		a, b := orig.Next(), restored.Next()
@@ -72,38 +96,50 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Snapshots are outside input: a static-program entry outside the code,
-// misaligned or repeated is rejected rather than indexing the table.
+// Snapshots are outside input: a static-program entry outside the code or
+// repeated is rejected rather than indexing the table.
 func TestRestoreRejectsBadProgramEntries(t *testing.T) {
 	g := gccGenerator(t)
-	end := g.codeEnd()
-	cases := []struct {
+	size := int((g.codeEnd() - CodeBase) / 4)
+	// body is a fresh generator's section with the program visiting idx
+	// (instruction indices from CodeBase) in order.
+	body := func(idx []int) []byte {
+		e := snapshot.NewEncoder(nil)
+		for _, v := range []uint64{g.rngSrc.n, g.wpSrc.n, g.pc, g.wpPC} {
+			e.Uvarint(v)
+		}
+		e.Bool(false)
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Uvarint(0)
+		e.Uvarint(uint64(len(idx)))
+		prev := 0
+		for _, i := range idx {
+			e.Int(i - prev)
+			prev = i
+		}
+		e.Uvarint(0)
+		return e.Bytes()
+	}
+	restore := func(b []byte) error {
+		d := snapshot.NewDecoder(b)
+		gccGenerator(t).RestoreSourceState(d)
+		return d.Finish()
+	}
+	for _, c := range []struct {
 		name string
-		pcs  []uint64
+		idx  []int
 	}{
-		{"below code base", []uint64{CodeBase - 4}},
-		{"zero", []uint64{0}},
-		{"at code end", []uint64{end}},
-		{"far past code end", []uint64{end + 1<<30}},
-		{"misaligned", []uint64{CodeBase + 2}},
-		{"repeated", []uint64{CodeBase + 8, CodeBase + 8}},
-	}
-	// A fresh generator's capture carries the RNG draws its construction
-	// made, so only the program entries below can fail the restore.
-	fresh := g.CaptureState()
-	for _, c := range cases {
-		st := fresh
-		st.Program = nil
-		for _, pc := range c.pcs {
-			st.Program = append(st.Program, StaticInstrState{PC: pc})
-		}
-		if err := gccGenerator(t).RestoreState(st); err == nil {
-			t.Errorf("%s: restore of program pcs %#x succeeded", c.name, c.pcs)
+		{"below code base", []int{-1}},
+		{"at code end", []int{size}},
+		{"far past code end", []int{size + 1<<28}},
+		{"repeated", []int{2, 2}},
+	} {
+		if err := restore(body(c.idx)); err == nil {
+			t.Errorf("%s: restore of program %v succeeded", c.name, c.idx)
 		}
 	}
-	ok := fresh
-	ok.Program = []StaticInstrState{{PC: CodeBase}, {PC: end - 4}}
-	if err := gccGenerator(t).RestoreState(ok); err != nil {
+	if err := restore(body([]int{0, size - 1})); err != nil {
 		t.Errorf("restore of the first and last code pcs: %v", err)
 	}
 }
